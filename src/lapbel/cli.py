@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -109,7 +110,17 @@ def _polynomial_terms(terms, where: str):
     for i, term in enumerate(terms):
         coeff = _require(term, "coeff", f"{where}[{i}]")
         powers = _require(term, "powers", f"{where}[{i}]")
-        rows.append((float(coeff), powers))
+        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+            raise ValidationError(f"{where}[{i}].coeff must be a number")
+        try:
+            coeff = float(coeff)
+        except OverflowError:  # an integer beyond the double range
+            coeff = math.inf
+        if not math.isfinite(coeff):
+            raise ValidationError(f"{where}[{i}].coeff must be finite")
+        if not isinstance(powers, list):
+            raise ValidationError(f"{where}[{i}].powers must be a list of exponents")
+        rows.append((coeff, powers))
     return rows
 
 

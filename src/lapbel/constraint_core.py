@@ -216,11 +216,57 @@ def linear_field(coefficients) -> ScalarField:
     )
 
 
+def _exponent_row(p, idx: int) -> np.ndarray:
+    """Term ``idx``'s exponents as int64, refusing anything that is not a
+    whole number int64 can hold (nothing is truncated or wrapped)."""
+    try:
+        raw = np.asarray(p)
+        values = raw.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"term {idx} has an exponent that is not a number") from exc
+    if np.any(np.isnan(values) | (values != np.trunc(values))):
+        raise ContractError(f"term {idx} has an exponent that is not an integer")
+    if np.any(np.abs(values) >= 2.0**63):
+        raise ContractError(f"term {idx} has an exponent too large for int64")
+    return (raw if raw.dtype.kind in "iu" else values).astype(np.int64)
+
+
+def _shifted(p: np.ndarray, *indices) -> np.ndarray:
+    """A copy of exponent row ``p`` with one power taken off per index."""
+    expo = p.copy()
+    for i in indices:
+        expo[i] -= 1
+    return expo
+
+
+def _stack_entries(entries: dict, dim: int):
+    """Flatten ``{key: [(coef, expo_row), ...]}`` into one exponent table and
+    per-key (key, start, stop, coefficients) slices into it."""
+    rows, coefs, slices = [], [], []
+    for key, contributions in entries.items():
+        start = len(rows)
+        for coef, expo in contributions:
+            coefs.append(coef)
+            rows.append(expo)
+        slices.append((key, start, len(rows)))
+    table = np.stack(rows) if rows else np.zeros((0, dim), dtype=np.int64)
+    coef = np.asarray(coefs, dtype=float)
+    return table, [(key, a, b, coef[a:b]) for key, a, b in slices]
+
+
 def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
     """A polynomial sum(coeff * prod(u_i ** powers_i)) with exact derivatives.
 
     ``terms`` is a sequence of (coeff, powers) pairs; each ``powers`` entry
     is a length-``dim`` sequence of non-negative integers.
+
+    The derivative tables are built once here by walking each term's
+    support: every gradient entry i and Hessian entry (i <= j) that some term
+    reaches gets its contributing terms in term order, with coefficients
+    C*p_i, C*p_i*(p_i - 1) or C*p_i*p_j and the shifted exponent rows. At a
+    point, one monomial pass over the stacked rows feeds one dot per nonzero
+    entry, so the cost scales with the sum of squared term supports, not
+    with dim**2.
     """
     if dim <= 0:
         raise DimensionError("polynomial dim must be positive")
@@ -231,7 +277,7 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
             c, p = term
         except (TypeError, ValueError) as exc:
             raise ContractError(f"term {idx} is not a (coeff, powers) pair") from exc
-        p = np.asarray(p, dtype=int)
+        p = _exponent_row(p, idx)
         if p.ndim != 1 or p.size != dim:
             raise DimensionError(
                 f"term {idx} powers must have length {dim}, got shape {p.shape}"
@@ -245,6 +291,21 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
     C = np.asarray(coeffs)
     P = np.stack(powers)  # (t, dim) exponent rows
 
+    grad_entries: dict = {}
+    hess_entries: dict = {}
+    for c, p in zip(C, P):
+        support = np.flatnonzero(p)
+        for a, i in enumerate(support):
+            ci = c * p[i]
+            grad_entries.setdefault(i, []).append((ci, _shifted(p, i)))
+            if p[i] >= 2:
+                diagonal = (ci * (p[i] - 1), _shifted(p, i, i))
+                hess_entries.setdefault((i, i), []).append(diagonal)
+            for j in support[a + 1:]:
+                hess_entries.setdefault((i, j), []).append((ci * p[j], _shifted(p, i, j)))
+    grad_table, grad_slices = _stack_entries(grad_entries, dim)
+    hess_table, hess_slices = _stack_entries(hess_entries, dim)
+
     def _monomials(u, expo):
         # numpy evaluates 0.0 ** 0 as 1.0, which is the convention needed here
         return np.prod(u[None, :] ** expo, axis=1)
@@ -254,36 +315,16 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
 
     def gradient(u):
         g = np.zeros(dim)
-        for i in range(dim):
-            mask = P[:, i] > 0
-            if not np.any(mask):
-                continue
-            expo = P[mask].copy()
-            expo[:, i] -= 1
-            g[i] = float((C[mask] * P[mask, i]) @ _monomials(u, expo))
+        mono = _monomials(u, grad_table)
+        for i, a, b, coef in grad_slices:
+            g[i] = float(coef @ mono[a:b])
         return g
 
     def hessian(u):
         H = np.zeros((dim, dim))
-        for i in range(dim):
-            for j in range(i, dim):
-                if i == j:
-                    mask = P[:, i] >= 2
-                    if not np.any(mask):
-                        continue
-                    expo = P[mask].copy()
-                    expo[:, i] -= 2
-                    coef = C[mask] * P[mask, i] * (P[mask, i] - 1)
-                else:
-                    mask = (P[:, i] > 0) & (P[:, j] > 0)
-                    if not np.any(mask):
-                        continue
-                    expo = P[mask].copy()
-                    expo[:, i] -= 1
-                    expo[:, j] -= 1
-                    coef = C[mask] * P[mask, i] * P[mask, j]
-                H[i, j] = float(coef @ _monomials(u, expo))
-                H[j, i] = H[i, j]
+        mono = _monomials(u, hess_table)
+        for (i, j), a, b, coef in hess_slices:
+            H[i, j] = H[j, i] = float(coef @ mono[a:b])
         return H
 
     return ScalarField(dim=dim, value_fn=value, gradient_fn=gradient, hessian_fn=hessian)

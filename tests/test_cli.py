@@ -354,6 +354,41 @@ def test_eval_validation_failures(capsys, tmp_path):
         assert code == 2, (i, err)
 
 
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ({"coeff": 1.0, "powers": [1.5, 0, 0]}, "not an integer"),
+        ({"coeff": 1.0, "powers": ["ab", 0, 0]}, "not a number"),
+        ({"coeff": 1.0, "powers": [1e30, 0, 0]}, "too large"),
+        ({"coeff": "abc", "powers": [1, 0, 0]}, "must be a number"),
+        ({"coeff": 1e400, "powers": [1, 0, 0]}, "must be finite"),
+        ({"coeff": 10**400, "powers": [1, 0, 0]}, "must be finite"),
+        ({"coeff": 1.0, "powers": "ab"}, "must be a list"),
+    ],
+)
+def test_eval_malformed_polynomial_term_exits_2(capsys, tmp_path, term, message):
+    job = dict(SPHERE_LINEAR_JOB, function={"type": "polynomial", "terms": [term]})
+    code, records, err = eval_records(capsys, tmp_path, job)
+    assert code == 2 and records == []
+    assert message in err and len(err.splitlines()) == 1
+
+
+def test_eval_malformed_constraint_term_exits_2(capsys, tmp_path):
+    job = {
+        "manifold": {
+            "type": "generic",
+            "ambient_dim": 2,
+            "constraints": [{"terms": [{"coeff": 1.0, "powers": [2.5, 0]}]}],
+            "regular_value": [1.0],
+        },
+        "function": {"type": "linear", "coefficients": [1.0, 0.0]},
+        "points": [[1.0, 0.0]],
+    }
+    code, records, err = eval_records(capsys, tmp_path, job)
+    assert code == 2 and records == []
+    assert "manifold.constraints[0]" in err and "not an integer" in err
+
+
 def test_eval_brockett_requires_symmetric_matrix(capsys, tmp_path):
     job = {
         "manifold": {"type": "orthogonal", "n": 2},

@@ -186,6 +186,111 @@ def test_polynomial_validation():
         polynomial_field(2, [1.0])
     with pytest.raises(DimensionError):
         polynomial_field(0, [])
+    # exponents that are not whole numbers int64 can hold are refused
+    for bad in (1.5, "ab", 1e30, 10**30, None, float("nan")):
+        with pytest.raises(ContractError):
+            polynomial_field(2, [(1.0, (bad, 0))])
+
+
+def test_polynomial_accepts_integral_float_exponents():
+    u = np.array([0.3, -1.7])
+    f = polynomial_field(2, [(1.0, (2.0, 1.0))])
+    g = polynomial_field(2, [(1.0, (2, 1))])
+    assert f.value(u) == g.value(u)
+    assert np.array_equal(f.hessian(u), g.hessian(u))
+
+
+def reference_polynomial_derivatives(dim, terms, u):
+    """The original per-pair derivative loops, kept as the exact reference:
+    one mask and one monomial pass per gradient entry and per (i, j) pair."""
+    C = np.asarray([float(c) for c, _ in terms])
+    P = np.stack([np.asarray(p, dtype=int) for _, p in terms])
+
+    def monomials(expo):
+        return np.prod(u[None, :] ** expo, axis=1)
+
+    g = np.zeros(dim)
+    for i in range(dim):
+        mask = P[:, i] > 0
+        if not np.any(mask):
+            continue
+        expo = P[mask].copy()
+        expo[:, i] -= 1
+        g[i] = float((C[mask] * P[mask, i]) @ monomials(expo))
+    H = np.zeros((dim, dim))
+    for i in range(dim):
+        for j in range(i, dim):
+            if i == j:
+                mask = P[:, i] >= 2
+                if not np.any(mask):
+                    continue
+                expo = P[mask].copy()
+                expo[:, i] -= 2
+                coef = C[mask] * P[mask, i] * (P[mask, i] - 1)
+            else:
+                mask = (P[:, i] > 0) & (P[:, j] > 0)
+                if not np.any(mask):
+                    continue
+                expo = P[mask].copy()
+                expo[:, i] -= 1
+                expo[:, j] -= 1
+                coef = C[mask] * P[mask, i] * P[mask, j]
+            H[i, j] = float(coef @ monomials(expo))
+            H[j, i] = H[i, j]
+    return g, H
+
+
+def assert_bitwise_equal(actual, expected):
+    assert np.array_equal(actual, expected)
+    assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+
+
+def random_sparse_terms(rng, dim, count=12, degree=5):
+    """Terms whose support is at most three variables, drawn from the first
+    few variables for every other term so that entries collect several
+    contributions."""
+    terms = []
+    for t in range(count):
+        powers = np.zeros(dim, dtype=int)
+        pool = min(dim, 4) if t % 2 else dim
+        support = rng.integers(0, pool, size=3)
+        for _ in range(int(rng.integers(0, degree + 1))):
+            powers[support[rng.integers(0, 3)]] += 1
+        terms.append((float(rng.uniform(-1.0, 1.0)), powers))
+    return terms
+
+
+@pytest.mark.parametrize("dim", [1, 3, 25, 200])
+def test_polynomial_derivatives_match_reference_loops_exactly(dim):
+    rng = np.random.default_rng([2206, dim])
+    terms = random_sparse_terms(rng, dim)
+    f = polynomial_field(dim, terms)
+    points = [rng.standard_normal(dim), rng.uniform(-2.0, 2.0, size=dim)]
+    points[1][: dim // 2] = 0.0
+    for u in points:
+        g, H = reference_polynomial_derivatives(dim, terms, u)
+        assert_bitwise_equal(f.gradient(u), g)
+        assert_bitwise_equal(f.hessian(u), H)
+
+
+def test_polynomial_special_terms_match_reference_loops_exactly():
+    # constant term, repeated monomial, zero coefficient, exponents >= 2
+    terms = [
+        (2.5, (0, 0, 0)),
+        (1.0, (1, 1, 0)),
+        (0.3, (1, 1, 0)),
+        (0.0, (2, 0, 1)),
+        (-1.5, (3, 0, 0)),
+        (0.7, (2, 2, 0)),
+        (1.1, (0, 0, 4)),
+    ]
+    f = polynomial_field(3, terms)
+    for u in (np.zeros(3), np.array([0.0, -0.4, 1.3]), np.array([0.9, 1.1, -0.2])):
+        g, H = reference_polynomial_derivatives(3, terms, u)
+        assert_bitwise_equal(f.gradient(u), g)
+        assert_bitwise_equal(f.hessian(u), H)
+    assert f.hessian(np.zeros(3))[0, 0] == 0.0
+    assert f.hessian(np.array([1.0, 0.0, 0.0]))[0, 0] == -9.0
 
 
 @pytest.mark.parametrize("seed", range(3))
