@@ -22,8 +22,9 @@ CORPUS = Path(__file__).parent / "eval_corpus"
 
 # (job, exit code): sphere n = 200 with a 12-term polynomial (2 points), and
 # the Clifford torus as generic constraints (5 points, index 3 off the
-# manifold, so a DomainError record and exit 4).
-JOBS = [("sphere_wide", 0), ("clifford_torus", 4)]
+# manifold, so a DomainError record and exit 4), and O(4) Brockett on the
+# general-frame path (4 points, index 2 scaled off the group, exit 4).
+JOBS = [("sphere_wide", 0), ("clifford_torus", 4), ("orthogonal_general", 4)]
 
 
 @pytest.mark.parametrize("name, exit_code", JOBS)
