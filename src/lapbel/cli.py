@@ -51,6 +51,21 @@ def _require(mapping, key: str, where: str):
     return mapping[key]
 
 
+def _number(value, where: str, integer: bool = False):
+    """A finite job number (an int when ``integer``), else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{where} must be finite")
+    if integer and not number.is_integer():
+        raise ValidationError(f"{where} must be an integer")
+    return int(number) if integer else number
+
+
 def _load_matrix_spec(spec, where: str) -> np.ndarray:
     if isinstance(spec, dict) and "file" in spec:
         spec = _load_json(spec["file"])
@@ -110,14 +125,7 @@ def _polynomial_terms(terms, where: str):
     for i, term in enumerate(terms):
         coeff = _require(term, "coeff", f"{where}[{i}]")
         powers = _require(term, "powers", f"{where}[{i}]")
-        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-            raise ValidationError(f"{where}[{i}].coeff must be a number")
-        try:
-            coeff = float(coeff)
-        except OverflowError:  # an integer beyond the double range
-            coeff = math.inf
-        if not math.isfinite(coeff):
-            raise ValidationError(f"{where}[{i}].coeff must be finite")
+        coeff = _number(coeff, f"{where}[{i}].coeff")
         if not isinstance(powers, list):
             raise ValidationError(f"{where}[{i}].powers must be a list of exponents")
         rows.append((coeff, powers))
@@ -189,7 +197,7 @@ def _build_function(spec, ambient_dim: int) -> core.ScalarField:
 
 def _sample_field(sample, index: int, ambient_dim: int) -> core.ScalarField:
     where = f"function.samples[{index}]"
-    value = float(_require(sample, "value", where))
+    value = _number(_require(sample, "value", where), f"{where}.value")
     gradient = _as_float_list(_require(sample, "gradient", where), f"{where}.gradient")
     if gradient.size != ambient_dim:
         raise ValidationError(
@@ -214,7 +222,8 @@ def _generic_constraints(manifold) -> core.ConstraintSet:
     spec = manifold
     if "file" in manifold:
         spec = _load_json(manifold["file"])
-    ambient = int(_require(spec, "ambient_dim", "job.manifold"))
+    raw_dim = _require(spec, "ambient_dim", "job.manifold")
+    ambient = _number(raw_dim, "manifold.ambient_dim", integer=True)
     raw = _require(spec, "constraints", "job.manifold")
     if not isinstance(raw, list) or not raw:
         raise ValidationError("job.manifold.constraints must be a non-empty list")
@@ -250,18 +259,17 @@ def _evaluate_job(data) -> tuple[list, bool]:
 
     tols = DEFAULT_TOLERANCES
     overrides = {}
-    if "on_manifold_tol" in options:
-        overrides["on_manifold"] = float(options["on_manifold_tol"])
-    if "orthogonality_tol" in options:
-        overrides["orthogonality"] = float(options["orthogonality_tol"])
+    for key in ("on_manifold", "orthogonality"):
+        if f"{key}_tol" in options:
+            overrides[key] = _number(options[f"{key}_tol"], f"options.{key}_tol")
     if overrides:
         tols = dataclasses.replace(tols, **overrides)
 
     matrix_side = None
     radius = None
     if kind == "sphere":
-        n = int(_require(manifold, "n", "job.manifold"))
-        radius = float(manifold.get("radius", 1.0))
+        n = _number(_require(manifold, "n", "job.manifold"), "manifold.n", integer=True)
+        radius = _number(manifold.get("radius", 1.0), "manifold.radius")
         try:
             constraints = sphere.sphere_constraint_set(n, radius)
         except LapbelError as exc:
@@ -270,7 +278,7 @@ def _evaluate_job(data) -> tuple[list, bool]:
         ambient = n
         default_path = "closed-form"
     elif kind == "orthogonal":
-        n = int(_require(manifold, "n", "job.manifold"))
+        n = _number(_require(manifold, "n", "job.manifold"), "manifold.n", integer=True)
         try:
             constraints = orthogonal.on_constraint_set(n)
         except LapbelError as exc:
@@ -281,7 +289,7 @@ def _evaluate_job(data) -> tuple[list, bool]:
         default_path = "closed-form"
     elif kind == "generic":
         constraints = _generic_constraints(manifold)
-        frame = core.qr_nullspace_frame(constraints)
+        frame = None  # the QR null-space frame of the point's Jacobian
         ambient = constraints.ambient_dim
         default_path = "general-frame"
     else:
@@ -313,31 +321,27 @@ def _evaluate_job(data) -> tuple[list, bool]:
             raise ValidationError(
                 "function.samples must be a list aligned with job.points"
             )
-
-        def field_for(i: int) -> core.ScalarField:
-            return _sample_field(samples[i], i, ambient)
-
+        fields = [_sample_field(sample, i, ambient) for i, sample in enumerate(samples)]
     else:
         shared = _build_function(fspec, ambient)
         fd_options = options.get("finite_difference")
         if fd_options is not None:
             if not isinstance(fd_options, dict):
                 raise ValidationError("options.finite_difference must be an object")
-            grad_step = float(fd_options.get("gradient_step", 1e-5))
-            hess_step = float(fd_options.get("hessian_step", 1e-4))
+            grad_step, hess_step = (
+                _number(fd_options.get(key, default), f"options.finite_difference.{key}")
+                for key, default in (("gradient_step", 1e-5), ("hessian_step", 1e-4))
+            )
             shared = core.finite_difference_field(
                 shared.value_fn, ambient, grad_step=grad_step, hess_step=hess_step
             )
-
-        def field_for(i: int) -> core.ScalarField:
-            return shared
+        fields = [shared] * len(resolved)
 
     records = []
     had_error = False
-    for i, (ref, u) in enumerate(resolved):
+    for i, ((ref, u), field) in enumerate(zip(resolved, fields)):
         base = {"index": i, "ref": ref, "path": path}
         try:
-            field = field_for(i)
             if path == "closed-form" and kind == "sphere":
                 point = sphere.SpherePoint(u, radius, tol=tols.on_manifold)
                 report = sphere.sphere_report(field, point)

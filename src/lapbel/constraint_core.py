@@ -42,6 +42,10 @@ class ScalarField:
     closed forms, "finite-difference(h=...)" for difference quotients, or
     another label for externally supplied data. Derivative-hygiene checks
     only accept analytic fields.
+
+    ``constant_hessian`` declares that the Hessian does not depend on the
+    point: it is built and checked once, on first use, and handed out
+    read-only.
     """
 
     dim: int
@@ -49,6 +53,7 @@ class ScalarField:
     gradient_fn: Callable[[np.ndarray], np.ndarray]
     hessian_fn: Callable[[np.ndarray], np.ndarray]
     provenance: str = "analytic"
+    constant_hessian: bool = False
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -75,27 +80,11 @@ class ScalarField:
 
     def gradient(self, u) -> np.ndarray:
         u = self._check_point(u)
-        g = as_vector(self.gradient_fn(u), "gradient")
-        if g.size != self.dim:
-            raise DimensionError(
-                f"gradient has dimension {g.size}, expected {self.dim}"
-            )
-        return g
+        return _stacked([self.gradient_fn(u)], (self.dim,), "gradient")[0]
 
     def hessian(self, u) -> np.ndarray:
         u = self._check_point(u)
-        H = as_matrix(self.hessian_fn(u), "hessian")
-        if H.shape != (self.dim, self.dim):
-            raise DimensionError(
-                f"hessian has shape {H.shape}, expected {(self.dim, self.dim)}"
-            )
-        scale = max(1.0, float(np.max(np.abs(H))))
-        asym = float(np.max(np.abs(H - H.T)))
-        if asym > DEFAULT_TOLERANCES.equality * scale:
-            raise ContractError(
-                f"hessian is not symmetric: max |H - H^T| = {asym:.3e}"
-            )
-        return H
+        return _hessian_stack(self, (self,), u, self.constant_hessian)[0]
 
     # -- field arithmetic ---------------------------------------------------
     # Sums, scalar multiples, and products are themselves scalar fields with
@@ -193,6 +182,40 @@ class ScalarField:
     __rmul__ = __mul__
 
 
+def _stacked(arrays, shape: tuple, name: str) -> np.ndarray:
+    """One float64 array stacking derivative arrays of the given shape,
+    checked for finiteness once."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    for a in arrays:
+        if a.shape != shape:
+            raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
+    out = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    if not np.isfinite(out).all():
+        raise DimensionError(f"{name} contains non-finite entries")
+    return out
+
+
+def _hessian_stack(owner, fields, u: np.ndarray, constant: bool) -> np.ndarray:
+    """The Hessians of ``fields`` at ``u``, each checked finite and symmetric
+    (scaled by its magnitude); a constant stack is kept read-only on ``owner``."""
+    kept = owner.__dict__.get("_constant_hessians")
+    if kept is not None:
+        return kept
+    dim = fields[0].dim
+    Hs = _stacked([f.hessian_fn(u) for f in fields], (dim, dim), "hessian")
+    scale = np.maximum(np.abs(Hs).max(axis=(1, 2)), 1.0)
+    asym = np.abs(Hs - Hs.transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = asym > DEFAULT_TOLERANCES.equality * scale
+    if bad.any():
+        raise ContractError(
+            f"hessian is not symmetric: max |H - H^T| = {asym[bad][0]:.3e}"
+        )
+    if constant:
+        Hs.flags.writeable = False
+        object.__setattr__(owner, "_constant_hessians", Hs)
+    return Hs
+
+
 def constant_field(dim: int, value: float) -> ScalarField:
     """The constant function on R^dim."""
     c = float(value)
@@ -201,6 +224,7 @@ def constant_field(dim: int, value: float) -> ScalarField:
         value_fn=lambda u: c,
         gradient_fn=lambda u: np.zeros(dim),
         hessian_fn=lambda u: np.zeros((dim, dim)),
+        constant_hessian=True,
     )
 
 
@@ -213,6 +237,7 @@ def linear_field(coefficients) -> ScalarField:
         value_fn=lambda u: float(c @ u),
         gradient_fn=lambda u: c.copy(),
         hessian_fn=lambda u: np.zeros((dim, dim)),
+        constant_hessian=True,
     )
 
 
@@ -327,7 +352,38 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
             H[i, j] = H[j, i] = float(coef @ mono[a:b])
         return H
 
-    return ScalarField(dim=dim, value_fn=value, gradient_fn=gradient, hessian_fn=hessian)
+    constant = bool(np.all(P.sum(axis=1) <= 2))  # no term above degree 2
+    return ScalarField(dim, value, gradient, hessian, constant_hessian=constant)
+
+
+def block_product_field(
+    dim: int, first: slice, second: slice, weight: float = 1.0
+) -> ScalarField:
+    """The quadratic form weight * <u[first], u[second]> on R^dim, for two
+    coordinate blocks of equal length, with its constant Hessian: weight
+    times the identity in blocks (first, second) and (second, first). The
+    sphere and O(n) constraints are all of this form."""
+    size = len(range(dim)[first])
+
+    def value(u):
+        return weight * float(u[first] @ u[second])
+
+    def gradient(u):
+        g = np.zeros(dim)
+        if first == second:
+            g[first] = (2.0 * weight) * u[first]
+        else:
+            g[first] = weight * u[second]
+            g[second] = weight * u[first]
+        return g
+
+    def hessian(u):
+        H = np.zeros((dim, dim))
+        H[first, second] += weight * np.eye(size)
+        H[second, first] += weight * np.eye(size)
+        return H
+
+    return ScalarField(dim, value, gradient, hessian, constant_hessian=True)
 
 
 def _fd_gradient(value_fn, u: np.ndarray, h: float) -> np.ndarray:
@@ -406,7 +462,11 @@ def finite_difference_field(
 @dataclass(frozen=True)
 class ConstraintSet:
     """Finitely many scalar constraints and the regular value cutting out
-    the manifold ``{u : fields[a](u) = regular_value[a] for all a}``."""
+    the manifold ``{u : fields[a](u) = regular_value[a] for all a}``.
+
+    Values, gradients and Hessians are evaluated for all constraints at once
+    and checked once per call; a stack of constant Hessians is built once.
+    """
 
     ambient_dim: int
     fields: tuple
@@ -441,18 +501,34 @@ class ConstraintSet:
     def count(self) -> int:
         return len(self.fields)
 
-    def residuals(self, u) -> np.ndarray:
+    def _check_point(self, u) -> np.ndarray:
         u = as_vector(u, "point")
         if u.size != self.ambient_dim:
             raise DimensionError(
                 f"point has dimension {u.size}, constraints expect {self.ambient_dim}"
             )
-        return np.array(
-            [f.value(u) - c for f, c in zip(self.fields, self.regular_value)]
-        )
+        return u
+
+    def residuals(self, u) -> np.ndarray:
+        u = self._check_point(u)
+        values = np.array([float(f.value_fn(u)) for f in self.fields])
+        if not np.isfinite(values).all():
+            raise DomainError("field value is not finite")
+        return values - self.regular_value
+
+    def jacobian(self, u) -> np.ndarray:
+        """The k-by-m matrix whose row a is the gradient of constraint a."""
+        u = self._check_point(u)
+        return _stacked([f.gradient_fn(u) for f in self.fields], (u.size,), "gradient")
 
     def gradients(self, u) -> list:
-        return [f.gradient(u) for f in self.fields]
+        return list(self.jacobian(u))
+
+    def hessians(self, u) -> np.ndarray:
+        """The k-by-m-by-m stack of constraint Hessians at ``u``."""
+        u = self._check_point(u)
+        constant = all(f.constant_hessian for f in self.fields)
+        return _hessian_stack(self, self.fields, u, constant)
 
 
 @dataclass(frozen=True)
@@ -511,11 +587,15 @@ def lagrange_multipliers(
         raise DimensionError(
             f"point dimension {u.size} does not match ambient {constraints.ambient_dim}"
         )
-    grads = constraints.gradients(u)
-    G = numkit.gram(grads, grads)
-    b = numkit.gram(grads, [f.gradient(u)])[:, 0]
+    return _multipliers(constraints.jacobian(u), f.gradient(u))
+
+
+def _multipliers(J: np.ndarray, grad_f: np.ndarray) -> np.ndarray:
+    # J @ J.T on one buffer would go to BLAS syrk; the copy keeps the gemm
+    # (and the bits) of numkit.gram.
+    G = J @ J.copy().T
     try:
-        return numkit.solve_spd(G, b)
+        return numkit.solve_spd(G, J @ grad_f)
     except FactorizationError as exc:
         raise RegularityError(
             "constraint gradients are linearly dependent at this point"
@@ -568,7 +648,7 @@ class LaplacianReport:
 def laplace_beltrami_general(
     f: ScalarField,
     constraints: ConstraintSet,
-    frame: AdaptedFrame,
+    frame: AdaptedFrame | None,
     u,
     tols: Tolerances | None = None,
 ) -> LaplacianReport:
@@ -577,8 +657,11 @@ def laplace_beltrami_general(
 
     The value is tr(T+ [Hess f] T) minus the multiplier-weighted projected
     constraint Hessian traces, with T+ the left Moore-Penrose inverse of the
-    frame. Off-manifold points raise DomainError with the residual;
-    ill-conditioned frame Grams raise SingularityError.
+    frame. With ``frame`` None the frame is the QR null-space frame of the
+    constraint Jacobian (see :func:`qr_nullspace_frame`); the Jacobian is
+    evaluated once per point and also feeds the multipliers. Off-manifold
+    points raise DomainError with the residual; ill-conditioned frame Grams
+    raise SingularityError.
     """
     tols = DEFAULT_TOLERANCES if tols is None else tols
     u = as_vector(u, "point")
@@ -593,7 +676,8 @@ def laplace_beltrami_general(
             f"tolerance {tols.on_manifold:.6g}",
             residual=check.residual,
         )
-    T = frame.at(u)
+    J = constraints.jacobian(u)
+    T = _nullspace_frame(J) if frame is None else frame.at(u)
     m, r = T.shape
     if r != m - constraints.count:
         raise DimensionError(
@@ -608,12 +692,20 @@ def laplace_beltrami_general(
             condition=cond,
         )
     T_plus = numkit.solve_spd(G, T.T)
-    sigma = lagrange_multipliers(constraints, f, u)
+    sigma = _multipliers(J, f.gradient(u))
     trace_main = float(np.trace(T_plus @ f.hessian(u) @ T))
-    trace_constraint = np.array(
-        [float(np.trace(T_plus @ Fa.hessian(u) @ T)) for Fa in constraints.fields]
-    )
+    trace_constraint = np.trace(T_plus @ constraints.hessians(u) @ T, axis1=1, axis2=2)
     return LaplacianReport.assemble(trace_main, sigma, trace_constraint, cond)
+
+
+def _nullspace_frame(J: np.ndarray) -> np.ndarray:
+    k = J.shape[0]
+    Q, R = np.linalg.qr(J.T, mode="complete")
+    diag = np.abs(np.diag(R[:k, :k]))
+    scale = max(1.0, float(np.max(np.abs(J))))
+    if np.any(diag < 1e-12 * scale):
+        raise RegularityError("constraint gradients are rank deficient at this point")
+    return Q[:, k:]
 
 
 def qr_nullspace_frame(constraints: ConstraintSet) -> AdaptedFrame:
@@ -623,17 +715,4 @@ def qr_nullspace_frame(constraints: ConstraintSet) -> AdaptedFrame:
     complete mode; the trailing orthonormal columns span the tangent space.
     Rank-deficient gradients raise RegularityError.
     """
-
-    def provider(u: np.ndarray) -> np.ndarray:
-        grads = constraints.gradients(u)
-        J = np.stack(grads, axis=1)
-        Q, R = np.linalg.qr(J, mode="complete")
-        diag = np.abs(np.diag(R[: J.shape[1], : J.shape[1]]))
-        scale = max(1.0, float(np.max(np.abs(J))))
-        if np.any(diag < 1e-12 * scale):
-            raise RegularityError(
-                "constraint gradients are rank deficient at this point"
-            )
-        return Q[:, constraints.count :]
-
-    return AdaptedFrame(provider=provider)
+    return AdaptedFrame(provider=lambda u: _nullspace_frame(constraints.jacobian(u)))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionError, FactorizationError, SingularityError
 
@@ -132,8 +131,11 @@ def solve_spd(A, B, sym_tol: float | None = None) -> np.ndarray:
 
     ``A`` must be symmetric to ``sym_tol`` (scaled by its magnitude); it is
     symmetrized before factorization. Raises FactorizationError when the
-    Cholesky factorization fails.
+    Cholesky factorization fails. SciPy is imported here, on first use, so
+    paths that never solve (closed forms, ``describe``) do not load it.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     A = as_matrix(A, "solve_spd A")
     n, m = A.shape
     if n != m:

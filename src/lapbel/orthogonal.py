@@ -23,6 +23,7 @@ from .constraint_core import (
     ConstraintSet,
     LaplacianReport,
     ScalarField,
+    block_product_field,
 )
 from .errors import ContractError, DimensionError, DomainError
 from .numkit import DEFAULT_TOLERANCES, as_matrix, as_vector, unvec, vec
@@ -91,50 +92,6 @@ def theta_basis(n: int) -> list:
     return mats
 
 
-def _column_constraint(n: int, a: int) -> ScalarField:
-    dim = n * n
-    sl = slice(a * n, (a + 1) * n)  # block a of the vector is column a
-
-    def value(u):
-        col = u[sl]
-        return 0.5 * float(col @ col)
-
-    def gradient(u):
-        g = np.zeros(dim)
-        g[sl] = u[sl]
-        return g
-
-    def hessian(u):
-        H = np.zeros((dim, dim))
-        H[sl, sl] = np.eye(n)
-        return H
-
-    return ScalarField(dim=dim, value_fn=value, gradient_fn=gradient, hessian_fn=hessian)
-
-
-def _pair_constraint(n: int, b: int, c: int) -> ScalarField:
-    dim = n * n
-    sb = slice(b * n, (b + 1) * n)
-    sc = slice(c * n, (c + 1) * n)
-
-    def value(u):
-        return float(u[sb] @ u[sc])
-
-    def gradient(u):
-        g = np.zeros(dim)
-        g[sb] = u[sc]
-        g[sc] = u[sb]
-        return g
-
-    def hessian(u):
-        H = np.zeros((dim, dim))
-        H[sb, sc] = np.eye(n)
-        H[sc, sb] = np.eye(n)
-        return H
-
-    return ScalarField(dim=dim, value_fn=value, gradient_fn=gradient, hessian_fn=hessian)
-
-
 def on_constraint_set(n: int) -> ConstraintSet:
     """Constraints cutting the orthogonal group out of matrix space.
 
@@ -144,8 +101,9 @@ def on_constraint_set(n: int) -> ConstraintSet:
     """
     if n < 2:
         raise DimensionError(f"orthogonal constraint sets need n >= 2, got {n}")
-    fields = [_column_constraint(n, a) for a in range(n)]
-    fields.extend(_pair_constraint(n, b, c) for b, c in index_pairs(n))
+    block = [slice(a * n, (a + 1) * n) for a in range(n)]  # column a of the vector
+    fields = [block_product_field(n * n, block[a], block[a], 0.5) for a in range(n)]
+    fields.extend(block_product_field(n * n, block[b], block[c]) for b, c in index_pairs(n))
     values = np.concatenate([np.full(n, 0.5), np.zeros(len(fields) - n)])
     return ConstraintSet(ambient_dim=n * n, fields=tuple(fields), regular_value=values)
 
@@ -299,6 +257,7 @@ def p1_field(A) -> ScalarField:
         value_fn=value,
         gradient_fn=lambda u: grad.copy(),
         hessian_fn=lambda u: np.zeros((dim, dim)),
+        constant_hessian=True,
     )
 
 
@@ -317,9 +276,7 @@ def p11_field(A) -> ScalarField:
     def gradient(u):
         return 2.0 * float(np.trace(A @ unvec(u, n))) * w
 
-    return ScalarField(
-        dim=dim, value_fn=value, gradient_fn=gradient, hessian_fn=lambda u: H.copy()
-    )
+    return ScalarField(dim, value, gradient, lambda u: H.copy(), constant_hessian=True)
 
 
 def p2_field(A) -> ScalarField:
@@ -342,9 +299,7 @@ def p2_field(A) -> ScalarField:
         U = unvec(u, n)
         return vec(2.0 * (B @ U.T @ B))
 
-    return ScalarField(
-        dim=dim, value_fn=value, gradient_fn=gradient, hessian_fn=lambda u: H.copy()
-    )
+    return ScalarField(dim, value, gradient, lambda u: H.copy(), constant_hessian=True)
 
 
 def brockett_field(A, diagonal) -> ScalarField:
@@ -374,9 +329,7 @@ def brockett_field(A, diagonal) -> ScalarField:
         U = unvec(u, n)
         return vec(2.0 * (A @ U) * mu[None, :])
 
-    return ScalarField(
-        dim=dim, value_fn=value, gradient_fn=gradient, hessian_fn=lambda u: H.copy()
-    )
+    return ScalarField(dim, value, gradient, lambda u: H.copy(), constant_hessian=True)
 
 
 def p1_laplacian(A, point: OrthogonalPoint) -> float:

@@ -19,6 +19,7 @@ from .constraint_core import (
     ConstraintSet,
     LaplacianReport,
     ScalarField,
+    block_product_field,
 )
 from .errors import ChartError, ContractError, DimensionError, DomainError
 from .numkit import DEFAULT_TOLERANCES, as_vector
@@ -176,12 +177,7 @@ def sphere_constraint_set(n: int, radius: float) -> ConstraintSet:
         raise DimensionError("sphere constraint sets need n >= 2")
     if not radius > 0:
         raise DimensionError(f"radius must be positive, got {radius}")
-    field = ScalarField(
-        dim=n,
-        value_fn=lambda x: float(x @ x),
-        gradient_fn=lambda x: 2.0 * x,
-        hessian_fn=lambda x: 2.0 * np.eye(n),
-    )
+    field = block_product_field(n, slice(0, n), slice(0, n))
     return ConstraintSet(
         ambient_dim=n, fields=(field,), regular_value=np.array([radius**2])
     )

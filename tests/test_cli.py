@@ -459,6 +459,108 @@ def test_verify_bad_range(capsys):
     assert code == 2
 
 
+# -- scalar job values ------------------------------------------------------------
+
+
+def _sphere_job(**changes):
+    job = json.loads(json.dumps(SPHERE_LINEAR_JOB))
+    for key, value in changes.items():
+        section, _, field = key.partition("__")
+        job.setdefault(section, {})[field] = value
+    return job
+
+
+GENERIC_CIRCLE = {
+    "type": "generic",
+    "ambient_dim": "q",
+    "constraints": [{"terms": [{"coeff": 1.0, "powers": [2, 0]}, {"coeff": 1.0, "powers": [0, 2]}]}],
+    "regular_value": [1.0],
+}
+
+
+def _sample_job(value):
+    sample = {"value": value, "gradient": [1.0, 0.0, 0.0],
+              "hessian": {"rows": 3, "cols": 3, "data": [0.0] * 9}}
+    return {
+        "manifold": {"type": "sphere", "n": 3},
+        "function": {"type": "external-samples", "samples": [sample]},
+        "points": [[1.0, 0.0, 0.0]],
+    }
+
+
+@pytest.mark.parametrize(
+    "job, exit_code, message",
+    [
+        (_sphere_job(manifold__n="x"), 2, "manifold.n must be a number"),
+        (_sphere_job(manifold__n=3.5), 2, "manifold.n must be an integer"),
+        (_sphere_job(manifold__n=True), 2, "manifold.n must be a number"),
+        (_sphere_job(manifold__radius="r"), 2, "manifold.radius must be a number"),
+        (_sphere_job(manifold__radius=float("inf")), 2, "manifold.radius must be finite"),
+        (
+            {**_sphere_job(), "manifold": {"type": "orthogonal", "n": "2"}},
+            2,
+            "manifold.n must be a number",
+        ),
+        ({**_sphere_job(), "manifold": GENERIC_CIRCLE}, 2, "manifold.ambient_dim must be a number"),
+        (_sphere_job(options__on_manifold_tol="big"), 2, "options.on_manifold_tol must be a number"),
+        (
+            _sphere_job(options__on_manifold_tol=float("nan")),
+            2,
+            "options.on_manifold_tol must be finite",
+        ),
+        (
+            _sphere_job(options__orthogonality_tol="big"),
+            2,
+            "options.orthogonality_tol must be a number",
+        ),
+        (
+            _sphere_job(options__finite_difference={"gradient_step": "s"}),
+            2,
+            "options.finite_difference.gradient_step must be a number",
+        ),
+        (
+            _sphere_job(options__finite_difference={"hessian_step": [1e-4]}),
+            2,
+            "options.finite_difference.hessian_step must be a number",
+        ),
+        (_sample_job("abc"), 2, "function.samples[0].value must be a number"),
+        (_sample_job(10**400), 2, "function.samples[0].value must be finite"),
+    ],
+)
+def test_eval_bad_scalar_values_exit_with_one_line(capsys, tmp_path, job, exit_code, message):
+    code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
+    assert code == exit_code
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_eval_scalar_values_accept_integral_numbers(capsys, tmp_path):
+    job = _sphere_job(manifold__n=3.0, manifold__radius=1, options__on_manifold_tol=1)
+    code, records, _ = eval_records(capsys, tmp_path, job)
+    assert code == 0 and len(records) == 2
+
+
+def test_closed_form_eval_and_describe_leave_scipy_unloaded(tmp_path):
+    # SciPy is only needed for SPD solves; the general path loads it.
+    closed = write_json(tmp_path / "closed.json", SPHERE_LINEAR_JOB)
+    general = write_json(
+        tmp_path / "general.json", _sphere_job(options__path="general-frame")
+    )
+    script = (
+        "import io, sys, contextlib\n"
+        "from lapbel.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['eval', '--job', {closed!r}]), main(['describe', 'sphere', '3'])]\n"
+        "before = 'scipy' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes.append(main(['eval', '--job', {general!r}]))\n"
+        "print(codes, before, 'scipy' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0] False True\n"
+
+
 # -- module entry point --------------------------------------------------------------
 
 

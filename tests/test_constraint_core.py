@@ -9,6 +9,7 @@ from lapbel.constraint_core import (
     ConstraintSet,
     LaplacianReport,
     ScalarField,
+    block_product_field,
     constant_field,
     finite_difference_field,
     lagrange_multipliers,
@@ -634,3 +635,180 @@ def test_adapted_frame_validation():
     wide = AdaptedFrame(provider=lambda u: np.ones((3, 3)))
     with pytest.raises(DimensionError):
         wide.at([1.0, 2.0, 3.0])
+
+
+# -- constant Hessians and the one-Jacobian general path -----------------------
+
+
+def counting_field(field, counts, key):
+    """``field`` with its gradient and Hessian builds counted under ``key``."""
+
+    def gradient(u):
+        counts[key, "gradient"] = counts.get((key, "gradient"), 0) + 1
+        return field.gradient_fn(u)
+
+    def hessian(u):
+        counts[key, "hessian"] = counts.get((key, "hessian"), 0) + 1
+        return field.hessian_fn(u)
+
+    return ScalarField(
+        field.dim, field.value_fn, gradient, hessian, constant_hessian=field.constant_hessian
+    )
+
+
+def torus_constraints(counts=None):
+    """The Clifford torus x1^2 + x2^2 = 1, x3^2 + x4^2 = 1 in R^4."""
+    circles = [
+        polynomial_field(4, [(1.0, (2, 0, 0, 0)), (1.0, (0, 2, 0, 0))]),
+        polynomial_field(4, [(1.0, (0, 0, 2, 0)), (1.0, (0, 0, 0, 2))]),
+    ]
+    if counts is not None:
+        circles = [counting_field(c, counts, a) for a, c in enumerate(circles)]
+    return ConstraintSet(ambient_dim=4, fields=tuple(circles), regular_value=[1.0, 1.0])
+
+
+def torus_point(s, t, scale=1.0):
+    return np.array([np.cos(s), np.sin(s), np.cos(t), np.sin(t)]) * scale
+
+
+def test_constraint_gradients_once_per_point_and_hessians_once_per_set():
+    counts = {}
+    cons = torus_constraints(counts)
+    f = polynomial_field(4, [(1.0, (1, 1, 1, 0)), (-0.5, (0, 0, 2, 2))])
+    admitted = [torus_point(s, 0.3 * s + 1.0) for s in (0.1, 0.7, 1.9, 2.6)]
+    for u in admitted:
+        laplace_beltrami_general(f, cons, None, u)
+    with pytest.raises(DomainError):
+        laplace_beltrami_general(f, cons, None, torus_point(0.5, 0.5, scale=1.01))
+    assert counts == {
+        (0, "gradient"): len(admitted),
+        (1, "gradient"): len(admitted),
+        (0, "hessian"): 1,
+        (1, "hessian"): 1,
+    }
+
+
+def test_constant_hessian_is_built_once_and_read_only():
+    builds = []
+
+    def hessian(u):
+        builds.append(1)
+        return 2.0 * np.eye(2)
+
+    f = ScalarField(2, lambda u: float(u @ u), lambda u: 2.0 * u, hessian, constant_hessian=True)
+    H = f.hessian([1.0, 2.0])
+    assert np.array_equal(f.hessian([-3.0, 0.5]), H)
+    assert len(builds) == 1
+    with pytest.raises(ValueError):
+        H[0, 0] = 5.0
+    cons = torus_constraints()
+    Hs = cons.hessians(torus_point(0.2, 0.4))
+    assert cons.hessians(torus_point(1.2, 2.4)) is Hs
+    assert not Hs.flags.writeable
+
+
+def test_constant_hessian_asymmetry_is_still_refused():
+    f = ScalarField(
+        dim=3,
+        value_fn=lambda u: 0.0,
+        gradient_fn=lambda u: np.zeros(3),
+        hessian_fn=lambda u: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        constant_hessian=True,
+    )
+    for _ in range(2):  # a refused Hessian is not kept
+        with pytest.raises(ContractError, match="not symmetric"):
+            f.hessian([0.0, 0.0, 0.0])
+    cons = ConstraintSet(
+        ambient_dim=3, fields=(linear_field([1.0, 0.0, 0.0]), f), regular_value=[1.0, 0.0]
+    )
+    for _ in range(2):
+        with pytest.raises(ContractError, match="not symmetric"):
+            cons.hessians([1.0, 0.0, 0.0])
+
+
+def test_polynomial_constant_hessian_flag_follows_degree():
+    assert polynomial_field(3, [(1.0, (2, 0, 0)), (2.0, (0, 1, 1)), (3.0, (1, 0, 0))]).constant_hessian
+    assert not polynomial_field(3, [(1.0, (2, 0, 0)), (1.0, (1, 1, 1))]).constant_hessian
+    assert linear_field([1.0, 2.0]).constant_hessian
+    assert constant_field(2, 1.0).constant_hessian
+
+
+def test_block_product_field_matches_its_formula_bitwise():
+    rng = np.random.default_rng(44)
+    u = rng.standard_normal(6)
+    first, second = slice(0, 3), slice(3, 6)
+    pair = block_product_field(6, first, second)
+    half_norm = block_product_field(6, first, first, 0.5)
+    assert pair.value(u) == float(u[:3] @ u[3:])
+    assert half_norm.value(u) == 0.5 * float(u[:3] @ u[:3])
+    assert np.array_equal(pair.gradient(u), np.concatenate([u[3:], u[:3]]))
+    assert np.array_equal(half_norm.gradient(u), np.concatenate([u[:3], np.zeros(3)]))
+    eye = np.eye(3)
+    zero = np.zeros((3, 3))
+    assert np.array_equal(pair.hessian(u), np.block([[zero, eye], [eye, zero]]))
+    assert np.array_equal(half_norm.hessian(u), np.block([[eye, zero], [zero, zero]]))
+
+
+def assert_reports_bitwise_equal(r1, r2):
+    assert r1.value == r2.value
+    assert r1.trace_main == r2.trace_main
+    assert r1.frame_gram_condition == r2.frame_gram_condition
+    assert np.array_equal(r1.sigma, r2.sigma)
+    assert np.array_equal(r1.trace_constraint, r2.trace_constraint)
+
+
+def test_frame_none_matches_qr_nullspace_frame_bitwise():
+    f = polynomial_field(4, [(1.3, (2, 1, 1, 0)), (-0.4, (0, 0, 2, 2)), (0.7, (0, 1, 0, 0))])
+    cubic = ConstraintSet(
+        ambient_dim=3,
+        fields=(polynomial_field(3, [(1.0, (3, 0, 0)), (1.0, (0, 2, 0)), (1.0, (0, 0, 2))]),),
+        regular_value=[1.0],
+    )
+    g = polynomial_field(3, [(1.0, (1, 1, 1)), (2.0, (2, 0, 1))])
+    cases = [(f, torus_constraints(), torus_point(s, 2.0 * s - 0.4)) for s in (0.3, 1.1, 2.9)]
+    cases.append((g, cubic, np.array([0.5, 0.6, (1 - 0.125 - 0.36) ** 0.5])))
+    for field, cons, u in cases:
+        assert_reports_bitwise_equal(
+            laplace_beltrami_general(field, cons, None, u),
+            laplace_beltrami_general(field, cons, qr_nullspace_frame(cons), u),
+        )
+
+
+def test_frame_none_refuses_dependent_gradients():
+    cons = ConstraintSet(
+        ambient_dim=3,
+        fields=(polynomial_field(3, [(1.0, (2, 0, 0))]),),
+        regular_value=[0.0],
+    )
+    with pytest.raises(RegularityError):
+        laplace_beltrami_general(linear_field([0.0, 1.0, 0.0]), cons, None, [0.0, 1.0, 0.0])
+
+
+def test_lagrange_multipliers_match_the_normal_equations():
+    cons = torus_constraints()
+    f = polynomial_field(4, [(1.0, (1, 0, 1, 0)), (0.5, (0, 3, 0, 0))])
+    u = torus_point(0.4, 1.3)
+    J = np.stack([c.gradient(u) for c in cons.fields])
+    sigma = lagrange_multipliers(cons, f, u)
+    assert np.max(np.abs(J @ J.T @ sigma - J @ f.gradient(u))) <= 1e-12
+
+
+def test_lagrange_multipliers_keep_the_bits_of_the_gram_route():
+    # The multipliers must equal the numkit.gram + solve_spd route bit for
+    # bit; J @ J.T on a single buffer (BLAS syrk) does not.
+    from lapbel import numkit
+    from lapbel.orthogonal import brockett_field, on_constraint_set
+
+    rng = np.random.default_rng(45)
+    n = 8  # 36 x 64 Jacobians, large enough for syrk to round differently
+    cons = on_constraint_set(n)
+    A = rng.standard_normal((n, n))
+    f = brockett_field(A + A.T, rng.standard_normal(n))
+    for _ in range(10):
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        u = U.reshape(-1, order="F")
+        grads = [c.gradient(u) for c in cons.fields]
+        expected = numkit.solve_spd(
+            numkit.gram(grads, grads), numkit.gram(grads, [f.gradient(u)])[:, 0]
+        )
+        assert np.array_equal(lagrange_multipliers(cons, f, u), expected)
