@@ -1,13 +1,16 @@
 """Byte-identity guard: ``lapbel eval`` on a fixed job corpus.
 
 Each ``tests/eval_corpus/<name>.json`` job has a golden ``<name>.out``
-holding the exact stdout of ``lapbel eval --job <name>.json``. The goldens
-were written before the polynomial derivative kernels were rebuilt on
-precomputed tables, so any change in a printed digit shows up here. A
+holding the exact stdout of ``lapbel eval --job <name>.json``, and
+``verify_all_2_3.out`` holds the exact report of
+``lapbel verify all --n 2..3``. The goldens were written by the code before
+the change they guard, so any change in a printed digit shows up here. A
 deliberate change of output regenerates them with
 
     PYTHONPATH=src python -m lapbel eval --job tests/eval_corpus/<name>.json \\
         > tests/eval_corpus/<name>.out
+    PYTHONPATH=src python -m lapbel verify all --n 2..3 \\
+        > tests/eval_corpus/verify_all_2_3.out
 
 and names the changed digits and their cause in CHANGES.md.
 """
@@ -20,11 +23,30 @@ from lapbel.cli import main
 
 CORPUS = Path(__file__).parent / "eval_corpus"
 
-# (job, exit code): sphere n = 200 with a 12-term polynomial (2 points), and
-# the Clifford torus as generic constraints (5 points, index 3 off the
-# manifold, so a DomainError record and exit 4), and O(4) Brockett on the
-# general-frame path (4 points, index 2 scaled off the group, exit 4).
-JOBS = [("sphere_wide", 0), ("clifford_torus", 4), ("orthogonal_general", 4)]
+# (job, exit code):
+# - sphere_wide: sphere n = 200 with a 12-term polynomial (2 points);
+# - clifford_torus: generic constraints (5 points, index 3 off the manifold,
+#   so a DomainError record and exit 4);
+# - orthogonal_general: O(4) Brockett on the general-frame path (4 points,
+#   index 2 scaled off the group, exit 4);
+# - orthogonal_p1/p11/p2: O(3) closed forms, flat and matrix-object points
+#   alternating, index 2 scaled off the group (exit 4);
+# - sphere_general: sphere n = 5, radius 2, polynomial on the general-frame
+#   path, index 1 off the sphere (exit 4);
+# - sphere_finite_difference: the finite_difference option on the sphere;
+# - external_samples: per-point samples, index 1 with an asymmetric Hessian,
+#   whose ContractError text reaches the record (exit 4).
+JOBS = [
+    ("sphere_wide", 0),
+    ("clifford_torus", 4),
+    ("orthogonal_general", 4),
+    ("orthogonal_p1", 4),
+    ("orthogonal_p11", 4),
+    ("orthogonal_p2", 4),
+    ("sphere_general", 4),
+    ("sphere_finite_difference", 0),
+    ("external_samples", 4),
+]
 
 
 @pytest.mark.parametrize("name, exit_code", JOBS)
@@ -33,3 +55,10 @@ def test_eval_output_is_byte_identical_to_golden(capsys, name, exit_code):
     out = capsys.readouterr().out
     assert code == exit_code
     assert out == (CORPUS / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_verify_report_is_byte_identical_to_golden(capsys):
+    code = main(["verify", "all", "--n", "2..3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (CORPUS / "verify_all_2_3.out").read_text(encoding="utf-8")
