@@ -7,6 +7,8 @@ closed forms for spheres and the orthogonal group and finite-difference
 geodesic oracles to check every identity.
 """
 
+import types
+
 from .constraint_core import (
     AdaptedFrame,
     ConstraintSet,
@@ -91,74 +93,9 @@ from .sphere import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptedFrame",
-    "ChartError",
-    "ConstraintSet",
-    "ContractError",
-    "DEFAULT_TOLERANCES",
-    "DimensionError",
-    "DomainError",
-    "FactorizationError",
-    "LapbelError",
-    "LaplacianReport",
-    "NumericalError",
-    "OnManifoldCheck",
-    "OracleConfig",
-    "OrthogonalPoint",
-    "RegularityError",
-    "ScalarField",
-    "SingularityError",
-    "SpherePoint",
-    "Tolerances",
-    "ValidationError",
-    "brockett_field",
-    "brockett_laplacian",
-    "check_gradient",
-    "check_hessian",
-    "constant_field",
-    "default_chart_index",
-    "finite_difference_field",
-    "geodesic_laplacian_on",
-    "geodesic_laplacian_sphere",
-    "gram",
-    "homogeneous_sphere_laplacian",
-    "index_pairs",
-    "lagrange_multipliers",
-    "lambda_of",
-    "laplace_beltrami_general",
-    "left_moore_penrose",
-    "linear_field",
-    "matrix_from_json",
-    "matrix_to_json",
-    "on_adapted_frame",
-    "on_constraint_set",
-    "on_frame",
-    "on_laplacian",
-    "on_manifold",
-    "p1_field",
-    "p1_laplacian",
-    "p2_field",
-    "p2_laplacian",
-    "p11_field",
-    "p11_laplacian",
-    "polynomial_field",
-    "qr_nullspace_frame",
-    "random_orthogonal",
-    "random_sphere_point",
-    "sigma_matrix",
-    "solve_spd",
-    "sphere_adapted_frame",
-    "sphere_constraint_set",
-    "sphere_frame",
-    "sphere_frame_gram_inverse",
-    "sphere_laplacian",
-    "sphere_projector",
-    "sphere_report",
-    "sphere_sigma",
-    "sym_condition",
-    "theta_basis",
-    "trace_lambda_product",
-    "unvec",
-    "vec",
-]
+# Every public name imported above; the submodules themselves are not exports.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -35,7 +35,9 @@ EXIT_NUMERICAL = 4
 TOL_ENV_VAR = "LAPBEL_TOL"
 
 
-def _load_json(path: str):
+def _load_json(path):
+    if not isinstance(path, str):
+        raise ValidationError(f"file reference must be a path string, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -43,6 +45,10 @@ def _load_json(path: str):
         raise ValidationError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _require(mapping, key: str, where: str):
@@ -132,44 +138,32 @@ def _polynomial_terms(terms, where: str):
     return rows
 
 
-def _matrix_for_square_ambient(spec, ambient_dim: int, where: str) -> np.ndarray:
-    A = _load_matrix_spec(spec, where)
-    if A.shape[0] != A.shape[1]:
-        raise ValidationError(f"{where} must be square, got {A.shape}")
-    if A.shape[0] ** 2 != ambient_dim:
-        raise ValidationError(
-            f"{where} is {A.shape[0]}x{A.shape[0]}; the manifold's ambient "
-            f"dimension {ambient_dim} needs side {int(round(ambient_dim ** 0.5))}"
-        )
-    return A
+# Fields on the orthogonal group built from one coefficient matrix; brockett
+# also takes a diagonal.
+_MATRIX_FIELDS = {
+    "p1": orthogonal.p1_field,
+    "p11": orthogonal.p11_field,
+    "p2": orthogonal.p2_field,
+    "brockett": orthogonal.brockett_field,
+}
 
 
 def _build_function(spec, ambient_dim: int) -> core.ScalarField:
     ftype = _require(spec, "type", "job.function")
     try:
-        if ftype == "p1":
-            A = _matrix_for_square_ambient(
-                _require(spec, "matrix", "job.function"), ambient_dim, "function.matrix"
-            )
-            return orthogonal.p1_field(A)
-        if ftype == "p11":
-            A = _matrix_for_square_ambient(
-                _require(spec, "matrix", "job.function"), ambient_dim, "function.matrix"
-            )
-            return orthogonal.p11_field(A)
-        if ftype == "p2":
-            A = _matrix_for_square_ambient(
-                _require(spec, "matrix", "job.function"), ambient_dim, "function.matrix"
-            )
-            return orthogonal.p2_field(A)
-        if ftype == "brockett":
-            A = _matrix_for_square_ambient(
-                _require(spec, "matrix", "job.function"), ambient_dim, "function.matrix"
-            )
-            diagonal = _as_float_list(
-                _require(spec, "diagonal", "job.function"), "function.diagonal"
-            )
-            return orthogonal.brockett_field(A, diagonal)
+        if ftype in _MATRIX_FIELDS:
+            where = "function.matrix"
+            A = _load_matrix_spec(_require(spec, "matrix", "job.function"), where)
+            if A.shape[0] ** 2 != ambient_dim:
+                raise ValidationError(
+                    f"{where} is {A.shape[0]}x{A.shape[1]}; the manifold's ambient "
+                    f"dimension {ambient_dim} needs side {int(round(ambient_dim ** 0.5))}"
+                )
+            args = [A]
+            if ftype == "brockett":
+                diagonal = _require(spec, "diagonal", "job.function")
+                args.append(_as_float_list(diagonal, "function.diagonal"))
+            return _MATRIX_FIELDS[ftype](*args)
         if ftype == "linear":
             coeffs = _as_float_list(
                 _require(spec, "coefficients", "job.function"), "function.coefficients"
@@ -274,7 +268,7 @@ def _evaluate_job(data) -> tuple[list, bool]:
             constraints = sphere.sphere_constraint_set(n, radius)
         except LapbelError as exc:
             raise ValidationError(f"job.manifold: {exc}") from exc
-        frame = sphere.sphere_adapted_frame(radius)
+        frame = sphere.sphere_adapted_frame(radius, tol=tols.on_manifold)
         ambient = n
         default_path = "closed-form"
     elif kind == "orthogonal":
@@ -356,12 +350,10 @@ def _evaluate_job(data) -> tuple[list, bool]:
         except LapbelError as exc:
             had_error = True
             error = {"type": type(exc).__name__, "message": str(exc)}
-            residual = getattr(exc, "residual", None)
-            if residual is not None:
-                error["residual"] = float(residual)
-            condition = getattr(exc, "condition", None)
-            if condition is not None and np.isfinite(condition):
-                error["condition"] = float(condition)
+            for key in ("residual", "condition"):  # strict JSON: finite only
+                number = getattr(exc, key, None)
+                if number is not None and np.isfinite(number):
+                    error[key] = float(number)
             records.append({**base, "error": error})
     return records, had_error
 
@@ -392,14 +384,17 @@ def _parse_range(text: str) -> list:
 
 def cmd_verify(args) -> int:
     ns = _parse_range(args.n)
-    tol = args.tol
+    tol, source = args.tol, "--tol"
     if tol is None and TOL_ENV_VAR in os.environ:
+        source = TOL_ENV_VAR
         try:
             tol = float(os.environ[TOL_ENV_VAR])
         except ValueError as exc:
             raise ValidationError(
                 f"{TOL_ENV_VAR} must be a number, got '{os.environ[TOL_ENV_VAR]}'"
             ) from exc
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"{source} must be a finite non-negative number, got {tol}")
     try:
         report = verify.run_suite(args.suite, ns, seeds=args.seeds, tol=tol, h=args.h)
     except LapbelError as exc:

@@ -29,7 +29,6 @@ from .errors import (
     DomainError,
     FactorizationError,
     RegularityError,
-    SingularityError,
 )
 from .numkit import DEFAULT_TOLERANCES, Tolerances, as_matrix, as_vector
 
@@ -203,13 +202,7 @@ def _hessian_stack(owner, fields, u: np.ndarray, constant: bool) -> np.ndarray:
         return kept
     dim = fields[0].dim
     Hs = _stacked([f.hessian_fn(u) for f in fields], (dim, dim), "hessian")
-    scale = np.maximum(np.abs(Hs).max(axis=(1, 2)), 1.0)
-    asym = np.abs(Hs - Hs.transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = asym > DEFAULT_TOLERANCES.equality * scale
-    if bad.any():
-        raise ContractError(
-            f"hessian is not symmetric: max |H - H^T| = {asym[bad][0]:.3e}"
-        )
+    numkit.require_symmetric(Hs, "hessian", "H")
     if constant:
         Hs.flags.writeable = False
         object.__setattr__(owner, "_constant_hessians", Hs)
@@ -578,15 +571,6 @@ def lagrange_multipliers(
     Defined at any ambient point where the constraint gradients are
     independent; linear in ``f``. Dependent gradients raise RegularityError.
     """
-    u = as_vector(u, "point")
-    if f.dim != constraints.ambient_dim:
-        raise DimensionError(
-            f"field dimension {f.dim} does not match ambient {constraints.ambient_dim}"
-        )
-    if u.size != constraints.ambient_dim:
-        raise DimensionError(
-            f"point dimension {u.size} does not match ambient {constraints.ambient_dim}"
-        )
     return _multipliers(constraints.jacobian(u), f.gradient(u))
 
 
@@ -684,14 +668,7 @@ def laplace_beltrami_general(
             f"frame supplies {r} tangent directions, expected "
             f"{m - constraints.count} (ambient {m} minus {constraints.count} constraints)"
         )
-    G = T.T @ T
-    cond = numkit.sym_condition(G)
-    if not np.isfinite(cond) or cond > tols.condition_limit:
-        raise SingularityError(
-            f"frame Gram condition {cond:.3e} exceeds limit {tols.condition_limit:.3e}",
-            condition=cond,
-        )
-    T_plus = numkit.solve_spd(G, T.T)
+    T_plus, cond = numkit.frame_pseudo_inverse(T, tols.condition_limit)
     sigma = _multipliers(J, f.gradient(u))
     trace_main = float(np.trace(T_plus @ f.hessian(u) @ T))
     trace_constraint = np.trace(T_plus @ constraints.hessians(u) @ T, axis1=1, axis2=2)

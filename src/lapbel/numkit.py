@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, FactorizationError, SingularityError
+from .errors import ContractError, DimensionError, FactorizationError, SingularityError
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,27 @@ def sym_condition(A) -> float:
     return float(w[-1] / w[0])
 
 
-def solve_spd(A, B, sym_tol: float | None = None) -> np.ndarray:
+def require_symmetric(M: np.ndarray, name: str, symbol: str) -> None:
+    """Raise ContractError unless the matrix ``M``, or every matrix of the
+    stack ``M``, is symmetric to the equality tolerance scaled by its
+    magnitude; the message names the first asymmetric one."""
+    scale = np.maximum(np.abs(M).max(axis=(-2, -1)), 1.0)
+    asym = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1))
+    bad = asym > DEFAULT_TOLERANCES.equality * scale
+    if bad.any():
+        raise ContractError(
+            f"{name} is not symmetric: max |{symbol} - {symbol}^T| = {asym[bad][0]:.3e}"
+        )
+
+
+def solve_spd(A, B) -> np.ndarray:
     """Solve A X = B for symmetric positive definite A by Cholesky.
 
-    ``A`` must be symmetric to ``sym_tol`` (scaled by its magnitude); it is
-    symmetrized before factorization. Raises FactorizationError when the
-    Cholesky factorization fails. SciPy is imported here, on first use, so
-    paths that never solve (closed forms, ``describe``) do not load it.
+    ``A`` must be symmetric to the equality tolerance (scaled by its
+    magnitude); it is symmetrized before factorization. Raises
+    FactorizationError when the Cholesky factorization fails. SciPy is
+    imported here, on first use, so paths that never solve (closed forms,
+    ``describe``) do not load it.
     """
     from scipy.linalg import cho_factor, cho_solve
 
@@ -149,10 +163,9 @@ def solve_spd(A, B, sym_tol: float | None = None) -> np.ndarray:
         raise DimensionError(
             f"solve_spd B has {B_arr.shape[0]} rows, expected {n}"
         )
-    tol = DEFAULT_TOLERANCES.equality if sym_tol is None else sym_tol
     scale = max(1.0, float(np.max(np.abs(A))))
     asym = float(np.max(np.abs(A - A.T)))
-    if asym > tol * scale:
+    if asym > DEFAULT_TOLERANCES.equality * scale:
         raise DimensionError(
             f"solve_spd A is not symmetric: max |A - A^T| = {asym:.3e}"
         )
@@ -182,14 +195,24 @@ def left_moore_penrose(T, condition_limit: float | None = None) -> np.ndarray:
             f"left_moore_penrose expects at least as many rows as columns, got {m}x{r}"
         )
     limit = DEFAULT_TOLERANCES.condition_limit if condition_limit is None else condition_limit
+    return frame_pseudo_inverse(T, limit)[0]
+
+
+def frame_pseudo_inverse(
+    T: np.ndarray, condition_limit: float
+) -> tuple[np.ndarray, float]:
+    """(T+, condition estimate of T^t T) for a tall frame ``T``, with
+    T+ = (T^t T)^{-1} T^t by one SPD solve; a Gram condition that is not
+    finite or exceeds ``condition_limit`` raises SingularityError carrying
+    the estimate."""
     G = T.T @ T
     cond = sym_condition(G)
-    if not np.isfinite(cond) or cond > limit:
+    if not np.isfinite(cond) or cond > condition_limit:
         raise SingularityError(
-            f"Gram matrix condition {cond:.3e} exceeds limit {limit:.3e}",
+            f"frame Gram condition {cond:.3e} exceeds limit {condition_limit:.3e}",
             condition=cond,
         )
-    return solve_spd(G, T.T)
+    return solve_spd(G, T.T), cond
 
 
 def matrix_to_json(M) -> dict:
@@ -211,9 +234,11 @@ def matrix_from_json(obj) -> np.ndarray:
     if missing:
         raise DimensionError(f"matrix JSON missing keys: {sorted(missing)}")
     r, c = obj["rows"], obj["cols"]
-    if not (isinstance(r, int) and isinstance(c, int)) or r <= 0 or c <= 0:
+    if any(isinstance(x, bool) or not isinstance(x, int) or x <= 0 for x in (r, c)):
         raise DimensionError("matrix JSON rows/cols must be positive integers")
     data = obj["data"]
+    if not isinstance(data, list):
+        raise DimensionError("matrix JSON data must be a list of numbers")
     if len(data) != r * c:
         raise DimensionError(
             f"matrix JSON data has {len(data)} entries, expected {r * c}"

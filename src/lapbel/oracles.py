@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraint_core import ScalarField, _fd_gradient, _fd_hessian
-from .errors import ChartError, ContractError, DimensionError
-from .numkit import DEFAULT_TOLERANCES, vec
+from .errors import ContractError
+from .numkit import vec
 from .orthogonal import OrthogonalPoint, index_pairs, pair_sign
-from .sphere import SpherePoint, sphere_projector
+from .sphere import SpherePoint, _resolve_chart, sphere_projector
 
 
 @dataclass(frozen=True)
@@ -47,20 +47,9 @@ def _sphere_tangent_basis(point: SpherePoint, drop_index: int | None) -> np.ndar
     any index whose coordinate is away from zero keeps a spanning set; the
     default drops the smallest-norm column (largest coordinate).
     """
-    x = point.coords
-    n = point.n
-    if drop_index is None:
-        drop_index = int(np.argmax(np.abs(x)))
-    if not (0 <= drop_index < n):
-        raise DimensionError(f"drop index {drop_index} out of range for dimension {n}")
-    if abs(x[drop_index]) < DEFAULT_TOLERANCES.chart_margin * point.radius:
-        raise ChartError(
-            f"coordinate {drop_index} is too small ({x[drop_index]:.3e}) to drop; "
-            f"try index {int(np.argmax(np.abs(x)))}",
-            suggested_index=int(np.argmax(np.abs(x))),
-        )
+    drop_index = _resolve_chart(point, drop_index)
     P = sphere_projector(point)
-    keep = [i for i in range(n) if i != drop_index]
+    keep = [i for i in range(point.n) if i != drop_index]
     Q, _ = np.linalg.qr(P[:, keep])
     return Q
 
@@ -86,10 +75,6 @@ def geodesic_laplacian_sphere(
     tangent basis and sums central second differences of the field values.
     """
     config = OracleConfig() if config is None else config
-    if f.dim != point.n:
-        raise DimensionError(
-            f"field dimension {f.dim} does not match sphere dimension {point.n}"
-        )
     basis = _sphere_tangent_basis(point, drop_index)
     x = point.coords
     R = point.radius
@@ -122,10 +107,6 @@ def geodesic_laplacian_on(
     """
     config = OracleConfig() if config is None else config
     n = point.n
-    if f.dim != n * n:
-        raise DimensionError(
-            f"field dimension {f.dim} does not match matrix space {n * n}"
-        )
     U = point.matrix
     pairs = index_pairs(n)
     f0 = f.value(vec(U))

@@ -25,8 +25,8 @@ from .constraint_core import (
     ScalarField,
     block_product_field,
 )
-from .errors import ContractError, DimensionError, DomainError
-from .numkit import DEFAULT_TOLERANCES, as_matrix, as_vector, unvec, vec
+from .errors import DimensionError, DomainError
+from .numkit import DEFAULT_TOLERANCES, as_matrix, as_vector, require_symmetric, unvec, vec
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,9 @@ class OrthogonalPoint:
     tol: InitVar[float | None] = None
 
     def __post_init__(self, tol):
-        matrix = as_matrix(self.matrix, "orthogonal point")
+        matrix = _check_square(self.matrix, name="orthogonal point")
         object.__setattr__(self, "matrix", matrix)
-        r, c = matrix.shape
-        if r != c:
-            raise DimensionError(f"orthogonal points must be square, got {r}x{c}")
+        r = matrix.shape[0]
         if r < 2:
             raise DimensionError("orthogonal points need n >= 2")
         tol = DEFAULT_TOLERANCES.orthogonality if tol is None else tol
@@ -180,10 +178,6 @@ def sigma_matrix(f: ScalarField, point: OrthogonalPoint) -> np.ndarray:
     form; diagonal entries are the column-constraint multipliers,
     off-diagonal entries the pair-constraint multipliers."""
     n = point.n
-    if f.dim != n * n:
-        raise DimensionError(
-            f"field dimension {f.dim} does not match matrix space {n * n}"
-        )
     G = unvec(f.gradient(point.to_vector()), n)
     U = point.matrix
     return 0.5 * (G.T @ U + U.T @ G)
@@ -210,10 +204,6 @@ def on_laplacian(f: ScalarField, point: OrthogonalPoint) -> LaplacianReport:
     its condition is reported as 1.
     """
     n = point.n
-    if f.dim != n * n:
-        raise DimensionError(
-            f"field dimension {f.dim} does not match matrix space {n * n}"
-        )
     u = point.to_vector()
     H = f.hessian(u)
     lam_trace = trace_lambda_product(point, H)
@@ -302,22 +292,21 @@ def p2_field(A) -> ScalarField:
     return ScalarField(dim, value, gradient, lambda u: H.copy(), constant_hessian=True)
 
 
+def _brockett_coefficients(A, diagonal, n: int | None = None) -> tuple:
+    """The Brockett cost's square symmetric A and its diagonal, checked."""
+    A = _check_square(A, n, "coefficient matrix")
+    mu = as_vector(diagonal, "diagonal")
+    if mu.size != A.shape[0]:
+        raise DimensionError(f"diagonal has length {mu.size}, expected {A.shape[0]}")
+    require_symmetric(A, "coefficient matrix", "A")
+    return A, mu
+
+
 def brockett_field(A, diagonal) -> ScalarField:
     """tr(U^t A U N) with symmetric A and N = diag(diagonal): gradient
     2 A U N, constant Hessian 2 kron(N, A)."""
-    A = _check_square(A, name="coefficient matrix")
+    A, mu = _brockett_coefficients(A, diagonal)
     n = A.shape[0]
-    mu = as_vector(diagonal, "diagonal")
-    if mu.size != n:
-        raise DimensionError(
-            f"diagonal has length {mu.size}, expected {n}"
-        )
-    scale = max(1.0, float(np.max(np.abs(A))))
-    asym = float(np.max(np.abs(A - A.T)))
-    if asym > DEFAULT_TOLERANCES.equality * scale:
-        raise ContractError(
-            f"coefficient matrix must be symmetric: max |A - A^t| = {asym:.3e}"
-        )
     dim = n * n
     H = 2.0 * np.kron(np.diag(mu), A)
 
@@ -360,16 +349,7 @@ def brockett_laplacian(A, diagonal, point: OrthogonalPoint) -> float:
     """Closed form for tr(U^t A U N), N = diag(diagonal), symmetric A:
     -(n-1) tr(U^t A U N) + tr(N) tr(A) - tr(U N U^t A)."""
     n = point.n
-    A = _check_square(A, n, "coefficient matrix")
-    mu = as_vector(diagonal, "diagonal")
-    if mu.size != n:
-        raise DimensionError(f"diagonal has length {mu.size}, expected {n}")
-    scale = max(1.0, float(np.max(np.abs(A))))
-    asym = float(np.max(np.abs(A - A.T)))
-    if asym > DEFAULT_TOLERANCES.equality * scale:
-        raise ContractError(
-            f"coefficient matrix must be symmetric: max |A - A^t| = {asym:.3e}"
-        )
+    A, mu = _brockett_coefficients(A, diagonal, n)
     U = point.matrix
     value = float(np.trace(U.T @ A @ U @ np.diag(mu)))
     correction = float(np.trace((U * mu[None, :]) @ U.T @ A))

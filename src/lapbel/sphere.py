@@ -116,10 +116,6 @@ def sphere_projector(point: SpherePoint) -> np.ndarray:
 
 def sphere_sigma(f: ScalarField, point: SpherePoint) -> float:
     """The sphere's single Lagrange multiplier: <x, grad f(x)> / (2 R^2)."""
-    if f.dim != point.n:
-        raise DimensionError(
-            f"field dimension {f.dim} does not match sphere dimension {point.n}"
-        )
     x = point.coords
     return float(x @ f.gradient(x)) / (2.0 * point.radius**2)
 
@@ -130,10 +126,6 @@ def sphere_laplacian(f: ScalarField, point: SpherePoint) -> float:
     Equals the ambient Laplacian minus (n-1)/R^2 times the radial derivative
     minus the radial Hessian quadratic form over R^2.
     """
-    if f.dim != point.n:
-        raise DimensionError(
-            f"field dimension {f.dim} does not match sphere dimension {point.n}"
-        )
     x = point.coords
     Rsq = point.radius**2
     g = f.gradient(x)
@@ -150,10 +142,6 @@ def homogeneous_sphere_laplacian(f: ScalarField, degree: int, point: SpherePoint
     Homogeneity is spot-checked at the evaluation point (f(t x) = t^k f(x)
     for t in {2, 3}, relative tolerance 1e-8); failures raise ContractError.
     """
-    if f.dim != point.n:
-        raise DimensionError(
-            f"field dimension {f.dim} does not match sphere dimension {point.n}"
-        )
     k = int(degree)
     if k < 0:
         raise ContractError(f"homogeneity degree must be non-negative, got {k}")
@@ -183,14 +171,19 @@ def sphere_constraint_set(n: int, radius: float) -> ConstraintSet:
     )
 
 
-def sphere_adapted_frame(radius: float, excluded_index: int | None = None) -> AdaptedFrame:
+def sphere_adapted_frame(
+    radius: float, excluded_index: int | None = None, tol: float | None = None
+) -> AdaptedFrame:
     """AdaptedFrame wrapping :func:`sphere_frame` for the general evaluator.
 
-    With ``excluded_index`` None the chart is chosen per point.
+    With ``excluded_index`` None the chart is chosen per point. ``tol`` is
+    the admission tolerance of each point (see :class:`SpherePoint`); the
+    general evaluator has already admitted the point at its own
+    ``on_manifold`` tolerance, so callers pass that same value.
     """
 
     def provider(u: np.ndarray) -> np.ndarray:
-        return sphere_frame(SpherePoint(u, radius), excluded_index)
+        return sphere_frame(SpherePoint(u, radius, tol=tol), excluded_index)
 
     return AdaptedFrame(provider=provider)
 

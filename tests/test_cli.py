@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+import lapbel
+from lapbel import on_constraint_set, sphere_constraint_set
 from lapbel.cli import main
 
 
@@ -561,6 +564,126 @@ def test_closed_form_eval_and_describe_leave_scipy_unloaded(tmp_path):
     assert result.stdout == "[0, 0, 0] False True\n"
 
 
+# -- tolerances per path, strict JSON, file and matrix specs ---------------------------
+
+
+def _strict_json(line):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "point, tol, admitted",
+    [
+        ([1.00001, 0.0, 0.0], 1e-2, True),
+        ([1.00001, 0.0, 0.0], None, False),
+        ([0.0, 0.6, 0.8], None, True),
+        ([0.0, 0.6, 0.9], 1e-2, False),
+    ],
+)
+def test_eval_sphere_paths_admit_the_same_points(capsys, tmp_path, point, tol, admitted):
+    options = {} if tol is None else {"on_manifold_tol": tol}
+    outcomes = []
+    for path in ("closed-form", "general-frame"):
+        job = {**SPHERE_LINEAR_JOB, "points": [point], "options": {**options, "path": path}}
+        code, records, _ = eval_records(capsys, tmp_path, job)
+        outcomes.append((code, "value" in records[0]))
+    assert outcomes == [(0 if admitted else 4, admitted)] * 2
+
+
+@pytest.mark.parametrize(
+    "manifold, point",
+    [
+        ({"type": "sphere", "n": 3}, [1e200, 0.0, 0.0]),
+        ({"type": "orthogonal", "n": 2}, [1e200, 0.0, 0.0, 1.0]),
+    ],
+)
+def test_eval_non_finite_residual_is_omitted(capsys, tmp_path, manifold, point):
+    function = (
+        {"type": "linear", "coefficients": [1.0] * len(point)}
+        if manifold["type"] == "sphere"
+        else {"type": "p1", "matrix": {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0]}}
+    )
+    job = {"manifold": manifold, "function": function, "points": [point]}
+    path = write_json(tmp_path / "job.json", job)
+    code, out, _ = run_cli(capsys, ["eval", "--job", path])
+    assert code == 4
+    (record,) = [_strict_json(line) for line in out.splitlines()]
+    assert record["error"]["type"] == "DomainError"
+    assert "residual" not in record["error"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_verify_rejects_non_finite_or_negative_tol(capsys, monkeypatch, value):
+    argv = ["verify", "lemmas-sphere", "--n", "3", "--seeds", "1"]
+    code, out, err = run_cli(capsys, argv + [f"--tol={value}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol must be a finite non-negative number")
+    monkeypatch.setenv("LAPBEL_TOL", value)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: LAPBEL_TOL must be a finite non-negative number")
+
+
+def test_verify_report_is_strict_json(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "lemmas-sphere", "--n", "3", "--seeds", "1", "--tol", "0"])
+    assert code == 3
+    assert _strict_json(out)["environment"]["tolerance_override"] == 0.0
+
+
+def _p1_job(matrix):
+    return {
+        "manifold": {"type": "orthogonal", "n": 2},
+        "function": {"type": "p1", "matrix": matrix},
+        "points": [[1.0, 0.0, 0.0, 1.0]],
+    }
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ({"file": "DIRECTORY"}, "cannot read"),
+        ({"file": 123}, "file reference must be a path string, got 123"),
+        ({"file": 0}, "file reference must be a path string, got 0"),
+        ({"file": "LATIN1"}, "is not UTF-8 text"),
+        ({"rows": 3, "cols": 1, "data": 5}, "matrix JSON data must be a list of numbers"),
+        ({"rows": True, "cols": 1, "data": [1.0]}, "rows/cols must be positive integers"),
+        ({"rows": 2, "cols": 3, "data": [1.0] * 6}, "coefficient matrix must be square, got 2x3"),
+    ],
+)
+def test_eval_bad_file_or_matrix_spec_exits_2_with_one_line(capsys, tmp_path, matrix, message):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_text('{"rows": 1, "cols": 1, "data": [1.0], "note": "\u00e9"}', encoding="latin-1")
+    paths = {"DIRECTORY": str(tmp_path), "LATIN1": str(latin1)}
+    if isinstance(matrix.get("file"), str):
+        matrix = {"file": paths[matrix["file"]]}
+    path = write_json(tmp_path / "job.json", _p1_job(matrix))
+    code, out, err = run_cli(capsys, ["eval", "--job", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_describe_matches_the_constraint_sets(capsys):
+    for n in range(2, 7):
+        for kind, constraints in (
+            ("sphere", sphere_constraint_set(n, 1.0)),
+            ("orthogonal", on_constraint_set(n)),
+        ):
+            code, out, _ = run_cli(capsys, ["describe", kind, str(n)])
+            payload = json.loads(out)
+            assert code == 0
+            assert (payload["m"], payload["k"]) == (constraints.ambient_dim, constraints.count)
+
+
+def test_describe_large_orthogonal_builds_no_constraints(capsys):
+    code, out, _ = run_cli(capsys, ["describe", "orthogonal", "100000"])
+    assert code == 0
+    assert json.loads(out)["k"] == 100000 * 100001 // 2
+
+
 # -- module entry point --------------------------------------------------------------
 
 
@@ -572,3 +695,11 @@ def test_python_dash_m_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dim"] == 2
+
+
+def test_package_exports_every_public_name_once():
+    names = lapbel.__all__
+    assert len(names) == len(set(names)) == 69
+    for name in names:
+        assert not isinstance(getattr(lapbel, name), types.ModuleType), name
+    assert {"laplace_beltrami_general", "on_laplacian", "sphere_report", "ValidationError"} <= set(names)

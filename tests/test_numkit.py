@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lapbel import numkit
-from lapbel.errors import DimensionError, FactorizationError, SingularityError
+from lapbel.errors import ContractError, DimensionError, FactorizationError, SingularityError
 
 
 def test_tolerance_defaults():
@@ -196,3 +196,32 @@ def test_matrix_from_json_validates():
         numkit.matrix_from_json({"rows": 2, "data": [1.0, 2.0]})
     with pytest.raises(DimensionError):
         numkit.matrix_from_json([1.0, 2.0])
+    with pytest.raises(DimensionError):
+        numkit.matrix_from_json({"rows": True, "cols": 1, "data": [1.0]})
+    with pytest.raises(DimensionError):
+        numkit.matrix_from_json({"rows": 3, "cols": 1, "data": 5})
+
+
+def test_require_symmetric_on_a_matrix_and_a_stack():
+    S = np.array([[2.0, 1.0], [1.0, 3.0]])
+    numkit.require_symmetric(S, "matrix", "M")
+    numkit.require_symmetric(np.stack([S, 2.0 * S]), "hessian", "H")
+    bad = S + np.array([[0.0, 0.25], [0.0, 0.0]])
+    with pytest.raises(ContractError, match=r"^matrix is not symmetric: max \|M - M\^T\| = 2\.500e-01$"):
+        numkit.require_symmetric(bad, "matrix", "M")
+    # The first asymmetric matrix of a stack is named.
+    with pytest.raises(ContractError, match=r"max \|H - H\^T\| = 5\.000e-01$"):
+        numkit.require_symmetric(np.stack([S, 2.0 * bad, bad]), "hessian", "H")
+    # Asymmetry is measured against each matrix's own magnitude.
+    numkit.require_symmetric(1e12 * S + np.array([[0.0, 1.0], [0.0, 0.0]]), "matrix", "M")
+
+
+def test_frame_pseudo_inverse_matches_left_moore_penrose():
+    rng = np.random.default_rng(14)
+    T = _matrix_with_condition(rng, 8, 3, condition=1e3)
+    T_plus, cond = numkit.frame_pseudo_inverse(T, 1e12)
+    assert np.array_equal(T_plus, numkit.left_moore_penrose(T))
+    assert cond == numkit.sym_condition(T.T @ T)
+    with pytest.raises(SingularityError, match=r"^frame Gram condition 1\.000e\+06 exceeds limit 1\.000e\+05$") as info:
+        numkit.frame_pseudo_inverse(T, 1e5)
+    assert info.value.condition == cond

@@ -29,7 +29,7 @@ from lapbel.orthogonal import (
     p11_laplacian,
     random_orthogonal,
 )
-from lapbel.sphere import SpherePoint, random_sphere_point, sphere_laplacian
+from lapbel.sphere import SpherePoint, random_sphere_point, sphere_frame, sphere_laplacian
 
 
 def test_config_validation():
@@ -117,6 +117,10 @@ def test_sphere_estimate_chart_errors():
     with pytest.raises(ChartError) as info:
         geodesic_laplacian_sphere(f, p, drop_index=1)
     assert info.value.suggested_index == 0
+    # The same chart check, and message, as the sphere frames.
+    with pytest.raises(ChartError) as frame_info:
+        sphere_frame(p, 1)
+    assert str(info.value) == str(frame_info.value)
     with pytest.raises(DimensionError):
         geodesic_laplacian_sphere(f, p, drop_index=5)
     with pytest.raises(DimensionError):

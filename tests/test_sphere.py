@@ -405,6 +405,14 @@ def test_adapted_frame_chart_error():
         frame.at([1.0, 0.0, 0.0])
 
 
+def test_adapted_frame_admits_at_the_given_tolerance():
+    u = [1.00001, 0.0, 0.0]  # residual 2e-5
+    with pytest.raises(DomainError):
+        sphere_adapted_frame(1.0).at(u)
+    T = sphere_adapted_frame(1.0, tol=1e-2).at(u)
+    assert_allclose(T, sphere_frame(SpherePoint(u, 1.0, tol=1e-2)))
+
+
 def test_constraint_set_validation():
     with pytest.raises(DimensionError):
         sphere_constraint_set(1, 1.0)
