@@ -150,43 +150,43 @@ _MATRIX_FIELDS = {
 
 def _build_function(spec, ambient_dim: int) -> core.ScalarField:
     ftype = _require(spec, "type", "job.function")
+    if ftype in _MATRIX_FIELDS:
+        where = "function.matrix"
+        A = _load_matrix_spec(_require(spec, "matrix", "job.function"), where)
+        if A.shape[0] ** 2 != ambient_dim:
+            raise ValidationError(
+                f"{where} is {A.shape[0]}x{A.shape[1]}; the manifold's ambient "
+                f"dimension {ambient_dim} needs side {int(round(ambient_dim ** 0.5))}"
+            )
+        args = [A]
+        if ftype == "brockett":
+            diagonal = _require(spec, "diagonal", "job.function")
+            args.append(_as_float_list(diagonal, "function.diagonal"))
+        make = _MATRIX_FIELDS[ftype]
+    elif ftype == "linear":
+        coeffs = _as_float_list(
+            _require(spec, "coefficients", "job.function"), "function.coefficients"
+        )
+        if coeffs.size != ambient_dim:
+            raise ValidationError(
+                f"function.coefficients has length {coeffs.size}, "
+                f"ambient dimension is {ambient_dim}"
+            )
+        make, args = core.linear_field, [coeffs]
+    elif ftype == "polynomial":
+        rows = _polynomial_terms(_require(spec, "terms", "job.function"), "function.terms")
+        make, args = core.polynomial_field, [ambient_dim, rows]
+    else:
+        raise ValidationError(
+            f"unknown function type '{ftype}'; supported: p1, p11, p2, brockett, "
+            "linear, polynomial, external-samples"
+        )
+    # The library's own checks (a short diagonal, a non-square matrix, a bad
+    # exponent) name no job key, so they get the prefix.
     try:
-        if ftype in _MATRIX_FIELDS:
-            where = "function.matrix"
-            A = _load_matrix_spec(_require(spec, "matrix", "job.function"), where)
-            if A.shape[0] ** 2 != ambient_dim:
-                raise ValidationError(
-                    f"{where} is {A.shape[0]}x{A.shape[1]}; the manifold's ambient "
-                    f"dimension {ambient_dim} needs side {int(round(ambient_dim ** 0.5))}"
-                )
-            args = [A]
-            if ftype == "brockett":
-                diagonal = _require(spec, "diagonal", "job.function")
-                args.append(_as_float_list(diagonal, "function.diagonal"))
-            return _MATRIX_FIELDS[ftype](*args)
-        if ftype == "linear":
-            coeffs = _as_float_list(
-                _require(spec, "coefficients", "job.function"), "function.coefficients"
-            )
-            if coeffs.size != ambient_dim:
-                raise ValidationError(
-                    f"function.coefficients has length {coeffs.size}, "
-                    f"ambient dimension is {ambient_dim}"
-                )
-            return core.linear_field(coeffs)
-        if ftype == "polynomial":
-            rows = _polynomial_terms(
-                _require(spec, "terms", "job.function"), "function.terms"
-            )
-            return core.polynomial_field(ambient_dim, rows)
-    except ValidationError:
-        raise
+        return make(*args)
     except LapbelError as exc:
         raise ValidationError(f"job.function: {exc}") from exc
-    raise ValidationError(
-        f"unknown function type '{ftype}'; supported: p1, p11, p2, brockett, "
-        "linear, polynomial, external-samples"
-    )
 
 
 def _sample_field(sample, index: int, ambient_dim: int) -> core.ScalarField:
@@ -327,7 +327,7 @@ def _evaluate_job(data) -> tuple[list, bool]:
                 for key, default in (("gradient_step", 1e-5), ("hessian_step", 1e-4))
             )
             shared = core.finite_difference_field(
-                shared.value_fn, ambient, grad_step=grad_step, hess_step=hess_step
+                shared, ambient, grad_step=grad_step, hess_step=hess_step
             )
         fields = [shared] * len(resolved)
 

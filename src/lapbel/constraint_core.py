@@ -45,6 +45,10 @@ class ScalarField:
     ``constant_hessian`` declares that the Hessian does not depend on the
     point: it is built and checked once, on first use, and handed out
     read-only.
+
+    ``values_fn`` optionally evaluates an (N, dim) stack of points at once,
+    returning N values; each must have the same bits as ``value_fn`` on its
+    row. Finite-difference stencils go through :meth:`values`.
     """
 
     dim: int
@@ -53,6 +57,7 @@ class ScalarField:
     hessian_fn: Callable[[np.ndarray], np.ndarray]
     provenance: str = "analytic"
     constant_hessian: bool = False
+    values_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -76,6 +81,18 @@ class ScalarField:
         if not math.isfinite(val):
             raise DomainError("field value is not finite")
         return val
+
+    def values(self, X) -> np.ndarray:
+        """Unchecked values at the rows of an (N, dim) stack: ``values_fn``
+        when the field has one, else ``value_fn`` row by row."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise DimensionError(
+                f"point stack has shape {X.shape}, field expects (N, {self.dim})"
+            )
+        if self.values_fn is not None:
+            return np.asarray(self.values_fn(X), dtype=float)
+        return np.array([float(self.value_fn(x)) for x in X])
 
     def gradient(self, u) -> np.ndarray:
         u = self._check_point(u)
@@ -361,6 +378,10 @@ def block_product_field(
     def value(u):
         return weight * float(u[first] @ u[second])
 
+    def values(X):
+        # stacked 1-by-s times s-by-1 products: the same ddot per row as value
+        return weight * np.matmul(X[:, None, first], X[:, second, None])[:, 0, 0]
+
     def gradient(u):
         g = np.zeros(dim)
         if first == second:
@@ -376,80 +397,100 @@ def block_product_field(
         H[second, first] += weight * np.eye(size)
         return H
 
-    return ScalarField(dim, value, gradient, hessian, constant_hessian=True)
+    return ScalarField(
+        dim, value, gradient, hessian, constant_hessian=True, values_fn=values
+    )
 
 
-def _fd_gradient(value_fn, u: np.ndarray, h: float) -> np.ndarray:
-    g = np.zeros(u.size)
-    for i in range(u.size):
-        up = u.copy()
-        um = u.copy()
-        up[i] += h
-        um[i] -= h
-        g[i] = (value_fn(up) - value_fn(um)) / (2.0 * h)
-    return g
+# Stencil points evaluated per call: a (rows, m) stack never exceeds this many
+# rows, so a whole Hessian stencil is one call up to m = 31 and memory stays
+# bounded for wide fields.
+_STENCIL_ROWS = 2048
 
 
-def _fd_hessian(value_fn, u: np.ndarray, h: float) -> np.ndarray:
+def _stencil_values(values, u: np.ndarray, rows: int, moves) -> np.ndarray:
+    """``values`` at ``rows`` copies of ``u``. ``moves`` = (row, col, step)
+    arrays, sorted by row, add ``step`` to entry ``col`` of copy ``row``;
+    each point has the bits of ``u.copy()`` with ``p[col] += step``."""
+    row, col, step = moves
+    out = np.empty(rows)
+    for a in range(0, rows, _STENCIL_ROWS):
+        b = min(a + _STENCIL_ROWS, rows)
+        lo, hi = np.searchsorted(row, (a, b))
+        X = np.tile(u, (b - a, 1))
+        X[row[lo:hi] - a, col[lo:hi]] += step[lo:hi]
+        out[a:b] = values(X)
+    return out
+
+
+def _fd_gradient(values, u: np.ndarray, h: float) -> np.ndarray:
+    """Central differences (f(u + h e_i) - f(u - h e_i)) / 2h from one
+    stencil: rows u + h e_i, then u - h e_i."""
     m = u.size
+    i = np.arange(m)
+    moves = (np.arange(2 * m), np.tile(i, 2), np.repeat((h, -h), m))
+    f = _stencil_values(values, u, 2 * m, moves)
+    return (f[:m] - f[m:]) / (2.0 * h)
+
+
+def _fd_hessian(values, u: np.ndarray, h: float) -> np.ndarray:
+    """Central second differences from one stencil: row u, rows u + h e_i,
+    rows u - h e_i, then for each pair i < j the rows ++, +-, -+, --."""
+    m = u.size
+    i = np.arange(m)
+    pi, pj = np.triu_indices(m, 1)
+    pairs = pi.size
+    signs = np.array([(h, h), (h, -h), (-h, h), (-h, -h)])
+    moves = (
+        np.concatenate([1 + np.arange(2 * m), 1 + 2 * m + np.arange(8 * pairs) // 2]),
+        np.concatenate([i, i, np.stack([pi, pj], axis=1).repeat(4, axis=0).ravel()]),
+        np.concatenate([np.repeat((h, -h), m), np.tile(signs.ravel(), pairs)]),
+    )
+    f = _stencil_values(values, u, 1 + 2 * m + 4 * pairs, moves)
     H = np.zeros((m, m))
-    f0 = value_fn(u)
-    for i in range(m):
-        up = u.copy()
-        um = u.copy()
-        up[i] += h
-        um[i] -= h
-        H[i, i] = (value_fn(up) - 2.0 * f0 + value_fn(um)) / (h * h)
-    for i in range(m):
-        for j in range(i + 1, m):
-            upp = u.copy()
-            upm = u.copy()
-            ump = u.copy()
-            umm = u.copy()
-            upp[[i, j]] += h
-            umm[[i, j]] -= h
-            upm[i] += h
-            upm[j] -= h
-            ump[i] -= h
-            ump[j] += h
-            H[i, j] = (value_fn(upp) - value_fn(upm) - value_fn(ump) + value_fn(umm)) / (
-                4.0 * h * h
-            )
-            H[j, i] = H[i, j]
+    H[i, i] = (f[1 : m + 1] - 2.0 * f[0] + f[m + 1 : 2 * m + 1]) / (h * h)
+    q = f[2 * m + 1 :].reshape(pairs, 4)
+    H[pi, pj] = H[pj, pi] = (q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3]) / (4.0 * h * h)
     return H
 
 
 def finite_difference_field(
-    value_fn: Callable[[np.ndarray], float],
+    value_fn,
     dim: int,
     grad_step: float = 1e-5,
     hess_step: float = 1e-4,
 ) -> ScalarField:
-    """Wrap a value-only function as a ScalarField with central-difference
-    derivatives.
+    """Wrap a value-only function, or the values of a ScalarField, as a
+    ScalarField with central-difference derivatives.
 
     The gradient uses step ``grad_step``, the Hessian ``hess_step``; the
-    Hessian estimate is symmetrized. Provenance records the steps.
+    Hessian estimate is symmetrized. Provenance records the steps. A
+    ScalarField source lends its ``values_fn``, so each stencil is one call.
     """
     if dim <= 0:
         raise DimensionError("finite_difference_field dim must be positive")
     if not (grad_step > 0 and hess_step > 0):
         raise ContractError("finite-difference steps must be positive")
+    values_fn = None
+    if isinstance(value_fn, ScalarField):
+        value_fn, values_fn = value_fn.value_fn, value_fn.values_fn
 
     def gradient(u):
-        return _fd_gradient(value_fn, u, grad_step)
+        return _fd_gradient(field.values, u, grad_step)
 
     def hessian(u):
-        H = _fd_hessian(value_fn, u, hess_step)
+        H = _fd_hessian(field.values, u, hess_step)
         return (H + H.T) / 2.0
 
-    return ScalarField(
+    field = ScalarField(
         dim=dim,
         value_fn=lambda u: float(value_fn(u)),
         gradient_fn=gradient,
         hessian_fn=hessian,
         provenance=f"finite-difference(h={grad_step:g},{hess_step:g})",
+        values_fn=values_fn,
     )
+    return field
 
 
 @dataclass(frozen=True)
@@ -504,7 +545,9 @@ class ConstraintSet:
 
     def residuals(self, u) -> np.ndarray:
         u = self._check_point(u)
-        values = np.array([float(f.value_fn(u)) for f in self.fields])
+        # a constraint that overflows at a huge point refuses it, without a warning
+        with np.errstate(over="ignore"):
+            values = np.array([float(f.value_fn(u)) for f in self.fields])
         if not np.isfinite(values).all():
             raise DomainError("field value is not finite")
         return values - self.regular_value

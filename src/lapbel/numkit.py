@@ -94,6 +94,12 @@ def unvec(v, n: int) -> np.ndarray:
     return arr.reshape((n, n), order="F").copy()
 
 
+def unvec_rows(X: np.ndarray, n: int) -> np.ndarray:
+    """:func:`unvec` of every row of an (N, n*n) stack: the N matrices, each
+    the same C-order copy ``unvec`` makes of its row."""
+    return np.ascontiguousarray(X.reshape(-1, n, n).transpose(0, 2, 1))
+
+
 def gram(rows: Sequence, cols: Sequence) -> np.ndarray:
     """Matrix of inner products: entry (i, j) is <rows[i], cols[j]>."""
     row_list = [as_vector(r, f"gram rows[{i}]") for i, r in enumerate(rows)]

@@ -145,7 +145,7 @@ def check_gradient(f: ScalarField, u, config: OracleConfig | None = None) -> flo
     _require_analytic(f, "check_gradient")
     u = np.asarray(u, dtype=float)
     analytic = f.gradient(u)
-    numeric = _fd_gradient(f.value_fn, u, config.step)
+    numeric = _fd_gradient(f.values, u, config.step)
     return float(np.max(np.abs(analytic - numeric)))
 
 
@@ -156,5 +156,5 @@ def check_hessian(f: ScalarField, u, config: OracleConfig | None = None) -> floa
     _require_analytic(f, "check_hessian")
     u = np.asarray(u, dtype=float)
     analytic = f.hessian(u)
-    numeric = _fd_hessian(f.value_fn, u, config.step)
+    numeric = _fd_hessian(f.values, u, config.step)
     return float(np.max(np.abs(analytic - numeric)))

@@ -26,7 +26,15 @@ from .constraint_core import (
     block_product_field,
 )
 from .errors import DimensionError, DomainError
-from .numkit import DEFAULT_TOLERANCES, as_matrix, as_vector, require_symmetric, unvec, vec
+from .numkit import (
+    DEFAULT_TOLERANCES,
+    as_matrix,
+    as_vector,
+    require_symmetric,
+    unvec,
+    unvec_rows,
+    vec,
+)
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,8 @@ class OrthogonalPoint:
         if r < 2:
             raise DimensionError("orthogonal points need n >= 2")
         tol = DEFAULT_TOLERANCES.orthogonality if tol is None else tol
-        residual = float(np.max(np.abs(matrix.T @ matrix - np.eye(r))))
+        with np.errstate(over="ignore"):  # a huge point is refused, not warned about
+            residual = float(np.max(np.abs(matrix.T @ matrix - np.eye(r))))
         if residual > tol:
             raise DomainError(
                 f"matrix is not orthogonal: max |U^t U - I| = {residual:.6g} "
@@ -242,12 +251,16 @@ def p1_field(A) -> ScalarField:
     def value(u):
         return float(np.trace(A @ unvec(u, n)))
 
+    def values(X):
+        return np.trace(A @ unvec_rows(X, n), axis1=1, axis2=2)
+
     return ScalarField(
         dim=dim,
         value_fn=value,
         gradient_fn=lambda u: grad.copy(),
         hessian_fn=lambda u: np.zeros((dim, dim)),
         constant_hessian=True,
+        values_fn=values,
     )
 
 
@@ -263,10 +276,17 @@ def p11_field(A) -> ScalarField:
     def value(u):
         return float(np.trace(A @ unvec(u, n))) ** 2
 
+    def values(X):
+        # the scalar ** (libm pow), not t * t, which differs in the last bit
+        traces = np.trace(A @ unvec_rows(X, n), axis1=1, axis2=2)
+        return np.array([float(t) ** 2 for t in traces])
+
     def gradient(u):
         return 2.0 * float(np.trace(A @ unvec(u, n))) * w
 
-    return ScalarField(dim, value, gradient, lambda u: H.copy(), constant_hessian=True)
+    return ScalarField(
+        dim, value, gradient, lambda u: H.copy(), constant_hessian=True, values_fn=values
+    )
 
 
 def p2_field(A) -> ScalarField:
@@ -285,11 +305,17 @@ def p2_field(A) -> ScalarField:
         AU = A @ unvec(u, n)
         return float(np.trace(AU @ AU))
 
+    def values(X):
+        AU = A @ unvec_rows(X, n)
+        return np.trace(AU @ AU, axis1=1, axis2=2)
+
     def gradient(u):
         U = unvec(u, n)
         return vec(2.0 * (B @ U.T @ B))
 
-    return ScalarField(dim, value, gradient, lambda u: H.copy(), constant_hessian=True)
+    return ScalarField(
+        dim, value, gradient, lambda u: H.copy(), constant_hessian=True, values_fn=values
+    )
 
 
 def _brockett_coefficients(A, diagonal, n: int | None = None) -> tuple:
@@ -314,11 +340,17 @@ def brockett_field(A, diagonal) -> ScalarField:
         U = unvec(u, n)
         return float(np.trace(U.T @ A @ U @ np.diag(mu)))
 
+    def values(X):
+        U = unvec_rows(X, n)
+        return np.trace(U.transpose(0, 2, 1) @ A @ U @ np.diag(mu), axis1=1, axis2=2)
+
     def gradient(u):
         U = unvec(u, n)
         return vec(2.0 * (A @ U) * mu[None, :])
 
-    return ScalarField(dim, value, gradient, lambda u: H.copy(), constant_hessian=True)
+    return ScalarField(
+        dim, value, gradient, lambda u: H.copy(), constant_hessian=True, values_fn=values
+    )
 
 
 def p1_laplacian(A, point: OrthogonalPoint) -> float:

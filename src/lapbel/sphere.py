@@ -47,7 +47,8 @@ class SpherePoint:
         if not (self.radius > 0 and np.isfinite(self.radius)):
             raise DimensionError(f"radius must be positive, got {self.radius}")
         tol = DEFAULT_TOLERANCES.on_manifold if tol is None else tol
-        residual = abs(float(coords @ coords) - self.radius**2)
+        with np.errstate(over="ignore"):  # a huge point is refused, not warned about
+            residual = abs(float(coords @ coords) - self.radius**2)
         if residual > tol:
             raise DomainError(
                 f"point is off the sphere: |<x,x> - R^2| = {residual:.6g} "

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -703,3 +704,71 @@ def test_package_exports_every_public_name_once():
     for name in names:
         assert not isinstance(getattr(lapbel, name), types.ModuleType), name
     assert {"laplace_beltrami_general", "on_laplacian", "sphere_report", "ValidationError"} <= set(names)
+
+
+# -- library errors and huge points -------------------------------------------------
+
+
+def _matrix(rows, cols, data):
+    return {"rows": rows, "cols": cols, "data": data}
+
+
+@pytest.mark.parametrize(
+    "job, message",
+    [
+        (
+            {
+                "manifold": {"type": "orthogonal", "n": 3},
+                "function": {
+                    "type": "brockett",
+                    "matrix": _matrix(3, 3, [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]),
+                    "diagonal": [1.0, 2.0],
+                },
+                "points": [[1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]],
+            },
+            "job.function: diagonal has length 2, expected 3",
+        ),
+        (
+            {
+                "manifold": {"type": "orthogonal", "n": 2},
+                "function": {"type": "p1", "matrix": _matrix(2, 3, [1.0, 0, 0, 0, 1.0, 0])},
+                "points": [[1.0, 0, 0, 1.0]],
+            },
+            "job.function: coefficient matrix must be square, got 2x3",
+        ),
+    ],
+    ids=["short-diagonal", "non-square-p1"],
+)
+def test_eval_library_function_errors_name_the_job_key(capsys, tmp_path, job, message):
+    code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("path", ["closed-form", "general-frame"])
+@pytest.mark.parametrize(
+    "manifold, huge, good",
+    [
+        ({"type": "sphere", "n": 3}, [1e200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ({"type": "orthogonal", "n": 2}, [1e200, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]),
+    ],
+    ids=["sphere", "orthogonal"],
+)
+def test_eval_huge_point_is_an_error_record_without_warnings(
+    capsys, tmp_path, manifold, huge, good, path
+):
+    job = {
+        "manifold": manifold,
+        "function": {"type": "linear", "coefficients": [1.0] + [0.0] * (len(huge) - 1)},
+        "options": {"path": path},
+        "points": [huge, good],
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, records, err = eval_records(capsys, tmp_path, job)
+    assert caught == []
+    assert err == ""
+    assert code == 4
+    assert records[0]["error"]["type"] == "DomainError"
+    assert "value" in records[1]
