@@ -409,9 +409,10 @@ _STENCIL_ROWS = 2048
 
 
 def _stencil_values(values, u: np.ndarray, rows: int, moves) -> np.ndarray:
-    """``values`` at ``rows`` copies of ``u``. ``moves`` = (row, col, step)
-    arrays, sorted by row, add ``step`` to entry ``col`` of copy ``row``;
-    each point has the bits of ``u.copy()`` with ``p[col] += step``."""
+    """``values`` at ``rows`` copies of ``u``, where the (row, col, step)
+    arrays ``moves``, sorted by row, add ``step`` to entry ``col`` of copy
+    ``row``: each point has the bits the scalar ``p[col] += step`` gives on
+    ``p = u.copy()``."""
     row, col, step = moves
     out = np.empty(rows)
     for a in range(0, rows, _STENCIL_ROWS):
@@ -427,8 +428,7 @@ def _fd_gradient(values, u: np.ndarray, h: float) -> np.ndarray:
     """Central differences (f(u + h e_i) - f(u - h e_i)) / 2h from one
     stencil: rows u + h e_i, then u - h e_i."""
     m = u.size
-    i = np.arange(m)
-    moves = (np.arange(2 * m), np.tile(i, 2), np.repeat((h, -h), m))
+    moves = (np.arange(2 * m), np.tile(np.arange(m), 2), np.repeat((h, -h), m))
     f = _stencil_values(values, u, 2 * m, moves)
     return (f[:m] - f[m:]) / (2.0 * h)
 
@@ -440,11 +440,10 @@ def _fd_hessian(values, u: np.ndarray, h: float) -> np.ndarray:
     i = np.arange(m)
     pi, pj = np.triu_indices(m, 1)
     pairs = pi.size
-    signs = np.array([(h, h), (h, -h), (-h, h), (-h, -h)])
     moves = (
-        np.concatenate([1 + np.arange(2 * m), 1 + 2 * m + np.arange(8 * pairs) // 2]),
-        np.concatenate([i, i, np.stack([pi, pj], axis=1).repeat(4, axis=0).ravel()]),
-        np.concatenate([np.repeat((h, -h), m), np.tile(signs.ravel(), pairs)]),
+        np.concatenate([1 + np.arange(2 * m), np.repeat(1 + 2 * m + np.arange(4 * pairs), 2)]),
+        np.concatenate([i, i, np.tile(np.stack([pi, pj], axis=1), 4).ravel()]),
+        np.concatenate([np.repeat((h, -h), m), np.tile((h, h, h, -h, -h, h, -h, -h), pairs)]),
     )
     f = _stencil_values(values, u, 1 + 2 * m + 4 * pairs, moves)
     H = np.zeros((m, m))
