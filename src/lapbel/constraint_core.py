@@ -5,9 +5,9 @@ A manifold is described implicitly as the level set of finitely many scalar
 constraints on Euclidean space. Given a scalar field prolonged to the
 ambient space, its Laplace-Beltrami value at an on-manifold point is the
 trace of the tangentially projected Hessian minus a multiplier-weighted sum
-of projected constraint Hessians; the multipliers solve one SPD system built
-from constraint-gradient inner products. The operator follows the trace
-sign convention: it is negative on sphere harmonics.
+of projected constraint Hessians; the multipliers and the projector come
+from one reduced QR factorization of the constraint gradients. The operator
+follows the trace sign convention: it is negative on sphere harmonics.
 
 Points are taken exactly as given. Off-manifold points are rejected with
 their residual, ill-conditioned frames are rejected with their condition
@@ -27,7 +27,6 @@ from .errors import (
     ContractError,
     DimensionError,
     DomainError,
-    FactorizationError,
     RegularityError,
 )
 from .numkit import DEFAULT_TOLERANCES, Tolerances, as_matrix, as_vector
@@ -611,21 +610,11 @@ def lagrange_multipliers(
     """Multiplier vector sigma solving Gram(∇F,∇F) sigma = column(<∇F,∇f>).
 
     Defined at any ambient point where the constraint gradients are
-    independent; linear in ``f``. Dependent gradients raise RegularityError.
+    independent, as R^{-1} Q^t ∇f with J^t = QR; linear in ``f``. Dependent
+    gradients raise RegularityError.
     """
-    return _multipliers(constraints.jacobian(u), f.gradient(u))
-
-
-def _multipliers(J: np.ndarray, grad_f: np.ndarray) -> np.ndarray:
-    # J @ J.T on one buffer would go to BLAS syrk; the copy keeps the gemm
-    # (and the bits) of numkit.gram.
-    G = J @ J.copy().T
-    try:
-        return numkit.solve_spd(G, J @ grad_f)
-    except FactorizationError as exc:
-        raise RegularityError(
-            "constraint gradients are linearly dependent at this point"
-        ) from exc
+    Q, R = _gradient_qr(constraints.jacobian(u))
+    return np.linalg.solve(R, Q.T @ f.gradient(u))
 
 
 @dataclass(frozen=True)
@@ -679,15 +668,16 @@ def laplace_beltrami_general(
     tols: Tolerances | None = None,
 ) -> LaplacianReport:
     """Laplace-Beltrami value of ``f`` restricted to the constraint manifold,
-    evaluated at the on-manifold point ``u`` through an adapted frame.
+    evaluated at the on-manifold point ``u``.
 
-    The value is tr(T+ [Hess f] T) minus the multiplier-weighted projected
-    constraint Hessian traces, with T+ the left Moore-Penrose inverse of the
-    frame. With ``frame`` None the frame is the QR null-space frame of the
-    constraint Jacobian (see :func:`qr_nullspace_frame`); the Jacobian is
-    evaluated once per point and also feeds the multipliers. Off-manifold
-    points raise DomainError with the residual; ill-conditioned frame Grams
-    raise SingularityError.
+    The value is the projected Hessian trace minus the multiplier-weighted
+    projected constraint Hessian traces. The constraint Jacobian is evaluated
+    once per point, and its reduced QR J^t = QR gives the multipliers
+    R^{-1} Q^t ∇f. With ``frame`` None every trace is tr H - <Q, H Q>_F and
+    the frame Gram condition is 1; an explicit frame T gives tr(T+ H T),
+    with T+ its left Moore-Penrose inverse. Off-manifold points raise
+    DomainError with the residual; ill-conditioned frame Grams raise
+    SingularityError.
     """
     tols = DEFAULT_TOLERANCES if tols is None else tols
     u = as_vector(u, "point")
@@ -702,29 +692,43 @@ def laplace_beltrami_general(
             f"tolerance {tols.on_manifold:.6g}",
             residual=check.residual,
         )
-    J = constraints.jacobian(u)
-    T = _nullspace_frame(J) if frame is None else frame.at(u)
-    m, r = T.shape
-    if r != m - constraints.count:
-        raise DimensionError(
-            f"frame supplies {r} tangent directions, expected "
-            f"{m - constraints.count} (ambient {m} minus {constraints.count} constraints)"
-        )
-    T_plus, cond = numkit.frame_pseudo_inverse(T, tols.condition_limit)
-    sigma = _multipliers(J, f.gradient(u))
-    trace_main = float(np.trace(T_plus @ f.hessian(u) @ T))
-    trace_constraint = np.trace(T_plus @ constraints.hessians(u) @ T, axis1=1, axis2=2)
+    Q, R = _gradient_qr(constraints.jacobian(u))
+    sigma = np.linalg.solve(R, Q.T @ f.gradient(u))
+    if frame is None:
+        cond = 1.0
+
+        def projected_trace(H):
+            return np.trace(H, axis1=-2, axis2=-1) - np.sum(Q * (H @ Q), axis=(-2, -1))
+
+    else:
+        T = frame.at(u)
+        m, r = T.shape
+        if r != m - constraints.count:
+            raise DimensionError(
+                f"frame supplies {r} tangent directions, expected "
+                f"{m - constraints.count} (ambient {m} minus {constraints.count} constraints)"
+            )
+        T_plus, cond = numkit.frame_pseudo_inverse(T, tols.condition_limit)
+
+        def projected_trace(H):
+            return np.trace(T_plus @ H @ T, axis1=-2, axis2=-1)
+
+    trace_main = float(projected_trace(f.hessian(u)))
+    trace_constraint = projected_trace(constraints.hessians(u))
     return LaplacianReport.assemble(trace_main, sigma, trace_constraint, cond)
 
 
-def _nullspace_frame(J: np.ndarray) -> np.ndarray:
+def _gradient_qr(J: np.ndarray, mode: str = "reduced") -> tuple[np.ndarray, np.ndarray]:
+    """QR of the gradient columns J^t (``mode`` as for np.linalg.qr); a
+    diagonal entry of R below 1e-12 times max(1, max |J|) raises
+    RegularityError."""
     k = J.shape[0]
-    Q, R = np.linalg.qr(J.T, mode="complete")
+    Q, R = np.linalg.qr(J.T, mode=mode)
     diag = np.abs(np.diag(R[:k, :k]))
     scale = max(1.0, float(np.max(np.abs(J))))
     if np.any(diag < 1e-12 * scale):
         raise RegularityError("constraint gradients are rank deficient at this point")
-    return Q[:, k:]
+    return Q, R
 
 
 def qr_nullspace_frame(constraints: ConstraintSet) -> AdaptedFrame:
@@ -734,4 +738,6 @@ def qr_nullspace_frame(constraints: ConstraintSet) -> AdaptedFrame:
     complete mode; the trailing orthonormal columns span the tangent space.
     Rank-deficient gradients raise RegularityError.
     """
-    return AdaptedFrame(provider=lambda u: _nullspace_frame(constraints.jacobian(u)))
+    return AdaptedFrame(
+        provider=lambda u: _gradient_qr(constraints.jacobian(u), "complete")[0][:, constraints.count :]
+    )

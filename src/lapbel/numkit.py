@@ -2,9 +2,10 @@
 
 Column-major vectorization, Gram matrices, SPD solves, and the left
 Moore-Penrose inverse, together with the package-wide tolerance record.
-Everything is dense float64; matrices that should be symmetric positive
-definite are solved by Cholesky factorization, never by SVD, and
-ill-conditioning is reported instead of regularized.
+Everything is dense float64 and numpy only. Tall frames are inverted through
+a reduced QR factorization, never through their Gram matrix or an SVD;
+Gram matrices only give condition estimates, and ill-conditioning is
+reported instead of regularized.
 """
 
 from __future__ import annotations
@@ -150,40 +151,29 @@ def solve_spd(A, B) -> np.ndarray:
 
     ``A`` must be symmetric to the equality tolerance (scaled by its
     magnitude); it is symmetrized before factorization. Raises
-    FactorizationError when the Cholesky factorization fails. SciPy is
-    imported here, on first use, so paths that never solve (closed forms,
-    ``describe``) do not load it.
+    FactorizationError when the Cholesky factorization fails.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     A = as_matrix(A, "solve_spd A")
     n, m = A.shape
     if n != m:
         raise DimensionError(f"solve_spd expects a square A, got {n}x{m}")
     B_arr = np.asarray(B, dtype=float)
-    b_was_vector = B_arr.ndim == 1
-    if b_was_vector:
-        B_arr = B_arr[:, None]
-    B_arr = as_matrix(B_arr, "solve_spd B")
-    if B_arr.shape[0] != n:
-        raise DimensionError(
-            f"solve_spd B has {B_arr.shape[0]} rows, expected {n}"
-        )
+    rows = as_matrix(B_arr[:, None] if B_arr.ndim == 1 else B_arr, "solve_spd B").shape[0]
+    if rows != n:
+        raise DimensionError(f"solve_spd B has {rows} rows, expected {n}")
     scale = max(1.0, float(np.max(np.abs(A))))
     asym = float(np.max(np.abs(A - A.T)))
     if asym > DEFAULT_TOLERANCES.equality * scale:
         raise DimensionError(
             f"solve_spd A is not symmetric: max |A - A^T| = {asym:.3e}"
         )
-    A_sym = (A + A.T) / 2.0
     try:
-        factor = cho_factor(A_sym, lower=True, check_finite=False)
+        L = np.linalg.cholesky((A + A.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"Cholesky factorization failed: {exc}"
         ) from exc
-    X = cho_solve(factor, B_arr, check_finite=False)
-    return X[:, 0] if b_was_vector else X
+    return np.linalg.solve(L.T, np.linalg.solve(L, B_arr))
 
 
 def left_moore_penrose(T, condition_limit: float | None = None) -> np.ndarray:
@@ -191,8 +181,8 @@ def left_moore_penrose(T, condition_limit: float | None = None) -> np.ndarray:
 
     The r-by-r Gram matrix T^t T is required to be well conditioned
     (condition estimate at most ``condition_limit``, default 1e12); the
-    inverse is applied through one SPD solve. Rank-deficient or
-    ill-conditioned input raises SingularityError carrying the estimate.
+    inverse itself is R^{-1} Q^t from the reduced QR T = QR. Rank-deficient
+    or ill-conditioned input raises SingularityError carrying the estimate.
     """
     T = as_matrix(T, "left_moore_penrose input")
     m, r = T.shape
@@ -208,17 +198,17 @@ def frame_pseudo_inverse(
     T: np.ndarray, condition_limit: float
 ) -> tuple[np.ndarray, float]:
     """(T+, condition estimate of T^t T) for a tall frame ``T``, with
-    T+ = (T^t T)^{-1} T^t by one SPD solve; a Gram condition that is not
+    T+ = R^{-1} Q^t from the reduced QR T = QR; a Gram condition that is not
     finite or exceeds ``condition_limit`` raises SingularityError carrying
     the estimate."""
-    G = T.T @ T
-    cond = sym_condition(G)
+    cond = sym_condition(T.T @ T)
     if not np.isfinite(cond) or cond > condition_limit:
         raise SingularityError(
             f"frame Gram condition {cond:.3e} exceeds limit {condition_limit:.3e}",
             condition=cond,
         )
-    return solve_spd(G, T.T), cond
+    Q, R = np.linalg.qr(T)
+    return np.linalg.solve(R, Q.T), cond
 
 
 def matrix_to_json(M) -> dict:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,25 +545,28 @@ def test_eval_scalar_values_accept_integral_numbers(capsys, tmp_path):
     assert code == 0 and len(records) == 2
 
 
-def test_closed_form_eval_and_describe_leave_scipy_unloaded(tmp_path):
-    # SciPy is only needed for SPD solves; the general path loads it.
-    closed = write_json(tmp_path / "closed.json", SPHERE_LINEAR_JOB)
-    general = write_json(
-        tmp_path / "general.json", _sphere_job(options__path="general-frame")
-    )
+def test_no_command_loads_scipy(tmp_path):
+    # The package depends on numpy only; each command runs in one fresh
+    # interpreter and must leave SciPy unimported.
+    corpus = Path(__file__).parent / "eval_corpus"
+    commands = [
+        ["eval", "--job", write_json(tmp_path / "closed.json", SPHERE_LINEAR_JOB)],
+        ["eval", "--job", str(corpus / "orthogonal_general.json")],
+        ["eval", "--job", str(corpus / "clifford_torus.json")],
+        ["describe", "orthogonal", "3"],
+        ["verify", "all", "--n", "2..3"],
+    ]
     script = (
-        "import io, sys, contextlib\n"
+        "import contextlib, io, sys\n"
         "from lapbel.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [main(['eval', '--job', {closed!r}]), main(['describe', 'sphere', '3'])]\n"
-        "before = 'scipy' in sys.modules\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes.append(main(['eval', '--job', {general!r}]))\n"
-        "print(codes, before, 'scipy' in sys.modules)\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code, 'scipy' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0, 0] False True\n"
+    assert result.stdout.splitlines() == ["0 False", "4 False", "4 False", "0 False", "0 False"]
 
 
 # -- tolerances per path, strict JSON, file and matrix specs ---------------------------
