@@ -1,0 +1,128 @@
+"""Accuracy of the general evaluator against references.
+
+A 50-digit mpmath evaluation of the same formula, from the same inputs J,
+∇f, H, the constraint Hessians and T, bounds the rounding of the float64
+route; a sweep of sphere chart frames toward their condition limit bounds
+how fast accuracy is lost with the frame's conditioning.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from lapbel import (
+    ConstraintSet,
+    SpherePoint,
+    brockett_field,
+    laplace_beltrami_general,
+    on_adapted_frame,
+    on_constraint_set,
+    polynomial_field,
+    sphere_adapted_frame,
+    sphere_constraint_set,
+    sphere_laplacian,
+)
+
+
+def reference_report(J, grad, H, Hs, T=None, digits=50):
+    """sigma, trace_main, trace_constraint and value at ``digits`` digits.
+
+    sigma solves (J J^t) sigma = J ∇f. Each trace is <P, X>_F with P the
+    tangent projector: I - J^t (J J^t)^{-1} J without a frame, else
+    T (T^t T)^{-1} T^t, so that <P, X>_F = tr(T+ X T). The float inputs are
+    taken exactly; the results are mpf numbers.
+    """
+    with mpmath.workdps(digits):
+        Jm = mpmath.matrix(np.asarray(J).tolist())
+        gram = Jm * Jm.T
+        sigma = mpmath.lu_solve(gram, Jm * mpmath.matrix(np.asarray(grad).tolist()))
+        if T is None:
+            P = mpmath.eye(Jm.cols) - Jm.T * mpmath.inverse(gram) * Jm
+        else:
+            Tm = mpmath.matrix(np.asarray(T).tolist())
+            P = Tm * mpmath.inverse(Tm.T * Tm) * Tm.T
+
+        def trace(X):
+            rows, cols = np.nonzero(X)
+            return mpmath.fsum(P[i, j] * X[i, j] for i, j in zip(rows.tolist(), cols.tolist()))
+
+        trace_main = trace(np.asarray(H))
+        trace_constraint = [trace(X) for X in np.asarray(Hs)]
+        sigma = [sigma[a] for a in range(Jm.rows)]
+        value = trace_main - mpmath.fsum(s * t for s, t in zip(sigma, trace_constraint))
+        return {
+            "sigma": sigma,
+            "trace_main": trace_main,
+            "trace_constraint": trace_constraint,
+            "value": value,
+        }
+
+
+def report_distance(report, reference) -> float:
+    """Largest |computed - reference| / max(1, |reference|) over sigma, the
+    traces and the value of a LaplacianReport."""
+    worst = 0.0
+    for name, ref in reference.items():
+        computed = np.atleast_1d(getattr(report, name))
+        for x, r in zip(computed.tolist(), ref if isinstance(ref, list) else [ref]):
+            worst = max(worst, float(abs(mpmath.mpf(x) - r) / max(1, abs(r))))
+    return worst
+
+
+def _torus_case():
+    def circle(first):
+        powers = [[0] * 4, [0] * 4]
+        powers[0][first], powers[1][first + 1] = 2, 2
+        return polynomial_field(4, [(1.0, p) for p in powers])
+
+    cons = ConstraintSet(ambient_dim=4, fields=(circle(0), circle(2)), regular_value=[1.0, 1.0])
+    f = polynomial_field(4, [(1.3, (2, 1, 1, 0)), (-0.4, (0, 0, 2, 2)), (0.7, (0, 1, 0, 3))])
+    s, t = 0.7, 2.3
+    return f, cons, None, np.array([np.cos(s), np.sin(s), np.cos(t), np.sin(t)])
+
+
+def _orthogonal_case():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((4, 4))
+    f = brockett_field(A + A.T, rng.standard_normal(4))
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return f, on_constraint_set(4), on_adapted_frame(), U.reshape(-1, order="F")
+
+
+def _sphere_chart_case():
+    f = polynomial_field(
+        5, [(1.0, (3, 0, 1, 0, 0)), (-2.0, (0, 2, 0, 0, 2)), (0.5, (1, 1, 1, 1, 0)), (0.3, (0, 0, 0, 1, 0))]
+    )
+    x = np.array([0.4, -1.1, 0.7, 0.9, 1.2])
+    x *= 2.0 / np.linalg.norm(x)
+    return f, sphere_constraint_set(5, 2.0), sphere_adapted_frame(2.0, excluded_index=3), x
+
+
+@pytest.mark.parametrize(
+    "case", [_torus_case, _orthogonal_case, _sphere_chart_case], ids=["torus", "O(4)", "sphere-chart"]
+)
+def test_general_evaluator_matches_a_50_digit_reference(case):
+    f, cons, frame, u = case()
+    report = laplace_beltrami_general(f, cons, frame, u)
+    T = None if frame is None else frame.at(u)
+    reference = reference_report(cons.jacobian(u), f.gradient(u), f.hessian(u), cons.hessians(u), T)
+    assert report_distance(report, reference) <= 1e-14
+
+
+@pytest.mark.parametrize("condition", [1e2, 1e4, 1e6, 1e8, 1e10])
+def test_sphere_chart_accuracy_follows_the_frame_condition(condition):
+    # Pushing the excluded coordinate x_j toward 0 sets the chart frame's
+    # Gram condition R^2 / x_j^2; the normal equations square it.
+    radius, j = 1.5, 4
+    rng = np.random.default_rng(3)
+    rest = rng.standard_normal(4)
+    x_j = radius / np.sqrt(condition)
+    x = np.append(rest * np.sqrt(radius**2 - x_j**2) / np.linalg.norm(rest), x_j)
+    f = polynomial_field(
+        5, [(1.0, (2, 1, 0, 0, 1)), (0.8, (0, 0, 3, 1, 0)), (-1.2, (1, 0, 0, 2, 0)), (0.5, (0, 2, 0, 0, 0))]
+    )
+    frame = sphere_adapted_frame(radius, excluded_index=j)
+    report = laplace_beltrami_general(f, sphere_constraint_set(5, radius), frame, x)
+    assert report.frame_gram_condition == pytest.approx(condition, rel=1e-3)
+    closed = sphere_laplacian(f, SpherePoint(x, radius))
+    assert abs(report.value - closed) <= 1e-10 * abs(closed)
