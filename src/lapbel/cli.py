@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -261,29 +262,32 @@ def _evaluate_job(data) -> tuple[list, bool]:
 
     matrix_side = None
     radius = None
+    constraints = None  # sphere and O(n): built after the points, general path only
     if kind == "sphere":
         n = _number(_require(manifold, "n", "job.manifold"), "manifold.n", integer=True)
         radius = _number(manifold.get("radius", 1.0), "manifold.radius")
         try:
-            constraints = sphere.sphere_constraint_set(n, radius)
+            sphere.check_sphere_parameters(n, radius)
         except LapbelError as exc:
             raise ValidationError(f"job.manifold: {exc}") from exc
+        build = functools.partial(sphere.sphere_constraint_set, n, radius)
         frame = sphere.sphere_adapted_frame(radius, tol=tols.on_manifold)
         ambient = n
         default_path = "closed-form"
     elif kind == "orthogonal":
         n = _number(_require(manifold, "n", "job.manifold"), "manifold.n", integer=True)
         try:
-            constraints = orthogonal.on_constraint_set(n)
+            orthogonal.check_orthogonal_side(n)
         except LapbelError as exc:
             raise ValidationError(f"job.manifold: {exc}") from exc
+        build = functools.partial(orthogonal.on_constraint_set, n)
         frame = orthogonal.on_adapted_frame(tols.orthogonality)
         ambient = n * n
         matrix_side = n
         default_path = "closed-form"
     elif kind == "generic":
         constraints = _generic_constraints(manifold)
-        frame = None  # the QR null-space frame of the point's Jacobian
+        frame = None  # the QR projector of the point's Jacobian
         ambient = constraints.ambient_dim
         default_path = "general-frame"
     else:
@@ -330,22 +334,27 @@ def _evaluate_job(data) -> tuple[list, bool]:
                 shared, ambient, grad_step=grad_step, hess_step=hess_step
             )
         fields = [shared] * len(resolved)
+    if path == "general-frame" and constraints is None:
+        constraints = build()
 
     records = []
     had_error = False
     for i, ((ref, u), field) in enumerate(zip(resolved, fields)):
         base = {"index": i, "ref": ref, "path": path}
         try:
-            if path == "closed-form" and kind == "sphere":
-                point = sphere.SpherePoint(u, radius, tol=tols.on_manifold)
-                report = sphere.sphere_report(field, point)
-            elif path == "closed-form" and kind == "orthogonal":
-                point = orthogonal.OrthogonalPoint(
-                    numkit.unvec(u, matrix_side), tol=tols.orthogonality
-                )
-                report = orthogonal.on_laplacian(field, point)
-            else:
-                report = core.laplace_beltrami_general(field, constraints, frame, u, tols)
+            # overflow becomes a non-finite number that admission or
+            # LaplacianReport.assemble refuses, not a warning on stderr
+            with np.errstate(all="ignore"):
+                if path == "closed-form" and kind == "sphere":
+                    point = sphere.SpherePoint(u, radius, tol=tols.on_manifold)
+                    report = sphere.sphere_report(field, point)
+                elif path == "closed-form" and kind == "orthogonal":
+                    point = orthogonal.OrthogonalPoint(
+                        numkit.unvec(u, matrix_side), tol=tols.orthogonality
+                    )
+                    report = orthogonal.on_laplacian(field, point)
+                else:
+                    report = core.laplace_beltrami_general(field, constraints, frame, u, tols)
             records.append({**base, **report.to_dict()})
         except LapbelError as exc:
             had_error = True
@@ -362,7 +371,7 @@ def cmd_eval(args) -> int:
     data = _load_json(args.job)
     records, had_error = _evaluate_job(data)
     for record in records:
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
     return EXIT_NUMERICAL if had_error else EXIT_OK
 
 

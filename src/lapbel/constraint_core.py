@@ -27,6 +27,7 @@ from .errors import (
     ContractError,
     DimensionError,
     DomainError,
+    NumericalError,
     RegularityError,
 )
 from .numkit import DEFAULT_TOLERANCES, Tolerances, as_matrix, as_vector
@@ -543,12 +544,11 @@ class ConstraintSet:
 
     def residuals(self, u) -> np.ndarray:
         u = self._check_point(u)
-        # a constraint that overflows at a huge point refuses it, without a warning
-        with np.errstate(over="ignore"):
+        # a constraint that overflows at a huge point gives a non-finite
+        # residual, which on_manifold refuses, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
             values = np.array([float(f.value_fn(u)) for f in self.fields])
-        if not np.isfinite(values).all():
-            raise DomainError("field value is not finite")
-        return values - self.regular_value
+            return values - self.regular_value
 
     def jacobian(self, u) -> np.ndarray:
         """The k-by-m matrix whose row a is the gradient of constraint a."""
@@ -596,7 +596,8 @@ def on_manifold(
 ) -> OnManifoldCheck:
     """Whether ``u`` satisfies every constraint to tolerance.
 
-    Returns the boolean verdict together with the max-abs residual.
+    Returns the boolean verdict together with the max-abs residual, which
+    is inf or nan (and the verdict False) where a constraint overflows.
     """
     tol = DEFAULT_TOLERANCES.on_manifold if tol is None else tol
     res = constraints.residuals(u)
@@ -622,7 +623,8 @@ class LaplacianReport:
     """Assembled Laplace-Beltrami evaluation with its diagnostics.
 
     ``value`` always equals ``trace_main - sigma @ trace_constraint`` as
-    stored, because :meth:`assemble` computes it from those parts.
+    stored, because :meth:`assemble` computes it from those parts, and every
+    number is finite: :meth:`assemble` raises NumericalError otherwise.
     """
 
     value: float
@@ -635,6 +637,8 @@ class LaplacianReport:
     def assemble(
         cls, trace_main: float, sigma, trace_constraint, frame_gram_condition: float
     ) -> "LaplacianReport":
+        if not all(np.isfinite(part).all() for part in (trace_main, sigma, trace_constraint)):
+            raise NumericalError("the evaluation overflowed: sigma or a trace is not finite")
         sigma = as_vector(sigma, "sigma")
         trace_constraint = as_vector(trace_constraint, "trace_constraint")
         if sigma.size != trace_constraint.size:
@@ -642,6 +646,8 @@ class LaplacianReport:
                 "sigma and trace_constraint must have matching lengths"
             )
         value = float(trace_main) - float(np.dot(sigma, trace_constraint))
+        if not math.isfinite(value):
+            raise NumericalError("the evaluation overflowed: the value is not finite")
         return cls(
             value=value,
             sigma=sigma,

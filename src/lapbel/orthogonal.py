@@ -99,6 +99,12 @@ def theta_basis(n: int) -> list:
     return mats
 
 
+def check_orthogonal_side(n: int) -> None:
+    """Refuse a matrix side below 2."""
+    if n < 2:
+        raise DimensionError(f"orthogonal constraint sets need n >= 2, got {n}")
+
+
 def on_constraint_set(n: int) -> ConstraintSet:
     """Constraints cutting the orthogonal group out of matrix space.
 
@@ -106,8 +112,7 @@ def on_constraint_set(n: int) -> ConstraintSet:
     1/2), then inner-product constraints for every pair (regular value 0)
     in lexicographic order.
     """
-    if n < 2:
-        raise DimensionError(f"orthogonal constraint sets need n >= 2, got {n}")
+    check_orthogonal_side(n)
     block = [slice(a * n, (a + 1) * n) for a in range(n)]  # column a of the vector
     fields = [block_product_field(n * n, block[a], block[a], 0.5) for a in range(n)]
     fields.extend(block_product_field(n * n, block[b], block[c]) for b, c in index_pairs(n))

@@ -160,12 +160,17 @@ def homogeneous_sphere_laplacian(f: ScalarField, degree: int, point: SpherePoint
     return ambient - k * (k + point.n - 2) / point.radius**2 * f0
 
 
-def sphere_constraint_set(n: int, radius: float) -> ConstraintSet:
-    """The sphere as a one-constraint set: sum(x_i^2) = R^2."""
+def check_sphere_parameters(n: int, radius: float) -> None:
+    """Refuse a dimension below 2 or a radius that is not positive."""
     if n < 2:
         raise DimensionError("sphere constraint sets need n >= 2")
     if not radius > 0:
         raise DimensionError(f"radius must be positive, got {radius}")
+
+
+def sphere_constraint_set(n: int, radius: float) -> ConstraintSet:
+    """The sphere as a one-constraint set: sum(x_i^2) = R^2."""
+    check_sphere_parameters(n, radius)
     field = block_product_field(n, slice(0, n), slice(0, n))
     return ConstraintSet(
         ambient_dim=n, fields=(field,), regular_value=np.array([radius**2])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lapbel
-from lapbel import on_constraint_set, sphere_constraint_set
+from lapbel import on_constraint_set, orthogonal, sphere_constraint_set
 from lapbel.cli import main
 
 
@@ -775,4 +775,58 @@ def test_eval_huge_point_is_an_error_record_without_warnings(
     assert err == ""
     assert code == 4
     assert records[0]["error"]["type"] == "DomainError"
+    # both paths name the overflowed residual; the record leaves it out
+    message = records[0]["error"]["message"]
+    assert " inf exceeds tolerance " in message
+    if path == "general-frame":
+        assert message.startswith("point is off the manifold: residual inf")
+    assert "residual" not in records[0]["error"]
     assert "value" in records[1]
+
+
+@pytest.mark.parametrize("path", ["closed-form", "general-frame"])
+def test_eval_overflowing_result_is_a_strict_json_error_record(capsys, tmp_path, path):
+    # A finite Hessian whose trace overflows must not print Infinity.
+    hessian = _matrix(3, 3, [1e308, 0, 0, 0, 1e308, 0, 0, 0, 1e308])
+    job = {
+        "manifold": {"type": "sphere", "n": 3},
+        "function": {
+            "type": "external-samples",
+            "samples": [{"value": 1.0, "gradient": [1.0, 0.0, 0.0], "hessian": hessian}],
+        },
+        "options": {"path": path},
+        "points": [[1.0, 0.0, 0.0]],
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
+    assert caught == []
+    assert (code, err) == (4, "")
+    (record,) = [_strict_json(line) for line in out.splitlines()]
+    assert record["error"]["type"] == "NumericalError"
+    assert "not finite" in record["error"]["message"]
+
+
+def test_eval_builds_the_orthogonal_constraint_set_only_for_the_general_path(
+    capsys, tmp_path, monkeypatch
+):
+    built = []
+    real = orthogonal.on_constraint_set
+    monkeypatch.setattr(orthogonal, "on_constraint_set", lambda n: built.append(n) or real(n))
+    job = {
+        "manifold": {"type": "orthogonal", "n": 2},
+        "function": {"type": "p1", "matrix": _matrix(2, 2, [1.0, 0.0, 0.0, 1.0])},
+        "points": [[1.0, 0.0, 0.0, 1.0]],
+    }
+    code, records, _ = eval_records(capsys, tmp_path, job)
+    assert (code, built) == (0, [])
+    assert "value" in records[0]
+    # a malformed point is refused before anything is built, even at n = 300
+    code, out, err = run_cli(
+        capsys, ["eval", "--job", write_json(tmp_path / "bad.json", {**job, "manifold": {"type": "orthogonal", "n": 300}})]
+    )
+    assert (code, out, built) == (2, "", [])
+    assert err == "error: points[0] has dimension 4, manifold ambient dimension is 90000\n"
+    code, records, _ = eval_records(capsys, tmp_path, {**job, "options": {"path": "general-frame"}})
+    assert (code, built) == (0, [2])
+    assert "value" in records[0]
