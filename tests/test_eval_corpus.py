@@ -41,7 +41,15 @@ CORPUS = Path(__file__).parent / "eval_corpus"
 #   Brockett field, general-frame path, flat and matrix-object points
 #   alternating, index 2 scaled off the group (exit 4);
 # - external_samples: per-point samples, index 1 with an asymmetric Hessian,
-#   whose ContractError text reaches the record (exit 4).
+#   whose ContractError text reaches the record (exit 4);
+# - general_errors: the planes x^2 - y^2 = 0 as a generic constraint, good
+#   points among an off-manifold point (index 2), a huge point whose residual
+#   is inf (3), a rank-deficient point (5) and a point whose field gradient
+#   overflows (6), so each error and its text are pinned per row (exit 4);
+# - external_general: per-point samples on the sphere's general-frame path,
+#   index 1 with an asymmetric Hessian (ContractError), index 2 with a Hessian
+#   of 1e308 entries (NumericalError) and index 3 off the sphere with an
+#   asymmetric Hessian (DomainError first) (exit 4).
 JOBS = [
     ("sphere_wide", 0),
     ("clifford_torus", 4),
@@ -53,6 +61,8 @@ JOBS = [
     ("sphere_finite_difference", 0),
     ("orthogonal_finite_difference", 4),
     ("external_samples", 4),
+    ("general_errors", 4),
+    ("external_general", 4),
 ]
 
 
