@@ -313,6 +313,7 @@ def _evaluate_job(data) -> tuple[list, bool]:
 
     fspec = _require(data, "function", "job")
     ftype = _require(fspec, "type", "job.function")
+    shared = None
     if ftype == "external-samples":
         samples = _require(fspec, "samples", "job.function")
         if not isinstance(samples, list) or len(samples) != len(resolved):
@@ -337,34 +338,51 @@ def _evaluate_job(data) -> tuple[list, bool]:
     if path == "general-frame" and constraints is None:
         constraints = build()
 
+    X = np.stack([u for _, u in resolved])
+    # overflow becomes a non-finite number that admission or
+    # LaplacianReport.assemble refuses, not a warning on stderr
+    with np.errstate(all="ignore"):
+        if path == "general-frame" and shared is not None:
+            outcomes = core.evaluate_points(shared, constraints, frame, X, tols)
+        elif path == "general-frame":  # one field per point
+            outcomes = [
+                core.evaluate_points(field, constraints, frame, u[None], tols)[0]
+                for field, u in zip(fields, X)
+            ]
+        else:
+            outcomes = [
+                _closed_form(kind, field, u, radius, matrix_side, tols)
+                for field, u in zip(fields, X)
+            ]
+
     records = []
-    had_error = False
-    for i, ((ref, u), field) in enumerate(zip(resolved, fields)):
+    for i, ((ref, _), outcome) in enumerate(zip(resolved, outcomes)):
         base = {"index": i, "ref": ref, "path": path}
-        try:
-            # overflow becomes a non-finite number that admission or
-            # LaplacianReport.assemble refuses, not a warning on stderr
-            with np.errstate(all="ignore"):
-                if path == "closed-form" and kind == "sphere":
-                    point = sphere.SpherePoint(u, radius, tol=tols.on_manifold)
-                    report = sphere.sphere_report(field, point)
-                elif path == "closed-form" and kind == "orthogonal":
-                    point = orthogonal.OrthogonalPoint(
-                        numkit.unvec(u, matrix_side), tol=tols.orthogonality
-                    )
-                    report = orthogonal.on_laplacian(field, point)
-                else:
-                    report = core.laplace_beltrami_general(field, constraints, frame, u, tols)
-            records.append({**base, **report.to_dict()})
-        except LapbelError as exc:
-            had_error = True
-            error = {"type": type(exc).__name__, "message": str(exc)}
-            for key in ("residual", "condition"):  # strict JSON: finite only
-                number = getattr(exc, key, None)
-                if number is not None and np.isfinite(number):
-                    error[key] = float(number)
-            records.append({**base, "error": error})
-    return records, had_error
+        if not isinstance(outcome, LapbelError):
+            records.append({**base, **outcome.to_dict()})
+            continue
+        error = {"type": type(outcome).__name__, "message": str(outcome)}
+        for key in ("residual", "condition"):  # strict JSON: finite only
+            number = getattr(outcome, key, None)
+            if number is not None and np.isfinite(number):
+                error[key] = float(number)
+        records.append({**base, "error": error})
+    return records, any(isinstance(o, LapbelError) for o in outcomes)
+
+
+def _closed_form(kind, field, u, radius, matrix_side, tols):
+    """The sphere or O(n) closed-form report at ``u``, or the LapbelError
+    that refuses the point."""
+    try:
+        if kind == "sphere":
+            point = sphere.SpherePoint(u, radius, tol=tols.on_manifold)
+            return sphere.sphere_report(field, point)
+        point = orthogonal.OrthogonalPoint(
+            numkit.unvec(u, matrix_side), tol=tols.orthogonality
+        )
+        return orthogonal.on_laplacian(field, point)
+    except LapbelError as exc:
+        return exc
 
 
 def cmd_eval(args) -> int:

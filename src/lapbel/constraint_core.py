@@ -27,6 +27,7 @@ from .errors import (
     ContractError,
     DimensionError,
     DomainError,
+    LapbelError,
     NumericalError,
     RegularityError,
 )
@@ -46,9 +47,12 @@ class ScalarField:
     point: it is built and checked once, on first use, and handed out
     read-only.
 
-    ``values_fn`` optionally evaluates an (N, dim) stack of points at once,
-    returning N values; each must have the same bits as ``value_fn`` on its
-    row. Finite-difference stencils go through :meth:`values`.
+    ``values_fn``, ``gradients_fn`` and ``hessians_fn`` optionally evaluate
+    an (N, dim) stack of points at once, returning N values, (N, dim)
+    gradients or (N, dim, dim) Hessians; each row must have the same bits as
+    ``value_fn``, ``gradient_fn`` or ``hessian_fn`` on that row.
+    Finite-difference stencils go through :meth:`values`, the general
+    evaluator through :meth:`gradients` and :meth:`hessians`.
     """
 
     dim: int
@@ -58,6 +62,8 @@ class ScalarField:
     provenance: str = "analytic"
     constant_hessian: bool = False
     values_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    gradients_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    hessians_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -82,21 +88,44 @@ class ScalarField:
             raise DomainError("field value is not finite")
         return val
 
-    def values(self, X) -> np.ndarray:
-        """Unchecked values at the rows of an (N, dim) stack: ``values_fn``
-        when the field has one, else ``value_fn`` row by row."""
+    def _check_stack(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionError(
                 f"point stack has shape {X.shape}, field expects (N, {self.dim})"
             )
-        if self.values_fn is not None:
+        return X
+
+    def values(self, X) -> np.ndarray:
+        """Unchecked values at the rows of an (N, dim) stack: ``values_fn``
+        when the field has one and the stack more than one row, else
+        ``value_fn`` row by row."""
+        X = self._check_stack(X)
+        if self.values_fn is not None and len(X) > 1:
             return np.asarray(self.values_fn(X), dtype=float)
         return np.array([float(self.value_fn(x)) for x in X])
 
+    def gradients(self, X) -> np.ndarray:
+        """(N, dim) gradients at the rows of an (N, dim) stack, shape-checked
+        but not checked finite: ``gradients_fn`` as :meth:`values` takes
+        ``values_fn``, else ``gradient_fn`` row by row."""
+        X = self._check_stack(X)
+        if self.gradients_fn is not None and len(X) > 1:
+            return _shaped(self.gradients_fn(X), X.shape, "gradient stack")
+        return _stacked([self.gradient_fn(x) for x in X], (self.dim,), "gradient")
+
+    def hessians(self, X) -> np.ndarray:
+        """(N, dim, dim) Hessians at the rows of an (N, dim) stack, like
+        :meth:`gradients`, through ``hessians_fn`` or ``hessian_fn``."""
+        X = self._check_stack(X)
+        shape = (self.dim, self.dim)
+        if self.hessians_fn is not None and len(X) > 1:
+            return _shaped(self.hessians_fn(X), (len(X),) + shape, "hessian stack")
+        return _stacked([self.hessian_fn(x) for x in X], shape, "hessian")
+
     def gradient(self, u) -> np.ndarray:
         u = self._check_point(u)
-        return _stacked([self.gradient_fn(u)], (self.dim,), "gradient")[0]
+        return _finite(_stacked([self.gradient_fn(u)], (self.dim,), "gradient"), "gradient")[0]
 
     def hessian(self, u) -> np.ndarray:
         u = self._check_point(u)
@@ -198,28 +227,55 @@ class ScalarField:
     __rmul__ = __mul__
 
 
+def _shaped(a, shape: tuple, name: str) -> np.ndarray:
+    """``a`` as a float64 array, refused unless it has the given shape."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
+
+
 def _stacked(arrays, shape: tuple, name: str) -> np.ndarray:
-    """One float64 array stacking derivative arrays of the given shape,
-    checked for finiteness once."""
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    for a in arrays:
-        if a.shape != shape:
-            raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
-    out = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-    if not np.isfinite(out).all():
+    """One float64 array stacking derivative arrays of the given shape."""
+    arrays = [_shaped(a, shape, name) for a in arrays]
+    if len(arrays) == 1:
+        return arrays[0][None]
+    return np.stack(arrays) if arrays else np.empty((0,) + shape)
+
+
+def _nonfinite(A: np.ndarray) -> np.ndarray:
+    """Mask of the rows of the stack ``A`` that hold a non-finite entry."""
+    return ~np.isfinite(A).all(axis=tuple(range(1, A.ndim)))
+
+
+def _finite(A: np.ndarray, name: str) -> np.ndarray:
+    if _nonfinite(A).any():
         raise DimensionError(f"{name} contains non-finite entries")
-    return out
+    return A
+
+
+def _hessian_errors(H: np.ndarray) -> list:
+    """Per row of an (N, ..., m, m) Hessian stack: None, or the error that
+    refuses it, DimensionError for a non-finite entry, else the ContractError
+    naming its first Hessian that is not symmetric (scaled by magnitude)."""
+    asymmetric = numkit.symmetry_errors(H, "hessian", "H")
+    return [
+        DimensionError("hessian contains non-finite entries") if bad else error
+        for bad, error in zip(_nonfinite(H), asymmetric)
+    ]
 
 
 def _hessian_stack(owner, fields, u: np.ndarray, constant: bool) -> np.ndarray:
-    """The Hessians of ``fields`` at ``u``, each checked finite and symmetric
-    (scaled by its magnitude); a constant stack is kept read-only on ``owner``."""
+    """The Hessians of ``fields`` at ``u``, checked as :func:`_hessian_errors`
+    says; a constant stack is kept read-only on ``owner``."""
     kept = owner.__dict__.get("_constant_hessians")
     if kept is not None:
         return kept
     dim = fields[0].dim
     Hs = _stacked([f.hessian_fn(u) for f in fields], (dim, dim), "hessian")
-    numkit.require_symmetric(Hs, "hessian", "H")
+    error = _hessian_errors(Hs[None])[0]
+    if error is not None:
+        raise error
     if constant:
         Hs.flags.writeable = False
         object.__setattr__(owner, "_constant_hessians", Hs)
@@ -298,10 +354,12 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
     The derivative tables are built once here by walking each term's
     support: every gradient entry i and Hessian entry (i <= j) that some term
     reaches gets its contributing terms in term order, with coefficients
-    C*p_i, C*p_i*(p_i - 1) or C*p_i*p_j and the shifted exponent rows. At a
-    point, one monomial pass over the stacked rows feeds one dot per nonzero
-    entry, so the cost scales with the sum of squared term supports, not
-    with dim**2.
+    C*p_i, C*p_i*(p_i - 1) or C*p_i*p_j and the shifted exponent rows; a
+    coefficient that overflows refuses the term. At a point, one monomial
+    pass over the stacked rows feeds one dot per nonzero entry, so the cost
+    scales with the sum of squared term supports, not with dim**2. The
+    stacked forms make one monomial pass per chunk of points and one stacked
+    dot per entry, with the bits of the per-point dots.
     """
     if dim <= 0:
         raise DimensionError("polynomial dim must be positive")
@@ -326,27 +384,52 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
     C = np.asarray(coeffs)
     P = np.stack(powers)  # (t, dim) exponent rows
 
+    def add(entries, key, idx, coef, expo):
+        if not math.isfinite(coef):
+            raise ContractError(
+                f"term {idx} (coeff {C[idx]:g}, powers {P[idx].tolist()}) has a "
+                "derivative coefficient that overflows"
+            )
+        entries.setdefault(key, []).append((coef, expo))
+
     grad_entries: dict = {}
     hess_entries: dict = {}
-    for c, p in zip(C, P):
-        support = np.flatnonzero(p)
-        for a, i in enumerate(support):
-            ci = c * p[i]
-            grad_entries.setdefault(i, []).append((ci, _shifted(p, i)))
-            if p[i] >= 2:
-                diagonal = (ci * (p[i] - 1), _shifted(p, i, i))
-                hess_entries.setdefault((i, i), []).append(diagonal)
-            for j in support[a + 1:]:
-                hess_entries.setdefault((i, j), []).append((ci * p[j], _shifted(p, i, j)))
+    with np.errstate(over="ignore"):
+        for idx, (c, p) in enumerate(zip(C, P)):
+            support = np.flatnonzero(p)
+            for a, i in enumerate(support):
+                ci = c * p[i]
+                add(grad_entries, i, idx, ci, _shifted(p, i))
+                if p[i] >= 2:
+                    add(hess_entries, (i, i), idx, ci * (p[i] - 1), _shifted(p, i, i))
+                for j in support[a + 1:]:
+                    add(hess_entries, (i, j), idx, ci * p[j], _shifted(p, i, j))
     grad_table, grad_slices = _stack_entries(grad_entries, dim)
     hess_table, hess_slices = _stack_entries(hess_entries, dim)
+    grad_keys = np.array([i for i, *_ in grad_slices], dtype=np.intp)
+    hess_i, hess_j = np.array([key for key, *_ in hess_slices], dtype=np.intp).reshape(-1, 2).T
 
     def _monomials(u, expo):
-        # numpy evaluates 0.0 ** 0 as 1.0, which is the convention needed here
-        return np.prod(u[None, :] ** expo, axis=1)
+        # numpy evaluates 0.0 ** 0 as 1.0, which is the convention needed here;
+        # u is one point or an (N, dim) stack
+        return np.prod(u[..., None, :] ** expo, axis=-1)
+
+    def _stacked_dots(X, table, slices):
+        # (N, entries): per chunk of rows one monomial pass, then per entry
+        # one stacked 1-by-L times L-by-1 product, the same ddot per row as
+        # the per-point ``coef @ mono[a:b]``
+        out = np.empty((len(X), len(slices)))
+        for rows in _chunks(len(X), 8 * table.size):
+            M = _monomials(X[rows], table)
+            for e, (_, a, b, coef) in enumerate(slices):
+                out[rows, e] = np.matmul(M[:, None, a:b], coef[:, None])[:, 0, 0]
+        return out
 
     def value(u):
         return float(C @ _monomials(u, P))
+
+    def values(X):
+        return _stacked_dots(X, P, [(None, 0, len(C), C)])[:, 0]
 
     def gradient(u):
         g = np.zeros(dim)
@@ -355,6 +438,11 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
             g[i] = float(coef @ mono[a:b])
         return g
 
+    def gradients(X):
+        G = np.zeros(X.shape)
+        G[:, grad_keys] = _stacked_dots(X, grad_table, grad_slices)
+        return G
+
     def hessian(u):
         H = np.zeros((dim, dim))
         mono = _monomials(u, hess_table)
@@ -362,8 +450,24 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
             H[i, j] = H[j, i] = float(coef @ mono[a:b])
         return H
 
+    def hessians(X):
+        H = np.zeros((len(X), dim, dim))
+        entries = _stacked_dots(X, hess_table, hess_slices)
+        H[:, hess_i, hess_j] = entries
+        H[:, hess_j, hess_i] = entries
+        return H
+
     constant = bool(np.all(P.sum(axis=1) <= 2))  # no term above degree 2
-    return ScalarField(dim, value, gradient, hessian, constant_hessian=constant)
+    return ScalarField(
+        dim,
+        value,
+        gradient,
+        hessian,
+        constant_hessian=constant,
+        values_fn=values,
+        gradients_fn=gradients,
+        hessians_fn=hessians,
+    )
 
 
 def block_product_field(
@@ -382,14 +486,15 @@ def block_product_field(
         # stacked 1-by-s times s-by-1 products: the same ddot per row as value
         return weight * np.matmul(X[:, None, first], X[:, second, None])[:, 0, 0]
 
-    def gradient(u):
-        g = np.zeros(dim)
+    def gradients(X):
+        # one point or an (N, dim) stack
+        G = np.zeros(X.shape)
         if first == second:
-            g[first] = (2.0 * weight) * u[first]
+            G[..., first] = (2.0 * weight) * X[..., first]
         else:
-            g[first] = weight * u[second]
-            g[second] = weight * u[first]
-        return g
+            G[..., first] = weight * X[..., second]
+            G[..., second] = weight * X[..., first]
+        return G
 
     def hessian(u):
         H = np.zeros((dim, dim))
@@ -398,7 +503,13 @@ def block_product_field(
         return H
 
     return ScalarField(
-        dim, value, gradient, hessian, constant_hessian=True, values_fn=values
+        dim,
+        value,
+        gradients,
+        hessian,
+        constant_hessian=True,
+        values_fn=values,
+        gradients_fn=gradients,
     )
 
 
@@ -406,6 +517,17 @@ def block_product_field(
 # rows, so a whole Hessian stencil is one call up to m = 31 and memory stays
 # bounded for wide fields.
 _STENCIL_ROWS = 2048
+
+# Bytes the largest intermediate of one stacked pass may take: evaluate_points
+# and the polynomial stacked forms split their rows into chunks within it.
+_CHUNK_BYTES = 1 << 22
+
+
+def _chunks(rows: int, row_bytes: int) -> list:
+    """Slices covering range(rows), each of at most _CHUNK_BYTES // row_bytes
+    rows and at least one."""
+    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
+    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
 def _stencil_values(values, u: np.ndarray, rows: int, moves) -> np.ndarray:
@@ -543,17 +665,31 @@ class ConstraintSet:
         return u
 
     def residuals(self, u) -> np.ndarray:
-        u = self._check_point(u)
+        return self.residuals_at(self._check_point(u)[None])[0]
+
+    def residuals_at(self, X) -> np.ndarray:
+        """The (N, k) residuals at the rows of an (N, m) stack; one row takes
+        the fields' per-point callables."""
         # a constraint that overflows at a huge point gives a non-finite
-        # residual, which on_manifold refuses, without a warning
+        # residual, which admission refuses, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.array([float(f.value_fn(u)) for f in self.fields])
+            if len(X) == 1:
+                values = np.array([[float(f.value_fn(X[0])) for f in self.fields]])
+            else:
+                values = np.stack([f.values(X) for f in self.fields], axis=1)
             return values - self.regular_value
 
     def jacobian(self, u) -> np.ndarray:
         """The k-by-m matrix whose row a is the gradient of constraint a."""
-        u = self._check_point(u)
-        return _stacked([f.gradient_fn(u) for f in self.fields], (u.size,), "gradient")
+        return _finite(self.jacobians_at(self._check_point(u)[None])[0], "gradient")
+
+    def jacobians_at(self, X) -> np.ndarray:
+        """The (N, k, m) Jacobians at the rows of an (N, m) stack, not
+        checked finite; one row takes the fields' per-point callables."""
+        if len(X) == 1:
+            grads = [f.gradient_fn(X[0]) for f in self.fields]
+            return _stacked(grads, (self.ambient_dim,), "gradient")[None]
+        return np.stack([f.gradients(X) for f in self.fields], axis=1)
 
     def gradients(self, u) -> list:
         return list(self.jacobian(u))
@@ -674,66 +810,205 @@ def laplace_beltrami_general(
     tols: Tolerances | None = None,
 ) -> LaplacianReport:
     """Laplace-Beltrami value of ``f`` restricted to the constraint manifold,
-    evaluated at the on-manifold point ``u``.
+    evaluated at the on-manifold point ``u``: :func:`evaluate_points` on a
+    one-row stack, raising the error that refuses the row."""
+    u = as_vector(u, "point")
+    report = evaluate_points(f, constraints, frame, u[None], tols)[0]
+    if isinstance(report, LapbelError):
+        raise report
+    return report
+
+
+def evaluate_points(
+    f: ScalarField,
+    constraints: ConstraintSet,
+    frame: AdaptedFrame | None,
+    X,
+    tols: Tolerances | None = None,
+) -> list:
+    """Laplace-Beltrami reports of ``f`` on the constraint manifold at the
+    rows of the (N, m) stack ``X``: per row, in row order, a LaplacianReport
+    or the LapbelError that refuses the row.
 
     The value is the projected Hessian trace minus the multiplier-weighted
-    projected constraint Hessian traces. The constraint Jacobian is evaluated
-    once per point, and its reduced QR J^t = QR gives the multipliers
-    R^{-1} Q^t ∇f. With ``frame`` None every trace is tr H - <Q, H Q>_F and
-    the frame Gram condition is 1; an explicit frame T gives tr(T+ H T),
-    with T+ its left Moore-Penrose inverse. Off-manifold points raise
-    DomainError with the residual; ill-conditioned frame Grams raise
-    SingularityError.
+    projected constraint Hessian traces. Each stage runs on the whole stack
+    of rows still standing, in this order, and a row's record is the first
+    error it meets, with its own numbers:
+    - admission: a finite point whose max-abs residual is within
+      ``tols.on_manifold`` (DomainError with the residual);
+    - the Jacobian J, checked finite, and its reduced QR J^t = QR with the
+      rank test on diag R (RegularityError);
+    - the field gradient, checked finite, and the multipliers R^{-1} Q^t ∇f;
+    - the frame: with ``frame`` None every trace is tr H - <Q, H Q>_F and
+      the frame Gram condition is 1; an explicit frame T is taken per row by
+      ``frame.at`` and gives tr(T+ H T), with T+ its left Moore-Penrose
+      inverse, refused above ``tols.condition_limit`` (SingularityError);
+    - the field Hessian, then the constraint Hessians, each checked finite
+      and symmetric; a constant stack is built once and broadcast;
+    - :meth:`LaplacianReport.assemble` (NumericalError on overflow).
+
+    The rows go in chunks whose largest intermediate (k m^2 doubles per row)
+    stays within ``_CHUNK_BYTES``. A LapbelError raised for a chunk as a
+    whole (by a field or frame callable) is put on its row by evaluating
+    the chunk one row at a time. Overflow gives non-finite numbers that the
+    checks refuse, not warnings.
     """
     tols = DEFAULT_TOLERANCES if tols is None else tols
-    u = as_vector(u, "point")
-    if f.dim != constraints.ambient_dim or u.size != constraints.ambient_dim:
+    X = np.asarray(X, dtype=float)
+    m, k = constraints.ambient_dim, constraints.count
+    if X.ndim != 2 or X.shape[1] != m or f.dim != m:
         raise DimensionError(
             "field, constraints, and point must share one ambient dimension"
         )
-    check = on_manifold(constraints, u, tols.on_manifold)
-    if not check.ok:
-        raise DomainError(
-            f"point is off the manifold: residual {check.residual:.6g} exceeds "
+    reports = []
+    with np.errstate(all="ignore"):
+        for rows in _chunks(len(X), 8 * k * m * m):
+            reports.extend(_evaluate_rows(f, constraints, frame, X[rows], tols))
+    return reports
+
+
+def _evaluate_rows(f, constraints, frame, X, tols) -> list:
+    try:
+        return _evaluate_stack(f, constraints, frame, X, tols)
+    except LapbelError as exc:
+        if len(X) == 1:
+            return [exc]
+        return [
+            report
+            for i in range(len(X))
+            for report in _evaluate_rows(f, constraints, frame, X[i : i + 1], tols)
+        ]
+
+
+def _evaluate_stack(f, constraints, frame, X, tols) -> list:
+    """The stages of :func:`evaluate_points` on one chunk."""
+    m, k = X.shape[1], constraints.count
+    reports = [None] * len(X)
+    live = np.arange(len(X))  # the rows still standing
+
+    def drop(bad, error):
+        # the live rows flagged in ``bad`` get ``error(j)``, j their position
+        # among the live rows, and leave; returns the index of those kept
+        nonlocal live
+        bad = np.asarray(bad, dtype=bool)
+        if not bad.any():
+            return slice(None)
+        for j in np.flatnonzero(bad):
+            reports[live[j]] = error(j)
+        live = live[~bad]
+        return ~bad
+
+    def refuse(errors):
+        # drop the live rows whose entry in ``errors`` is not None
+        return drop([e is not None for e in errors], errors.__getitem__)
+
+    keep = drop(_nonfinite(X), lambda j: DimensionError("point contains non-finite entries"))
+    U = X[keep]
+    residual = np.abs(constraints.residuals_at(U)).max(axis=1)
+    keep = drop(
+        ~(residual <= tols.on_manifold),
+        lambda j: DomainError(
+            f"point is off the manifold: residual {residual[j]:.6g} exceeds "
             f"tolerance {tols.on_manifold:.6g}",
-            residual=check.residual,
-        )
-    Q, R = _gradient_qr(constraints.jacobian(u))
-    sigma = np.linalg.solve(R, Q.T @ f.gradient(u))
+            residual=float(residual[j]),
+        ),
+    )
+    U = U[keep]
+    J = constraints.jacobians_at(U)
+    keep = drop(_nonfinite(J), lambda j: DimensionError("gradient contains non-finite entries"))
+    U, J = U[keep], J[keep]
+    Q, R, deficient = _gradient_qrs(J)
+    keep = drop(deficient, lambda j: RegularityError(_RANK_DEFICIENT))
+    U, Q, R = U[keep], Q[keep], R[keep]
+    g = f.gradients(U)
+    keep = drop(_nonfinite(g), lambda j: DimensionError("gradient contains non-finite entries"))
+    U, Q, R, g = U[keep], Q[keep], R[keep], g[keep]
+    sigma = np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ g[:, :, None])[:, :, 0]
+
     if frame is None:
-        cond = 1.0
-
-        def projected_trace(H):
-            return np.trace(H, axis1=-2, axis2=-1) - np.sum(Q * (H @ Q), axis=(-2, -1))
-
+        cond = np.ones(len(U))
+        basis = [Q]
     else:
-        T = frame.at(u)
-        m, r = T.shape
-        if r != m - constraints.count:
-            raise DimensionError(
-                f"frame supplies {r} tangent directions, expected "
-                f"{m - constraints.count} (ambient {m} minus {constraints.count} constraints)"
+        T = _stacked([_tangent_frame(frame, u, k) for u in U], (m, m - k), "frame")
+        T_plus, cond, refused = numkit.frame_pseudo_inverses(T, tols.condition_limit)
+        keep = refuse(refused)
+        U, sigma, cond = U[keep], sigma[keep], cond[keep]
+        basis = [T_plus, T[keep]]
+
+    traces = []  # the field's (N, 1), then the constraints' (N, k)
+    for owner, fields in ((f, (f,)), (constraints, constraints.fields)):
+        H, errors = _hessians_at(owner, fields, U)
+        traces.append(_projected_traces(H, basis))
+        keep = refuse(errors)
+        U, sigma, cond = U[keep], sigma[keep], cond[keep]
+        basis = [b[keep] for b in basis]
+        traces = [t[keep] for t in traces]
+
+    trace_main, trace_constraint = traces
+    for j, i in enumerate(live):
+        try:
+            reports[i] = LaplacianReport.assemble(
+                trace_main[j, 0], sigma[j], trace_constraint[j], cond[j]
             )
-        T_plus, cond = numkit.frame_pseudo_inverse(T, tols.condition_limit)
+        except LapbelError as exc:
+            reports[i] = exc
+    return reports
 
-        def projected_trace(H):
-            return np.trace(T_plus @ H @ T, axis1=-2, axis2=-1)
 
-    trace_main = float(projected_trace(f.hessian(u)))
-    trace_constraint = projected_trace(constraints.hessians(u))
-    return LaplacianReport.assemble(trace_main, sigma, trace_constraint, cond)
+def _tangent_frame(frame: AdaptedFrame, u: np.ndarray, k: int) -> np.ndarray:
+    """``frame.at(u)``, refused unless it has m - k columns."""
+    T = frame.at(u)
+    m, r = T.shape
+    if r != m - k:
+        raise DimensionError(
+            f"frame supplies {r} tangent directions, expected "
+            f"{m - k} (ambient {m} minus {k} constraints)"
+        )
+    return T
+
+
+def _hessians_at(owner, fields, X: np.ndarray) -> tuple:
+    """The Hessians of ``fields`` at the rows of X and, per row, None or the
+    error refusing them: a constant (k, m, m) stack is built and checked once
+    by :func:`_hessian_stack`, raising, and broadcasts against the rows;
+    otherwise an (N, k, m, m) stack is checked row by row."""
+    if all(field.constant_hessian for field in fields) and len(X):
+        return _hessian_stack(owner, fields, X[0], True), [None] * len(X)
+    H = np.stack([field.hessians(X) for field in fields], axis=1)
+    return H, _hessian_errors(H)
+
+
+def _projected_traces(H: np.ndarray, basis: list) -> np.ndarray:
+    """Per row and Hessian, tr(P H) for Hessians H of shape (N, k, m, m) or
+    a constant (k, m, m): tr H - <Q, H Q>_F for ``basis`` [Q], or
+    tr(T+ H T) for ``basis`` [T+, T] (each with one row per point)."""
+    if len(basis) == 1:
+        Q = basis[0][:, None]
+        return np.trace(H, axis1=-2, axis2=-1) - np.sum(Q * (H @ Q), axis=(-2, -1))
+    T_plus, T = basis
+    return np.trace(T_plus[:, None] @ H @ T[:, None], axis1=-2, axis2=-1)
+
+
+_RANK_DEFICIENT = "constraint gradients are rank deficient at this point"
+
+
+def _gradient_qrs(J: np.ndarray, mode: str = "reduced") -> tuple:
+    """QR of the gradient columns J^t of one k-by-m Jacobian or of each in a
+    stack (``mode`` as for np.linalg.qr), and whether R has a diagonal entry
+    below 1e-12 times max(1, max |J|): the rank test."""
+    k = J.shape[-2]
+    Q, R = np.linalg.qr(np.swapaxes(J, -1, -2), mode=mode)
+    diag = np.abs(np.diagonal(R[..., :k, :k], axis1=-2, axis2=-1))
+    scale = np.maximum(1.0, np.abs(J).max(axis=(-2, -1)))
+    return Q, R, (diag < 1e-12 * scale[..., None]).any(axis=-1)
 
 
 def _gradient_qr(J: np.ndarray, mode: str = "reduced") -> tuple[np.ndarray, np.ndarray]:
-    """QR of the gradient columns J^t (``mode`` as for np.linalg.qr); a
-    diagonal entry of R below 1e-12 times max(1, max |J|) raises
+    """:func:`_gradient_qrs` of one Jacobian; a failed rank test raises
     RegularityError."""
-    k = J.shape[0]
-    Q, R = np.linalg.qr(J.T, mode=mode)
-    diag = np.abs(np.diag(R[:k, :k]))
-    scale = max(1.0, float(np.max(np.abs(J))))
-    if np.any(diag < 1e-12 * scale):
-        raise RegularityError("constraint gradients are rank deficient at this point")
+    Q, R, deficient = _gradient_qrs(J, mode)
+    if deficient:
+        raise RegularityError(_RANK_DEFICIENT)
     return Q, R
 
 

@@ -10,6 +10,7 @@ reported instead of regularized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,17 +134,29 @@ def sym_condition(A) -> float:
     return float(w[-1] / w[0])
 
 
+def symmetry_errors(M: np.ndarray, name: str, symbol: str) -> list:
+    """Per row of an (N, ..., m, m) stack of matrices: None, or a
+    ContractError naming the value of max |M - M^t| of the row's first matrix
+    that is not symmetric to the equality tolerance scaled by its
+    magnitude."""
+    rows = (len(M), math.prod(M.shape[1:-2]))  # (N, matrices per row)
+    scale = np.maximum(np.abs(M).max(axis=(-2, -1)), 1.0).reshape(rows)
+    asym = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1)).reshape(rows)
+    bad = asym > DEFAULT_TOLERANCES.equality * scale
+    errors = [None] * len(M)
+    for i in np.flatnonzero(bad.any(axis=1)):
+        errors[i] = ContractError(
+            f"{name} is not symmetric: max |{symbol} - {symbol}^T| = {asym[i][bad[i]][0]:.3e}"
+        )
+    return errors
+
+
 def require_symmetric(M: np.ndarray, name: str, symbol: str) -> None:
     """Raise ContractError unless the matrix ``M``, or every matrix of the
-    stack ``M``, is symmetric to the equality tolerance scaled by its
-    magnitude; the message names the first asymmetric one."""
-    scale = np.maximum(np.abs(M).max(axis=(-2, -1)), 1.0)
-    asym = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1))
-    bad = asym > DEFAULT_TOLERANCES.equality * scale
-    if bad.any():
-        raise ContractError(
-            f"{name} is not symmetric: max |{symbol} - {symbol}^T| = {asym[bad][0]:.3e}"
-        )
+    stack ``M``, is symmetric (see :func:`symmetry_errors`)."""
+    error = symmetry_errors(np.asarray(M)[None], name, symbol)[0]
+    if error is not None:
+        raise error
 
 
 def solve_spd(A, B) -> np.ndarray:
@@ -197,18 +210,36 @@ def left_moore_penrose(T, condition_limit: float | None = None) -> np.ndarray:
 def frame_pseudo_inverse(
     T: np.ndarray, condition_limit: float
 ) -> tuple[np.ndarray, float]:
-    """(T+, condition estimate of T^t T) for a tall frame ``T``, with
-    T+ = R^{-1} Q^t from the reduced QR T = QR; a Gram condition that is not
-    finite or exceeds ``condition_limit`` raises SingularityError carrying
-    the estimate."""
-    cond = sym_condition(T.T @ T)
-    if not np.isfinite(cond) or cond > condition_limit:
-        raise SingularityError(
-            f"frame Gram condition {cond:.3e} exceeds limit {condition_limit:.3e}",
-            condition=cond,
+    """(T+, condition estimate of T^t T) for one tall frame ``T``, by
+    :func:`frame_pseudo_inverses`; a refused frame raises its
+    SingularityError."""
+    T_plus, cond, refused = frame_pseudo_inverses(np.asarray(T)[None], condition_limit)
+    if refused[0] is not None:
+        raise refused[0]
+    return T_plus[0], float(cond[0])
+
+
+def frame_pseudo_inverses(T: np.ndarray, condition_limit: float) -> tuple:
+    """For an (N, m, r) stack of tall frames: T+ = R^{-1} Q^t from the
+    reduced QR T = QR of each accepted frame, the condition estimate of every
+    Gram T^t T (as :func:`sym_condition` gives it), and per frame None or the
+    SingularityError carrying the estimate that refuses it, when the estimate
+    is not finite or exceeds ``condition_limit``."""
+    G = np.swapaxes(T, -1, -2) @ T
+    if not np.isfinite(G).all():
+        raise DimensionError("sym_condition input contains non-finite entries")
+    w = np.linalg.eigvalsh((G + np.swapaxes(G, -1, -2)) / 2.0)
+    cond = np.full(len(w), np.inf)
+    np.divide(w[:, -1], w[:, 0], out=cond, where=w[:, 0] > 0.0)
+    accepted = cond <= condition_limit
+    refused = [None] * len(T)
+    for i in np.flatnonzero(~accepted):
+        refused[i] = SingularityError(
+            f"frame Gram condition {cond[i]:.3e} exceeds limit {condition_limit:.3e}",
+            condition=float(cond[i]),
         )
-    Q, R = np.linalg.qr(T)
-    return np.linalg.solve(R, Q.T), cond
+    Q, R = np.linalg.qr(T if accepted.all() else T[accepted])
+    return np.linalg.solve(R, np.swapaxes(Q, -1, -2)), cond, refused
 
 
 def matrix_to_json(M) -> dict:
