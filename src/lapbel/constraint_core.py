@@ -249,7 +249,7 @@ def _nonfinite(A: np.ndarray) -> np.ndarray:
 
 
 def _finite(A: np.ndarray, name: str) -> np.ndarray:
-    if _nonfinite(A).any():
+    if not np.isfinite(A).all():
         raise DimensionError(f"{name} contains non-finite entries")
     return A
 
@@ -258,11 +258,12 @@ def _hessian_errors(H: np.ndarray) -> list:
     """Per row of an (N, ..., m, m) Hessian stack: None, or the error that
     refuses it, DimensionError for a non-finite entry, else the ContractError
     naming its first Hessian that is not symmetric (scaled by magnitude)."""
-    asymmetric = numkit.symmetry_errors(H, "hessian", "H")
-    return [
-        DimensionError("hessian contains non-finite entries") if bad else error
-        for bad, error in zip(_nonfinite(H), asymmetric)
-    ]
+    errors = numkit.symmetry_errors(H, "hessian", "H")
+    nonfinite = _nonfinite(H)
+    if nonfinite.any():
+        for i in np.flatnonzero(nonfinite):
+            errors[i] = DimensionError("hessian contains non-finite entries")
+    return errors
 
 
 def _hessian_stack(owner, fields, u: np.ndarray, constant: bool) -> np.ndarray:

@@ -139,11 +139,14 @@ def symmetry_errors(M: np.ndarray, name: str, symbol: str) -> list:
     ContractError naming the value of max |M - M^t| of the row's first matrix
     that is not symmetric to the equality tolerance scaled by its
     magnitude."""
-    rows = (len(M), math.prod(M.shape[1:-2]))  # (N, matrices per row)
-    scale = np.maximum(np.abs(M).max(axis=(-2, -1)), 1.0).reshape(rows)
-    asym = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1)).reshape(rows)
+    scale = np.maximum(np.abs(M).max(axis=(-2, -1)), 1.0)
+    asym = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1))
     bad = asym > DEFAULT_TOLERANCES.equality * scale
     errors = [None] * len(M)
+    if not bad.any():
+        return errors
+    rows = (len(M), math.prod(M.shape[1:-2]))  # (N, matrices per row)
+    asym, bad = asym.reshape(rows), bad.reshape(rows)
     for i in np.flatnonzero(bad.any(axis=1)):
         errors[i] = ContractError(
             f"{name} is not symmetric: max |{symbol} - {symbol}^T| = {asym[i][bad[i]][0]:.3e}"
@@ -233,12 +236,14 @@ def frame_pseudo_inverses(T: np.ndarray, condition_limit: float) -> tuple:
     np.divide(w[:, -1], w[:, 0], out=cond, where=w[:, 0] > 0.0)
     accepted = cond <= condition_limit
     refused = [None] * len(T)
-    for i in np.flatnonzero(~accepted):
-        refused[i] = SingularityError(
-            f"frame Gram condition {cond[i]:.3e} exceeds limit {condition_limit:.3e}",
-            condition=float(cond[i]),
-        )
-    Q, R = np.linalg.qr(T if accepted.all() else T[accepted])
+    if not accepted.all():
+        for i in np.flatnonzero(~accepted):
+            refused[i] = SingularityError(
+                f"frame Gram condition {cond[i]:.3e} exceeds limit {condition_limit:.3e}",
+                condition=float(cond[i]),
+            )
+        T = T[accepted]
+    Q, R = np.linalg.qr(T)
     return np.linalg.solve(R, np.swapaxes(Q, -1, -2)), cond, refused
 
 
