@@ -3,9 +3,9 @@
 Column-major vectorization, Gram matrices, SPD solves, and the left
 Moore-Penrose inverse, together with the package-wide tolerance record.
 Everything is dense float64 and numpy only. Tall frames are inverted through
-a reduced QR factorization, never through their Gram matrix or an SVD;
-Gram matrices only give condition estimates, and ill-conditioning is
-reported instead of regularized.
+a reduced QR factorization, never through their Gram matrix; their condition
+comes from the singular values of the small factor R, and ill-conditioning
+is reported instead of regularized.
 """
 
 from __future__ import annotations
@@ -207,33 +207,25 @@ def left_moore_penrose(T, condition_limit: float | None = None) -> np.ndarray:
             f"left_moore_penrose expects at least as many rows as columns, got {m}x{r}"
         )
     limit = DEFAULT_TOLERANCES.condition_limit if condition_limit is None else condition_limit
-    return frame_pseudo_inverse(T, limit)[0]
-
-
-def frame_pseudo_inverse(
-    T: np.ndarray, condition_limit: float
-) -> tuple[np.ndarray, float]:
-    """(T+, condition estimate of T^t T) for one tall frame ``T``, by
-    :func:`frame_pseudo_inverses`; a refused frame raises its
-    SingularityError."""
-    T_plus, cond, refused = frame_pseudo_inverses(np.asarray(T)[None], condition_limit)
+    T_plus, _, refused = frame_pseudo_inverses(T[None], limit)
     if refused[0] is not None:
         raise refused[0]
-    return T_plus[0], float(cond[0])
+    return T_plus[0]
 
 
 def frame_pseudo_inverses(T: np.ndarray, condition_limit: float) -> tuple:
-    """For an (N, m, r) stack of tall frames: T+ = R^{-1} Q^t from the
+    """For an (N, m, r) stack of finite tall frames: T+ = R^{-1} Q^t from the
     reduced QR T = QR of each accepted frame, the condition estimate of every
-    Gram T^t T (as :func:`sym_condition` gives it), and per frame None or the
-    SingularityError carrying the estimate that refuses it, when the estimate
-    is not finite or exceeds ``condition_limit``."""
-    G = np.swapaxes(T, -1, -2) @ T
-    if not np.isfinite(G).all():
-        raise DimensionError("sym_condition input contains non-finite entries")
-    w = np.linalg.eigvalsh((G + np.swapaxes(G, -1, -2)) / 2.0)
-    cond = np.full(len(w), np.inf)
-    np.divide(w[:, -1], w[:, 0], out=cond, where=w[:, 0] > 0.0)
+    Gram T^t T, cond(R)^2 from the singular values of R (the Gram itself is
+    never formed), and per frame None or the SingularityError carrying the
+    estimate that refuses it, when the estimate is not finite or exceeds
+    ``condition_limit``."""
+    Q, R = np.linalg.qr(T)
+    s = np.linalg.svd(R, compute_uv=False)
+    cond = np.full(len(T), np.inf)
+    np.divide(s[:, 0], s[:, -1], out=cond, where=s[:, -1] > 0.0)
+    with np.errstate(over="ignore"):
+        cond *= cond
     accepted = cond <= condition_limit
     refused = [None] * len(T)
     if not accepted.all():
@@ -242,8 +234,7 @@ def frame_pseudo_inverses(T: np.ndarray, condition_limit: float) -> tuple:
                 f"frame Gram condition {cond[i]:.3e} exceeds limit {condition_limit:.3e}",
                 condition=float(cond[i]),
             )
-        T = T[accepted]
-    Q, R = np.linalg.qr(T)
+        Q, R = Q[accepted], R[accepted]
     return np.linalg.solve(R, np.swapaxes(Q, -1, -2)), cond, refused
 
 

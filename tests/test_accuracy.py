@@ -123,6 +123,6 @@ def test_sphere_chart_accuracy_follows_the_frame_condition(condition):
     )
     frame = sphere_adapted_frame(radius, excluded_index=j)
     report = laplace_beltrami_general(f, sphere_constraint_set(5, radius), frame, x)
-    assert report.frame_gram_condition == pytest.approx(condition, rel=1e-3)
+    assert report.frame_gram_condition == pytest.approx(condition, rel=1e-12)
     closed = sphere_laplacian(f, SpherePoint(x, radius))
     assert abs(report.value - closed) <= 1e-10 * abs(closed)
