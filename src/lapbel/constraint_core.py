@@ -43,10 +43,6 @@ class ScalarField:
     another label for externally supplied data. Derivative-hygiene checks
     only accept analytic fields.
 
-    ``constant_hessian`` declares that the Hessian does not depend on the
-    point: it is built and checked once, on first use, and handed out
-    read-only.
-
     ``values_fn``, ``gradients_fn`` and ``hessians_fn`` optionally evaluate
     an (N, dim) stack of points at once, returning N values, (N, dim)
     gradients or (N, dim, dim) Hessians; each row must have the same bits as
@@ -60,7 +56,6 @@ class ScalarField:
     gradient_fn: Callable[[np.ndarray], np.ndarray]
     hessian_fn: Callable[[np.ndarray], np.ndarray]
     provenance: str = "analytic"
-    constant_hessian: bool = False
     values_fn: Callable[[np.ndarray], np.ndarray] | None = None
     gradients_fn: Callable[[np.ndarray], np.ndarray] | None = None
     hessians_fn: Callable[[np.ndarray], np.ndarray] | None = None
@@ -128,8 +123,10 @@ class ScalarField:
         return _finite(_stacked([self.gradient_fn(u)], (self.dim,), "gradient"), "gradient")[0]
 
     def hessian(self, u) -> np.ndarray:
-        u = self._check_point(u)
-        return _hessian_stack(self, (self,), u, self.constant_hessian)[0]
+        H, (error,) = _hessians_at((self,), self._check_point(u)[None])
+        if error is not None:
+            raise error
+        return H[0, 0]
 
     # -- field arithmetic ---------------------------------------------------
     # Sums, scalar multiples, and products are themselves scalar fields with
@@ -254,33 +251,16 @@ def _finite(A: np.ndarray, name: str) -> np.ndarray:
     return A
 
 
-def _hessian_errors(H: np.ndarray) -> list:
-    """Per row of an (N, ..., m, m) Hessian stack: None, or the error that
-    refuses it, DimensionError for a non-finite entry, else the ContractError
-    naming its first Hessian that is not symmetric (scaled by magnitude)."""
+def _hessians_at(fields, X: np.ndarray) -> tuple:
+    """The (N, k, m, m) Hessians of ``fields`` at the rows of X and, per row,
+    None or the error that refuses them: DimensionError for a non-finite
+    entry, else the ContractError naming the first Hessian that is not
+    symmetric (scaled by magnitude)."""
+    H = np.stack([field.hessians(X) for field in fields], axis=1)
     errors = numkit.symmetry_errors(H, "hessian", "H")
-    nonfinite = _nonfinite(H)
-    if nonfinite.any():
-        for i in np.flatnonzero(nonfinite):
-            errors[i] = DimensionError("hessian contains non-finite entries")
-    return errors
-
-
-def _hessian_stack(owner, fields, u: np.ndarray, constant: bool) -> np.ndarray:
-    """The Hessians of ``fields`` at ``u``, checked as :func:`_hessian_errors`
-    says; a constant stack is kept read-only on ``owner``."""
-    kept = owner.__dict__.get("_constant_hessians")
-    if kept is not None:
-        return kept
-    dim = fields[0].dim
-    Hs = _stacked([f.hessian_fn(u) for f in fields], (dim, dim), "hessian")
-    error = _hessian_errors(Hs[None])[0]
-    if error is not None:
-        raise error
-    if constant:
-        Hs.flags.writeable = False
-        object.__setattr__(owner, "_constant_hessians", Hs)
-    return Hs
+    for i in np.flatnonzero(_nonfinite(H)):
+        errors[i] = DimensionError("hessian contains non-finite entries")
+    return H, errors
 
 
 def constant_field(dim: int, value: float) -> ScalarField:
@@ -291,7 +271,6 @@ def constant_field(dim: int, value: float) -> ScalarField:
         value_fn=lambda u: c,
         gradient_fn=lambda u: np.zeros(dim),
         hessian_fn=lambda u: np.zeros((dim, dim)),
-        constant_hessian=True,
     )
 
 
@@ -304,7 +283,6 @@ def linear_field(coefficients) -> ScalarField:
         value_fn=lambda u: float(c @ u),
         gradient_fn=lambda u: c.copy(),
         hessian_fn=lambda u: np.zeros((dim, dim)),
-        constant_hessian=True,
     )
 
 
@@ -458,13 +436,11 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
         H[:, hess_j, hess_i] = entries
         return H
 
-    constant = bool(np.all(P.sum(axis=1) <= 2))  # no term above degree 2
     return ScalarField(
         dim,
         value,
         gradient,
         hessian,
-        constant_hessian=constant,
         values_fn=values,
         gradients_fn=gradients,
         hessians_fn=hessians,
@@ -477,7 +453,7 @@ def block_product_field(
     """The quadratic form weight * <u[first], u[second]> on R^dim, for two
     coordinate blocks of equal length, with its constant Hessian: weight
     times the identity in blocks (first, second) and (second, first). The
-    sphere and O(n) constraints are all of this form."""
+    constraints of a :class:`BlockProductSet` are all of this form."""
     size = len(range(dim)[first])
 
     def value(u):
@@ -508,19 +484,14 @@ def block_product_field(
         value,
         gradients,
         hessian,
-        constant_hessian=True,
         values_fn=values,
         gradients_fn=gradients,
     )
 
 
-# Stencil points evaluated per call: a (rows, m) stack never exceeds this many
-# rows, so a whole Hessian stencil is one call up to m = 31 and memory stays
-# bounded for wide fields.
-_STENCIL_ROWS = 2048
-
-# Bytes the largest intermediate of one stacked pass may take: evaluate_points
-# and the polynomial stacked forms split their rows into chunks within it.
+# Bytes the largest intermediate of one stacked pass may take: evaluate_points,
+# the polynomial stacked forms and the finite-difference stencils split their
+# rows into chunks within it.
 _CHUNK_BYTES = 1 << 22
 
 
@@ -538,12 +509,12 @@ def _stencil_values(values, u: np.ndarray, rows: int, moves) -> np.ndarray:
     ``p = u.copy()``."""
     row, col, step = moves
     out = np.empty(rows)
-    for a in range(0, rows, _STENCIL_ROWS):
-        b = min(a + _STENCIL_ROWS, rows)
+    for chunk in _chunks(rows, 8 * u.size):
+        a, b = chunk.start, chunk.stop
         lo, hi = np.searchsorted(row, (a, b))
         X = np.tile(u, (b - a, 1))
         X[row[lo:hi] - a, col[lo:hi]] += step[lo:hi]
-        out[a:b] = values(X)
+        out[chunk] = values(X)
     return out
 
 
@@ -621,7 +592,7 @@ class ConstraintSet:
     the manifold ``{u : fields[a](u) = regular_value[a] for all a}``.
 
     Values, gradients and Hessians are evaluated for all constraints at once
-    and checked once per call; a stack of constant Hessians is built once.
+    and checked once per call.
     """
 
     ambient_dim: int
@@ -697,9 +668,53 @@ class ConstraintSet:
 
     def hessians(self, u) -> np.ndarray:
         """The k-by-m-by-m stack of constraint Hessians at ``u``."""
-        u = self._check_point(u)
-        constant = all(f.constant_hessian for f in self.fields)
-        return _hessian_stack(self, self.fields, u, constant)
+        H, (error,) = _hessians_at(self.fields, self._check_point(u)[None])
+        if error is not None:
+            raise error
+        return H[0]
+
+    def projected_traces(self, X: np.ndarray, basis: list) -> tuple:
+        """Per row of X, the k traces :func:`_projected_traces` gives on the
+        constraint Hessians, and None or the error refusing them."""
+        H, errors = _hessians_at(self.fields, X)
+        return _projected_traces(H, basis), errors
+
+
+@dataclass(frozen=True)
+class BlockProductSet(ConstraintSet):
+    """Constraints w <u[b], u[c]>, one per (b, c, w) in ``products``, on
+    blocks u[b*s : (b+1)*s] of s = ``block`` coordinates, as
+    :func:`block_product_set` builds them: the sphere and O(n). Their
+    Hessians w (E_bc + E_cb) kron I_s give every projected trace from inner
+    products of frame blocks, with no Hessian built."""
+
+    block: int
+    products: tuple
+
+    def projected_traces(self, X: np.ndarray, basis: list) -> tuple:
+        """The traces from the blocks, nothing refused: tr(T+ H T) =
+        w (<L_b, T_c>_F + <L_c, T_b>_F) with L = T+^t for ``basis`` [T+, T];
+        for [Q], L = T = Q and the trace is 2 s w [b = c] minus that."""
+        b, c, w = (np.array(v) for v in zip(*self.products))
+        N, s, cols = len(X), self.block, basis[-1].shape[2]
+        left = basis[0] if len(basis) == 1 else np.swapaxes(basis[0], 1, 2)
+        # row b of each (N, m / s, s * cols) view holds block b
+        L, T = (A.reshape(N, self.ambient_dim // s, s * cols) for A in (left, basis[-1]))
+        G = L @ np.swapaxes(T, 1, 2)
+        traces = w * (G[:, b, c] + G[:, c, b])
+        if len(basis) == 1:
+            traces = 2.0 * s * w * (b == c) - traces
+        # G[:, b, c] leaves the rows strided, and LaplacianReport.assemble's
+        # np.dot rounds a strided row differently from a contiguous one
+        return np.ascontiguousarray(traces), [None] * N
+
+
+def block_product_set(ambient_dim: int, block: int, products, regular_value) -> BlockProductSet:
+    """The :class:`BlockProductSet` of the (b, c, w) ``products`` on blocks of
+    ``block`` coordinates of R^ambient_dim."""
+    blocks = [slice(b * block, (b + 1) * block) for b in range(ambient_dim // block)]
+    fields = [block_product_field(ambient_dim, blocks[b], blocks[c], w) for b, c, w in products]
+    return BlockProductSet(ambient_dim, tuple(fields), regular_value, block, tuple(products))
 
 
 @dataclass(frozen=True)
@@ -844,14 +859,16 @@ def evaluate_points(
       the frame Gram condition is 1; an explicit frame T is taken per row by
       ``frame.at`` and gives tr(T+ H T), with T+ its left Moore-Penrose
       inverse, refused above ``tols.condition_limit`` (SingularityError);
-    - the field Hessian, then the constraint Hessians, each checked finite
-      and symmetric; a constant stack is built once and broadcast;
+    - the field Hessian, checked finite and symmetric, and its trace; then
+      the constraint traces from :meth:`ConstraintSet.projected_traces`
+      (their Hessians checked likewise, or none built for a
+      :class:`BlockProductSet`);
     - :meth:`LaplacianReport.assemble` (NumericalError on overflow).
 
-    The rows go in chunks whose largest intermediate (k m^2 doubles per row)
-    stays within ``_CHUNK_BYTES``. A LapbelError raised for a chunk as a
-    whole (by a field or frame callable) is put on its row by evaluating
-    the chunk one row at a time. Overflow gives non-finite numbers that the
+    The rows go in chunks whose largest Hessian stack (k m^2 doubles per row
+    for the constraints, the field's m^2 for a BlockProductSet) stays within
+    ``_CHUNK_BYTES``. A LapbelError raised for a chunk as a whole (by a field or frame callable)
+    is put on its row by evaluating the chunk one row at a time. Overflow gives non-finite numbers that the
     checks refuse, not warnings.
     """
     tols = DEFAULT_TOLERANCES if tols is None else tols
@@ -863,7 +880,8 @@ def evaluate_points(
         )
     reports = []
     with np.errstate(all="ignore"):
-        for rows in _chunks(len(X), 8 * k * m * m):
+        hessians = 1 if isinstance(constraints, BlockProductSet) else k
+        for rows in _chunks(len(X), 8 * hessians * m * m):
             reports.extend(_evaluate_rows(f, constraints, frame, X[rows], tols))
     return reports
 
@@ -936,10 +954,14 @@ def _evaluate_stack(f, constraints, frame, X, tols) -> list:
         U, sigma, cond = U[keep], sigma[keep], cond[keep]
         basis = [T_plus, T[keep]]
 
+    def field_traces(U, basis):
+        H, errors = _hessians_at((f,), U)
+        return _projected_traces(H, basis), errors
+
     traces = []  # the field's (N, 1), then the constraints' (N, k)
-    for owner, fields in ((f, (f,)), (constraints, constraints.fields)):
-        H, errors = _hessians_at(owner, fields, U)
-        traces.append(_projected_traces(H, basis))
+    for projected in (field_traces, constraints.projected_traces):
+        trace, errors = projected(U, basis)
+        traces.append(trace)
         keep = refuse(errors)
         U, sigma, cond = U[keep], sigma[keep], cond[keep]
         basis = [b[keep] for b in basis]
@@ -968,21 +990,10 @@ def _tangent_frame(frame: AdaptedFrame, u: np.ndarray, k: int) -> np.ndarray:
     return T
 
 
-def _hessians_at(owner, fields, X: np.ndarray) -> tuple:
-    """The Hessians of ``fields`` at the rows of X and, per row, None or the
-    error refusing them: a constant (k, m, m) stack is built and checked once
-    by :func:`_hessian_stack`, raising, and broadcasts against the rows;
-    otherwise an (N, k, m, m) stack is checked row by row."""
-    if all(field.constant_hessian for field in fields) and len(X):
-        return _hessian_stack(owner, fields, X[0], True), [None] * len(X)
-    H = np.stack([field.hessians(X) for field in fields], axis=1)
-    return H, _hessian_errors(H)
-
-
 def _projected_traces(H: np.ndarray, basis: list) -> np.ndarray:
-    """Per row and Hessian, tr(P H) for Hessians H of shape (N, k, m, m) or
-    a constant (k, m, m): tr H - <Q, H Q>_F for ``basis`` [Q], or
-    tr(T+ H T) for ``basis`` [T+, T] (each with one row per point)."""
+    """Per row and Hessian, tr(P H) for Hessians H of shape (N, k, m, m):
+    tr H - <Q, H Q>_F for ``basis`` [Q], or tr(T+ H T) for ``basis``
+    [T+, T] (each with one row per point)."""
     if len(basis) == 1:
         Q = basis[0][:, None]
         return np.trace(H, axis1=-2, axis2=-1) - np.sum(Q * (H @ Q), axis=(-2, -1))

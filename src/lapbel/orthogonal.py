@@ -20,10 +20,10 @@ import numpy as np
 
 from .constraint_core import (
     AdaptedFrame,
-    ConstraintSet,
+    BlockProductSet,
     LaplacianReport,
     ScalarField,
-    block_product_field,
+    block_product_set,
 )
 from .errors import DimensionError, DomainError
 from .numkit import (
@@ -105,19 +105,18 @@ def check_orthogonal_side(n: int) -> None:
         raise DimensionError(f"orthogonal constraint sets need n >= 2, got {n}")
 
 
-def on_constraint_set(n: int) -> ConstraintSet:
-    """Constraints cutting the orthogonal group out of matrix space.
+def on_constraint_set(n: int) -> BlockProductSet:
+    """Constraints cutting the orthogonal group out of matrix space, as
+    products of the column blocks of the flattened matrix.
 
     Order: half-squared-norm constraints for every column (regular value
     1/2), then inner-product constraints for every pair (regular value 0)
     in lexicographic order.
     """
     check_orthogonal_side(n)
-    block = [slice(a * n, (a + 1) * n) for a in range(n)]  # column a of the vector
-    fields = [block_product_field(n * n, block[a], block[a], 0.5) for a in range(n)]
-    fields.extend(block_product_field(n * n, block[b], block[c]) for b, c in index_pairs(n))
-    values = np.concatenate([np.full(n, 0.5), np.zeros(len(fields) - n)])
-    return ConstraintSet(ambient_dim=n * n, fields=tuple(fields), regular_value=values)
+    products = [(a, a, 0.5) for a in range(n)] + [(b, c, 1.0) for b, c in index_pairs(n)]
+    values = np.concatenate([np.full(n, 0.5), np.zeros(len(products) - n)])
+    return block_product_set(n * n, n, products, values)
 
 
 def on_frame(point: OrthogonalPoint) -> np.ndarray:
@@ -264,7 +263,6 @@ def p1_field(A) -> ScalarField:
         value_fn=value,
         gradient_fn=lambda u: grad.copy(),
         hessian_fn=lambda u: np.zeros((dim, dim)),
-        constant_hessian=True,
         values_fn=values,
     )
 
@@ -290,7 +288,7 @@ def p11_field(A) -> ScalarField:
         return 2.0 * float(np.trace(A @ unvec(u, n))) * w
 
     return ScalarField(
-        dim, value, gradient, lambda u: H.copy(), constant_hessian=True, values_fn=values
+        dim, value, gradient, lambda u: H.copy(), values_fn=values
     )
 
 
@@ -319,7 +317,7 @@ def p2_field(A) -> ScalarField:
         return vec(2.0 * (B @ U.T @ B))
 
     return ScalarField(
-        dim, value, gradient, lambda u: H.copy(), constant_hessian=True, values_fn=values
+        dim, value, gradient, lambda u: H.copy(), values_fn=values
     )
 
 
@@ -354,7 +352,7 @@ def brockett_field(A, diagonal) -> ScalarField:
         return vec(2.0 * (A @ U) * mu[None, :])
 
     return ScalarField(
-        dim, value, gradient, lambda u: H.copy(), constant_hessian=True, values_fn=values
+        dim, value, gradient, lambda u: H.copy(), values_fn=values
     )
 
 

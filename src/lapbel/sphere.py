@@ -16,10 +16,10 @@ import numpy as np
 
 from .constraint_core import (
     AdaptedFrame,
-    ConstraintSet,
+    BlockProductSet,
     LaplacianReport,
     ScalarField,
-    block_product_field,
+    block_product_set,
 )
 from .errors import ChartError, ContractError, DimensionError, DomainError
 from .numkit import DEFAULT_TOLERANCES, as_vector
@@ -168,13 +168,11 @@ def check_sphere_parameters(n: int, radius: float) -> None:
         raise DimensionError(f"radius must be positive, got {radius}")
 
 
-def sphere_constraint_set(n: int, radius: float) -> ConstraintSet:
-    """The sphere as a one-constraint set: sum(x_i^2) = R^2."""
+def sphere_constraint_set(n: int, radius: float) -> BlockProductSet:
+    """The sphere as a one-constraint set: sum(x_i^2) = R^2, the product
+    <x, x> of the one block of n coordinates."""
     check_sphere_parameters(n, radius)
-    field = block_product_field(n, slice(0, n), slice(0, n))
-    return ConstraintSet(
-        ambient_dim=n, fields=(field,), regular_value=np.array([radius**2])
-    )
+    return block_product_set(n, n, [(0, 0, 1.0)], np.array([radius**2]))
 
 
 def sphere_adapted_frame(

@@ -11,12 +11,15 @@ import json
 import numpy as np
 import pytest
 
-from lapbel import constraint_core, orthogonal, sphere
+from lapbel import constraint_core, numkit, orthogonal, sphere
 from lapbel.cli import main
 from lapbel.constraint_core import (
     AdaptedFrame,
+    BlockProductSet,
     ConstraintSet,
     ScalarField,
+    _gradient_qrs,
+    _projected_traces,
     evaluate_points,
     laplace_beltrami_general,
     polynomial_field,
@@ -193,7 +196,7 @@ def sphere_stack(rng, n, radius, rows):
 @pytest.mark.parametrize("chart", [None, 0])
 @pytest.mark.parametrize("with_frame", [True, False])
 def test_evaluate_points_equals_the_per_row_evaluator_across_chunks(monkeypatch, with_frame, chart):
-    # the sphere in R^4 counts k m^2 = 16 doubles per row, so 400 bytes
+    # the sphere in R^4 counts the field's m^2 = 16 doubles per row, so 400 bytes
     # gives chunks of 3 rows: errors fall on both sides of chunk boundaries
     monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", 400)
     rng = np.random.default_rng([21, chart is None])
@@ -209,19 +212,23 @@ def test_evaluate_points_equals_the_per_row_evaluator_across_chunks(monkeypatch,
 
 
 def test_evaluate_points_on_the_orthogonal_group_across_chunks(monkeypatch):
-    # O(3) counts k m^2 = 486 doubles per row: chunks of 3 rows
-    monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", 12000)
     rng = np.random.default_rng(5)
-    X = np.stack([orthogonal.random_orthogonal(3, s).to_vector() for s in range(11)])
-    X[[2, 3, 7]] *= 1.001
-    cons = orthogonal.on_constraint_set(3)
-    brockett = orthogonal.brockett_field(random_symmetric(rng, 3), rng.uniform(-1.0, 1.0, 3))
-    quartic = random_polynomial_field(rng, 9, degree=4)
-    for f in (brockett, quartic):
-        for frame in (orthogonal.on_adapted_frame(), None):
-            assert_matches_per_row(f, cons, frame, X)
-    tight = Tolerances(condition_limit=0.5)  # the O(3) frame Gram is 2 I, condition 1
-    records = assert_matches_per_row(brockett, cons, orthogonal.on_adapted_frame(), X, tight)
+    for n in (3, 4):
+        X = np.stack([orthogonal.random_orthogonal(n, s).to_vector() for s in range(11)])
+        X[[2, 3, 7]] *= 1.001
+        blocks = orthogonal.on_constraint_set(n)
+        dense = ConstraintSet(blocks.ambient_dim, blocks.fields, blocks.regular_value)
+        brockett = orthogonal.brockett_field(random_symmetric(rng, n), rng.uniform(-1.0, 1.0, n))
+        quartic = random_polynomial_field(rng, n * n, degree=4)
+        # chunks of 3 rows: the largest Hessian stack of a row is the field's
+        # m^2 doubles for the block products, the k m^2 of the dense copy
+        for cons, stack in ((blocks, 1), (dense, blocks.count)):
+            monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", 3 * 8 * stack * n**4)
+            for f in (brockett, quartic):
+                for frame in (orthogonal.on_adapted_frame(), None):
+                    assert_matches_per_row(f, cons, frame, X)
+    tight = Tolerances(condition_limit=0.5)  # the O(n) frame Gram is 2 I, condition 1
+    records = assert_matches_per_row(brockett, blocks, orthogonal.on_adapted_frame(), X, tight)
     assert {type(r).__name__ for r in records} == {"SingularityError", "DomainError"}
 
 
@@ -298,29 +305,65 @@ def test_explicit_frame_is_taken_once_per_admitted_row():
     assert admitted == len(X) - 3 and len(calls) == admitted
 
 
-def test_constant_hessians_are_built_once_for_the_whole_stack():
-    counts = {}
+# -- block-product traces against the dense constraint Hessians ---------------
 
-    def counted(field, key):
-        def hessian(u):
-            counts[key] = counts.get(key, 0) + 1
-            return field.hessian_fn(u)
 
-        return ScalarField(
-            field.dim, field.value_fn, field.gradient_fn, hessian, constant_hessian=True
+def block_product_cases():
+    """(constraint set, frame, points): the sphere n = 2..6 at the verify
+    radii and O(2..6)."""
+    for n in range(2, 7):
+        for radius in (1.0, 2.5):
+            rng = np.random.default_rng([n, int(10 * radius)])
+            points = [sphere.random_sphere_point(n, radius, rng).coords for _ in range(4)]
+            yield pytest.param(
+                sphere.sphere_constraint_set(n, radius),
+                sphere.sphere_adapted_frame(radius),
+                np.stack(points),
+                id=f"sphere-n{n}-R{radius}",
+            )
+        points = [orthogonal.random_orthogonal(n, [n, s]).to_vector() for s in range(4)]
+        yield pytest.param(
+            orthogonal.on_constraint_set(n), orthogonal.on_adapted_frame(), np.stack(points), id=f"O({n})"
         )
 
-    circles = [
-        counted(polynomial_field(4, [(1.0, (2, 0, 0, 0)), (1.0, (0, 2, 0, 0))]), 0),
-        counted(polynomial_field(4, [(1.0, (0, 0, 2, 0)), (1.0, (0, 0, 0, 2))]), 1),
-    ]
-    cons = ConstraintSet(ambient_dim=4, fields=tuple(circles), regular_value=[1.0, 1.0])
-    f = counted(polynomial_field(4, [(1.0, (1, 1, 0, 0)), (-0.5, (0, 0, 2, 0))]), "f")
-    s, t = np.linspace(0.0, 6.0, 50), np.linspace(1.0, 4.0, 50)
-    X = np.stack([np.cos(s), np.sin(s), np.cos(t), np.sin(t)], axis=1)
-    records = evaluate_points(f, cons, None, X)
-    assert all(not isinstance(r, LapbelError) for r in records)
-    assert counts == {0: 1, 1: 1, "f": 1}
+
+@pytest.mark.parametrize("cons, frame, U", block_product_cases())
+def test_block_traces_equal_the_dense_hessian_traces(cons, frame, U):
+    assert isinstance(cons, BlockProductSet)
+    Q, _, deficient = _gradient_qrs(np.stack([cons.jacobian(u) for u in U]))
+    T = np.stack([frame.at(u) for u in U])
+    T_plus, _, refused = numkit.frame_pseudo_inverses(T, 1e12)
+    assert not deficient.any() and refused == [None] * len(U)
+    for basis in ([Q], [T_plus, T]):
+        block, errors = cons.projected_traces(U, basis)
+        assert errors == [None] * len(U) and block.flags.c_contiguous
+        dense = np.concatenate(
+            [_projected_traces(cons.hessians(u)[None], [b[i : i + 1] for b in basis]) for i, u in enumerate(U)]
+        )
+        assert block.shape == dense.shape == (len(U), cons.count)
+        assert np.all(np.abs(block - dense) <= 1e-13 * np.maximum(1.0, np.abs(dense)))
+
+
+def test_an_o20_general_point_builds_no_dense_constraint_hessians():
+    # The dense route kept a 210 x 400 x 400 constraint Hessian stack (269 MB)
+    # and peaked at 773 MB here.
+    import tracemalloc
+
+    rng = np.random.default_rng(20)
+    A, mu = random_symmetric(rng, 20), rng.uniform(-1.0, 1.0, 20)
+    point = orthogonal.random_orthogonal(20, 3)
+    closed = orthogonal.on_laplacian(orthogonal.brockett_field(A, mu), point).value
+    for frame in (orthogonal.on_adapted_frame(), None):
+        tracemalloc.start()
+        try:
+            f = orthogonal.brockett_field(A, mu)
+            cons = orthogonal.on_constraint_set(20)
+            report = laplace_beltrami_general(f, cons, frame, point.to_vector())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert abs(report.value - closed) <= 1e-8 * max(1.0, abs(closed))
 
 
 def test_evaluate_points_refuses_a_stack_of_the_wrong_dimension():

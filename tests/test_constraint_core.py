@@ -637,7 +637,7 @@ def test_adapted_frame_validation():
         wide.at([1.0, 2.0, 3.0])
 
 
-# -- constant Hessians and the one-Jacobian general path -----------------------
+# -- derivative builds per point on the general path ---------------------------
 
 
 def counting_field(field, counts, key):
@@ -651,9 +651,7 @@ def counting_field(field, counts, key):
         counts[key, "hessian"] = counts.get((key, "hessian"), 0) + 1
         return field.hessian_fn(u)
 
-    return ScalarField(
-        field.dim, field.value_fn, gradient, hessian, constant_hessian=field.constant_hessian
-    )
+    return ScalarField(field.dim, field.value_fn, gradient, hessian)
 
 
 def torus_constraints(counts=None):
@@ -671,7 +669,7 @@ def torus_point(s, t, scale=1.0):
     return np.array([np.cos(s), np.sin(s), np.cos(t), np.sin(t)]) * scale
 
 
-def test_constraint_gradients_once_per_point_and_hessians_once_per_set():
+def test_constraint_gradients_and_hessians_once_per_point():
     counts = {}
     cons = torus_constraints(counts)
     f = polynomial_field(4, [(1.0, (1, 1, 1, 0)), (-0.5, (0, 0, 2, 2))])
@@ -683,28 +681,9 @@ def test_constraint_gradients_once_per_point_and_hessians_once_per_set():
     assert counts == {
         (0, "gradient"): len(admitted),
         (1, "gradient"): len(admitted),
-        (0, "hessian"): 1,
-        (1, "hessian"): 1,
+        (0, "hessian"): len(admitted),
+        (1, "hessian"): len(admitted),
     }
-
-
-def test_constant_hessian_is_built_once_and_read_only():
-    builds = []
-
-    def hessian(u):
-        builds.append(1)
-        return 2.0 * np.eye(2)
-
-    f = ScalarField(2, lambda u: float(u @ u), lambda u: 2.0 * u, hessian, constant_hessian=True)
-    H = f.hessian([1.0, 2.0])
-    assert np.array_equal(f.hessian([-3.0, 0.5]), H)
-    assert len(builds) == 1
-    with pytest.raises(ValueError):
-        H[0, 0] = 5.0
-    cons = torus_constraints()
-    Hs = cons.hessians(torus_point(0.2, 0.4))
-    assert cons.hessians(torus_point(1.2, 2.4)) is Hs
-    assert not Hs.flags.writeable
 
 
 def test_constant_hessian_asymmetry_is_still_refused():
@@ -713,24 +692,14 @@ def test_constant_hessian_asymmetry_is_still_refused():
         value_fn=lambda u: 0.0,
         gradient_fn=lambda u: np.zeros(3),
         hessian_fn=lambda u: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-        constant_hessian=True,
     )
-    for _ in range(2):  # a refused Hessian is not kept
-        with pytest.raises(ContractError, match="not symmetric"):
-            f.hessian([0.0, 0.0, 0.0])
+    with pytest.raises(ContractError, match="not symmetric"):
+        f.hessian([0.0, 0.0, 0.0])
     cons = ConstraintSet(
         ambient_dim=3, fields=(linear_field([1.0, 0.0, 0.0]), f), regular_value=[1.0, 0.0]
     )
-    for _ in range(2):
-        with pytest.raises(ContractError, match="not symmetric"):
-            cons.hessians([1.0, 0.0, 0.0])
-
-
-def test_polynomial_constant_hessian_flag_follows_degree():
-    assert polynomial_field(3, [(1.0, (2, 0, 0)), (2.0, (0, 1, 1)), (3.0, (1, 0, 0))]).constant_hessian
-    assert not polynomial_field(3, [(1.0, (2, 0, 0)), (1.0, (1, 1, 1))]).constant_hessian
-    assert linear_field([1.0, 2.0]).constant_hessian
-    assert constant_field(2, 1.0).constant_hessian
+    with pytest.raises(ContractError, match="not symmetric"):
+        cons.hessians([1.0, 0.0, 0.0])
 
 
 def test_block_product_field_matches_its_formula_bitwise():

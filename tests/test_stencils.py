@@ -119,9 +119,9 @@ def stencil_cases():
     cases.append(pytest.param(quartic, rng.uniform(-1.0, 1.0, 4), 1e-3, id="polynomial"))
     lam = finite_difference_field(lambda u: float(np.sin(u[0]) * u[1] ** 3 - u[2]), 3)
     cases.append(pytest.param(lam, rng.uniform(-1.0, 1.0, 3), 1e-4, id="lambda"))
-    # m = 36: the Hessian stencil has 2593 rows, more than one chunk.
-    wide = block_product_field(36, slice(0, 18), slice(18, 36), 0.75)
-    cases.append(pytest.param(wide, rng.uniform(-1.0, 1.0, 36), 1e-3, id="wide"))
+    # m = 66: the Hessian stencil has 8713 rows, more than one chunk.
+    wide = block_product_field(66, slice(0, 33), slice(33, 66), 0.75)
+    cases.append(pytest.param(wide, rng.uniform(-1.0, 1.0, 66), 1e-3, id="wide"))
     return cases
 
 
@@ -132,8 +132,8 @@ def test_stencils_match_the_per_point_loops_bit_for_bit(field, u, h):
 
 
 def test_wide_stencil_spans_several_chunks():
-    m = 36
-    assert 1 + 2 * m * m > constraint_core._STENCIL_ROWS
+    m = 66
+    assert len(constraint_core._chunks(1 + 2 * m * m, 8 * m)) > 1
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7])
@@ -147,7 +147,7 @@ def test_stencils_do_not_depend_on_the_chunk_size(monkeypatch, rows):
         calls.append(len(X))
         return field.values(X)
 
-    monkeypatch.setattr(constraint_core, "_STENCIL_ROWS", rows)
+    monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", rows * 8 * u.size)
     assert_same_bits(_fd_hessian(values, u, 1e-3), reference_fd_hessian(field.value_fn, u, 1e-3))
     assert_same_bits(_fd_gradient(values, u, 1e-5), reference_fd_gradient(field.value_fn, u, 1e-5))
     assert max(calls) <= rows

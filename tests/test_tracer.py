@@ -1,0 +1,57 @@
+"""The benchmark's span tracer still fits the package.
+
+``perfbench/spans.py`` wraps package functions and methods by name, reading
+``owner.__dict__[attr]`` for each (``ConstraintSet.__post_init__``,
+``ScalarField.hessian``, ``numkit.solve_spd``, ``numkit.sym_condition``, …),
+so renaming one or moving it to a base class breaks
+``perfbench/run.py --trace 1``. This runs one traced in-process eval.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from lapbel import cli, constraint_core, numkit, orthogonal
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_span_tracer_installs_traces_an_eval_and_uninstalls(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    wrapped = [
+        (constraint_core.ConstraintSet, "__post_init__"),
+        (constraint_core.ScalarField, "hessian"),
+        (constraint_core.AdaptedFrame, "at"),
+        (numkit, "solve_spd"),
+        (numkit, "sym_condition"),
+        (orthogonal.OrthogonalPoint, "__post_init__"),
+        (cli, "main"),
+    ]
+    originals = [owner.__dict__[attr] for owner, attr in wrapped]
+    points = [orthogonal.random_orthogonal(3, s).to_vector().tolist() for s in range(3)]
+    job = {
+        "manifold": {"type": "orthogonal", "n": 3},
+        "function": {"type": "brockett", "matrix": numkit.matrix_to_json(np.eye(3)), "diagonal": [1.0, 2.0, 3.0]},
+        "points": points,
+        "options": {"path": "general-frame"},
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+
+    tracer = Tracer()
+    tracer.install("run")
+    try:
+        code = cli.main(["eval", "--job", str(path)])
+        registered = len(tracer._constraint_ids)
+    finally:
+        tracer.uninstall()
+
+    assert code == 0 and len(capsys.readouterr().out.splitlines()) == 3
+    assert registered == 6  # the O(3) constraint fields, seen by __post_init__
+    summary = tracer.summary("run")
+    assert summary["cli.main"]["calls"] == 1
+    assert summary["constraint_core.frame"]["calls"] == 3
+    assert [owner.__dict__[attr] for owner, attr in wrapped] == originals
