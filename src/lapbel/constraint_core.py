@@ -107,7 +107,7 @@ class ScalarField:
         X = self._check_stack(X)
         if self.gradients_fn is not None and len(X) > 1:
             return _shaped(self.gradients_fn(X), X.shape, "gradient stack")
-        return _stacked([self.gradient_fn(x) for x in X], (self.dim,), "gradient")
+        return _stacked(map(self.gradient_fn, X), len(X), (self.dim,), "gradient")
 
     def hessians(self, X) -> np.ndarray:
         """(N, dim, dim) Hessians at the rows of an (N, dim) stack, like
@@ -116,11 +116,11 @@ class ScalarField:
         shape = (self.dim, self.dim)
         if self.hessians_fn is not None and len(X) > 1:
             return _shaped(self.hessians_fn(X), (len(X),) + shape, "hessian stack")
-        return _stacked([self.hessian_fn(x) for x in X], shape, "hessian")
+        return _stacked(map(self.hessian_fn, X), len(X), shape, "hessian")
 
     def gradient(self, u) -> np.ndarray:
         u = self._check_point(u)
-        return _finite(_stacked([self.gradient_fn(u)], (self.dim,), "gradient"), "gradient")[0]
+        return _finite(_stacked([self.gradient_fn(u)], 1, (self.dim,), "gradient"), "gradient")[0]
 
     def hessian(self, u) -> np.ndarray:
         H, (error,) = _hessians_at((self,), self._check_point(u)[None])
@@ -232,12 +232,13 @@ def _shaped(a, shape: tuple, name: str) -> np.ndarray:
     return a
 
 
-def _stacked(arrays, shape: tuple, name: str) -> np.ndarray:
-    """One float64 array stacking derivative arrays of the given shape."""
-    arrays = [_shaped(a, shape, name) for a in arrays]
-    if len(arrays) == 1:
-        return arrays[0][None]
-    return np.stack(arrays) if arrays else np.empty((0,) + shape)
+def _stacked(arrays, count: int, shape: tuple, name: str) -> np.ndarray:
+    """One float64 array of the ``count`` arrays of the given shape that
+    ``arrays`` yields, each copied in as it comes (a single one is not)."""
+    arrays = (_shaped(a, shape, name) for a in arrays)
+    if count == 1:
+        return next(arrays)[None]
+    return np.fromiter(arrays, (float, shape), count)
 
 
 def _nonfinite(A: np.ndarray) -> np.ndarray:
@@ -253,10 +254,14 @@ def _finite(A: np.ndarray, name: str) -> np.ndarray:
 
 def _hessians_at(fields, X: np.ndarray) -> tuple:
     """The (N, k, m, m) Hessians of ``fields`` at the rows of X and, per row,
-    None or the error that refuses them: DimensionError for a non-finite
-    entry, else the ContractError naming the first Hessian that is not
-    symmetric (scaled by magnitude)."""
-    H = np.stack([field.hessians(X) for field in fields], axis=1)
+    None or the error refusing them: DimensionError for a non-finite entry,
+    else the ContractError naming the first asymmetric one (scaled)."""
+    if len(fields) == 1:
+        H = fields[0].hessians(X)[:, None]
+    else:  # filled field by field: no second copy of the stack
+        H = np.empty((len(X), len(fields)) + X.shape[1:] * 2)
+        for a, field in enumerate(fields):
+            H[:, a] = field.hessians(X)
     errors = numkit.symmetry_errors(H, "hessian", "H")
     for i in np.flatnonzero(_nonfinite(H)):
         errors[i] = DimensionError("hessian contains non-finite entries")
@@ -489,10 +494,10 @@ def block_product_field(
     )
 
 
-# Bytes the largest intermediate of one stacked pass may take: evaluate_points,
-# the polynomial stacked forms and the finite-difference stencils split their
-# rows into chunks within it.
-_CHUNK_BYTES = 1 << 22
+# Bytes the largest arrays of one stacked pass may take: the Hessian stacks in
+# evaluate_points (a few times as much again goes to Jacobians, frames and
+# temporaries), the monomials of polynomial stacked forms, the stencil points.
+_CHUNK_BYTES = 1 << 20
 
 
 def _chunks(rows: int, row_bytes: int) -> list:
@@ -660,7 +665,7 @@ class ConstraintSet:
         checked finite; one row takes the fields' per-point callables."""
         if len(X) == 1:
             grads = [f.gradient_fn(X[0]) for f in self.fields]
-            return _stacked(grads, (self.ambient_dim,), "gradient")[None]
+            return _stacked(grads, len(grads), (self.ambient_dim,), "gradient")[None]
         return np.stack([f.gradients(X) for f in self.fields], axis=1)
 
     def gradients(self, u) -> list:
@@ -860,16 +865,14 @@ def evaluate_points(
       ``frame.at`` and gives tr(T+ H T), with T+ its left Moore-Penrose
       inverse, refused above ``tols.condition_limit`` (SingularityError);
     - the field Hessian, checked finite and symmetric, and its trace; then
-      the constraint traces from :meth:`ConstraintSet.projected_traces`
-      (their Hessians checked likewise, or none built for a
-      :class:`BlockProductSet`);
+      :meth:`ConstraintSet.projected_traces` (no Hessian for block products);
     - :meth:`LaplacianReport.assemble` (NumericalError on overflow).
 
-    The rows go in chunks whose largest Hessian stack (k m^2 doubles per row
-    for the constraints, the field's m^2 for a BlockProductSet) stays within
-    ``_CHUNK_BYTES``. A LapbelError raised for a chunk as a whole (by a field or frame callable)
-    is put on its row by evaluating the chunk one row at a time. Overflow gives non-finite numbers that the
-    checks refuse, not warnings.
+    The rows go in chunks whose Hessian stacks (m^2 doubles per row, k m^2
+    more unless the set is a BlockProductSet) stay within ``_CHUNK_BYTES``. A
+    LapbelError raised for a chunk as a whole (by a field or frame callable)
+    is put on its row by evaluating the chunk one row at a time. Overflow
+    gives non-finite numbers that the checks refuse, not warnings.
     """
     tols = DEFAULT_TOLERANCES if tols is None else tols
     X = np.asarray(X, dtype=float)
@@ -880,8 +883,8 @@ def evaluate_points(
         )
     reports = []
     with np.errstate(all="ignore"):
-        hessians = 1 if isinstance(constraints, BlockProductSet) else k
-        for rows in _chunks(len(X), 8 * hessians * m * m):
+        stacks = 1 if isinstance(constraints, BlockProductSet) else 1 + k
+        for rows in _chunks(len(X), 8 * stacks * m * m):
             reports.extend(_evaluate_rows(f, constraints, frame, X[rows], tols))
     return reports
 
@@ -948,7 +951,7 @@ def _evaluate_stack(f, constraints, frame, X, tols) -> list:
         cond = np.ones(len(U))
         basis = [Q]
     else:
-        T = _stacked([_tangent_frame(frame, u, k) for u in U], (m, m - k), "frame")
+        T = _stacked((_tangent_frame(frame, u, k) for u in U), len(U), (m, m - k), "frame")
         T_plus, cond, refused = numkit.frame_pseudo_inverses(T, tols.condition_limit)
         keep = refuse(refused)
         U, sigma, cond = U[keep], sigma[keep], cond[keep]

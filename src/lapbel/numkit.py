@@ -140,7 +140,8 @@ def symmetry_errors(M: np.ndarray, name: str, symbol: str) -> list:
     that is not symmetric to the equality tolerance scaled by its
     magnitude."""
     scale = np.maximum(np.abs(M).max(axis=(-2, -1)), 1.0)
-    asym = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1))
+    asym = M - np.swapaxes(M, -1, -2)
+    asym = np.abs(asym, out=asym).max(axis=(-2, -1))
     bad = asym > DEFAULT_TOLERANCES.equality * scale
     errors = [None] * len(M)
     if not bad.any():
@@ -215,11 +216,10 @@ def left_moore_penrose(T, condition_limit: float | None = None) -> np.ndarray:
 
 def frame_pseudo_inverses(T: np.ndarray, condition_limit: float) -> tuple:
     """For an (N, m, r) stack of finite tall frames: T+ = R^{-1} Q^t from the
-    reduced QR T = QR of each accepted frame, the condition estimate of every
-    Gram T^t T, cond(R)^2 from the singular values of R (the Gram itself is
-    never formed), and per frame None or the SingularityError carrying the
-    estimate that refuses it, when the estimate is not finite or exceeds
-    ``condition_limit``."""
+    reduced QR T = QR of each accepted frame, the condition of every Gram
+    T^t T as cond(R)^2 (the Gram is never formed), and per frame None or the
+    SingularityError carrying the estimate that refuses it, when the estimate
+    is not finite or exceeds ``condition_limit``."""
     Q, R = np.linalg.qr(T)
     s = np.linalg.svd(R, compute_uv=False)
     cond = np.full(len(T), np.inf)
@@ -228,13 +228,12 @@ def frame_pseudo_inverses(T: np.ndarray, condition_limit: float) -> tuple:
         cond *= cond
     accepted = cond <= condition_limit
     refused = [None] * len(T)
-    if not accepted.all():
-        for i in np.flatnonzero(~accepted):
-            refused[i] = SingularityError(
-                f"frame Gram condition {cond[i]:.3e} exceeds limit {condition_limit:.3e}",
-                condition=float(cond[i]),
-            )
-        Q, R = Q[accepted], R[accepted]
+    for i in np.flatnonzero(~accepted):
+        refused[i] = SingularityError(
+            f"frame Gram condition {cond[i]:.3e} exceeds limit {condition_limit:.3e}",
+            condition=float(cond[i]),
+        )
+    Q, R = Q[accepted], R[accepted]
     return np.linalg.solve(R, np.swapaxes(Q, -1, -2)), cond, refused
 
 

@@ -106,8 +106,8 @@ def check_orthogonal_side(n: int) -> None:
 
 
 def on_constraint_set(n: int) -> BlockProductSet:
-    """Constraints cutting the orthogonal group out of matrix space, as
-    products of the column blocks of the flattened matrix.
+    """Constraints cutting the orthogonal group out of matrix space, with
+    the flattened matrix's columns as blocks.
 
     Order: half-squared-norm constraints for every column (regular value
     1/2), then inner-product constraints for every pair (regular value 0)

@@ -169,8 +169,7 @@ def check_sphere_parameters(n: int, radius: float) -> None:
 
 
 def sphere_constraint_set(n: int, radius: float) -> BlockProductSet:
-    """The sphere as a one-constraint set: sum(x_i^2) = R^2, the product
-    <x, x> of the one block of n coordinates."""
+    """The sphere as a one-constraint set: sum(x_i^2) = R^2, one block."""
     check_sphere_parameters(n, radius)
     return block_product_set(n, n, [(0, 0, 1.0)], np.array([radius**2]))
 

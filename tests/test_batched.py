@@ -220,10 +220,10 @@ def test_evaluate_points_on_the_orthogonal_group_across_chunks(monkeypatch):
         dense = ConstraintSet(blocks.ambient_dim, blocks.fields, blocks.regular_value)
         brockett = orthogonal.brockett_field(random_symmetric(rng, n), rng.uniform(-1.0, 1.0, n))
         quartic = random_polynomial_field(rng, n * n, degree=4)
-        # chunks of 3 rows: the largest Hessian stack of a row is the field's
-        # m^2 doubles for the block products, the k m^2 of the dense copy
-        for cons, stack in ((blocks, 1), (dense, blocks.count)):
-            monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", 3 * 8 * stack * n**4)
+        # chunks of 3 rows: a row builds the field's Hessian, m^2 doubles, and
+        # the dense copy k m^2 more
+        for cons, stacks in ((blocks, 1), (dense, 1 + blocks.count)):
+            monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", 3 * 8 * stacks * n**4)
             for f in (brockett, quartic):
                 for frame in (orthogonal.on_adapted_frame(), None):
                     assert_matches_per_row(f, cons, frame, X)
@@ -267,7 +267,7 @@ def planes_with_faults(raising):
 
 
 @pytest.mark.parametrize("raising", [True, False])
-@pytest.mark.parametrize("budget", [1000, 150, 100])  # 72 bytes a row
+@pytest.mark.parametrize("budget", [1000, 150, 100])  # 144 bytes a row
 def test_every_row_gets_its_own_first_error(monkeypatch, budget, raising):
     monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", budget)
     f, cons, X = planes_with_faults(raising)
