@@ -7,6 +7,7 @@ stacked numpy kernels it relies on are pinned against per-matrix calls here.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,8 +348,6 @@ def test_block_traces_equal_the_dense_hessian_traces(cons, frame, U):
 def test_an_o20_general_point_builds_no_dense_constraint_hessians():
     # The dense route kept a 210 x 400 x 400 constraint Hessian stack (269 MB)
     # and peaked at 773 MB here.
-    import tracemalloc
-
     rng = np.random.default_rng(20)
     A, mu = random_symmetric(rng, 20), rng.uniform(-1.0, 1.0, 20)
     point = orthogonal.random_orthogonal(20, 3)
