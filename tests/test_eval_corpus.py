@@ -49,7 +49,12 @@ CORPUS = Path(__file__).parent / "eval_corpus"
 # - external_general: per-point samples on the sphere's general-frame path,
 #   index 1 with an asymmetric Hessian (ContractError), index 2 with a Hessian
 #   of 1e308 entries (NumericalError) and index 3 off the sphere with an
-#   asymmetric Hessian (DomainError first) (exit 4).
+#   asymmetric Hessian (DomainError first) (exit 4);
+# - orthogonal_general_chunks: O(10) Brockett on the general-frame path, 16
+#   points, so the default _CHUNK_BYTES splits them into chunks of 13 and 3
+#   rows; index 5 has column 0 scaled by sqrt(1 + 1.5e-8), which the
+#   constraints admit (residual 7.5e-9) and the frame refuses as not
+#   orthogonal, and index 14 is scaled by 1.001, off the group (exit 4).
 JOBS = [
     ("sphere_wide", 0),
     ("clifford_torus", 4),
@@ -63,6 +68,7 @@ JOBS = [
     ("external_samples", 4),
     ("general_errors", 4),
     ("external_general", 4),
+    ("orthogonal_general_chunks", 4),
 ]
 
 
