@@ -44,11 +44,13 @@ class ScalarField:
     only accept analytic fields.
 
     ``values_fn``, ``gradients_fn`` and ``hessians_fn`` optionally evaluate
-    an (N, dim) stack of points at once, returning N values, (N, dim)
-    gradients or (N, dim, dim) Hessians; each row must have the same bits as
-    ``value_fn``, ``gradient_fn`` or ``hessian_fn`` on that row.
-    Finite-difference stencils go through :meth:`values`, the general
-    evaluator through :meth:`gradients` and :meth:`hessians`.
+    a C-ordered (N, dim) stack of points at once, returning N values,
+    (N, dim) gradients or (N, dim, dim) Hessians; each row must have the
+    same bits as ``value_fn``, ``gradient_fn`` or ``hessian_fn`` on that row.
+    A derivative that is one array at every point may come back as a
+    read-only broadcast view of it (:func:`_repeated`). Finite-difference
+    stencils go through :meth:`values`, the general evaluator through
+    :meth:`gradients` and :meth:`hessians`.
     """
 
     dim: int
@@ -84,12 +86,14 @@ class ScalarField:
         return val
 
     def _check_stack(self, X) -> np.ndarray:
+        # C order: a stacked dot over strided rows rounds differently from
+        # the unit-stride dot of one point
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionError(
                 f"point stack has shape {X.shape}, field expects (N, {self.dim})"
             )
-        return X
+        return np.ascontiguousarray(X)
 
     def values(self, X) -> np.ndarray:
         """Unchecked values at the rows of an (N, dim) stack: ``values_fn``
@@ -268,6 +272,18 @@ def _hessians_at(fields, X: np.ndarray) -> tuple:
     return H, errors
 
 
+def _repeated(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The stacked form of a derivative that is the array ``A`` at every
+    point: a read-only view of ``A`` repeated once per row of the stack."""
+    return lambda X: np.broadcast_to(A, (len(X),) + A.shape)
+
+
+def _tiled(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The stacked form of a gradient that is the vector ``a`` at every
+    point: one copy of ``a`` per row of the stack."""
+    return lambda X: np.tile(a, (len(X), 1))
+
+
 def constant_field(dim: int, value: float) -> ScalarField:
     """The constant function on R^dim."""
     c = float(value)
@@ -276,6 +292,8 @@ def constant_field(dim: int, value: float) -> ScalarField:
         value_fn=lambda u: c,
         gradient_fn=lambda u: np.zeros(dim),
         hessian_fn=lambda u: np.zeros((dim, dim)),
+        gradients_fn=_tiled(np.zeros(dim)),
+        hessians_fn=_repeated(np.zeros((dim, dim))),
     )
 
 
@@ -288,6 +306,8 @@ def linear_field(coefficients) -> ScalarField:
         value_fn=lambda u: float(c @ u),
         gradient_fn=lambda u: c.copy(),
         hessian_fn=lambda u: np.zeros((dim, dim)),
+        gradients_fn=_tiled(c),
+        hessians_fn=_repeated(np.zeros((dim, dim))),
     )
 
 
@@ -724,23 +744,34 @@ def block_product_set(ambient_dim: int, block: int, products, regular_value) -> 
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """A tangent-frame provider: point -> matrix whose columns span the
-    tangent space of the constraint manifold at that point."""
+    """A tangent-frame provider: an (N, m) stack of points -> the (N, m, r)
+    stack of matrices whose columns span the tangent space of the constraint
+    manifold at each point. A provider refuses a stack by raising the
+    LapbelError of its first bad row."""
 
     provider: Callable[[np.ndarray], np.ndarray]
 
-    def at(self, u) -> np.ndarray:
-        u = as_vector(u, "frame point")
-        T = as_matrix(self.provider(u), "frame matrix")
-        if T.shape[0] != u.size:
+    def at(self, U) -> np.ndarray:
+        """The checked frames at the rows of the (N, m) stack ``U``, or the
+        one frame at the point ``U``, the one-row case."""
+        point = np.ndim(U) == 1
+        U = as_vector(U, "frame point")[None] if point else as_matrix(U, "frame points")
+        # C order, as the products of the traces round strided rows apart
+        T = np.ascontiguousarray(self.provider(U), dtype=float)
+        if T.ndim != 3 or len(T) != len(U):
             raise DimensionError(
-                f"frame has {T.shape[0]} rows, expected {u.size}"
+                f"frame stack has shape {T.shape}, expected {len(U)} frames"
             )
-        if T.shape[1] >= T.shape[0]:
+        _finite(T, "frame matrix")
+        if T.shape[1] != U.shape[1]:
             raise DimensionError(
-                f"frame must have fewer columns than rows, got {T.shape}"
+                f"frame has {T.shape[1]} rows, expected {U.shape[1]}"
             )
-        return T
+        if T.shape[2] >= T.shape[1]:
+            raise DimensionError(
+                f"frame must have fewer columns than rows, got {T.shape[1:]}"
+            )
+        return T[0] if point else T
 
 
 class OnManifoldCheck(NamedTuple):
@@ -861,17 +892,19 @@ def evaluate_points(
       rank test on diag R (RegularityError);
     - the field gradient, checked finite, and the multipliers R^{-1} Q^t ∇f;
     - the frame: with ``frame`` None every trace is tr H - <Q, H Q>_F and
-      the frame Gram condition is 1; an explicit frame T is taken per row by
-      ``frame.at`` and gives tr(T+ H T), with T+ its left Moore-Penrose
-      inverse, refused above ``tols.condition_limit`` (SingularityError);
+      the frame Gram condition is 1; explicit frames T, one ``frame.at``
+      call on the rows still standing, give tr(T+ H T), with T+ the left
+      Moore-Penrose inverse, refused above ``tols.condition_limit``
+      (SingularityError);
     - the field Hessian, checked finite and symmetric, and its trace; then
       :meth:`ConstraintSet.projected_traces` (no Hessian for block products);
     - :meth:`LaplacianReport.assemble` (NumericalError on overflow).
 
     The rows go in chunks whose Hessian stacks (m^2 doubles per row, k m^2
     more unless the set is a BlockProductSet) stay within ``_CHUNK_BYTES``. A
-    LapbelError raised for a chunk as a whole (by a field or frame callable)
-    is put on its row by evaluating the chunk one row at a time. Overflow
+    LapbelError raised for a chunk as a whole (by a field or frame callable,
+    or for a frame of the wrong width) is put on its row by evaluating the
+    chunk one row at a time. Overflow
     gives non-finite numbers that the checks refuse, not warnings.
     """
     tols = DEFAULT_TOLERANCES if tols is None else tols
@@ -946,12 +979,19 @@ def _evaluate_stack(f, constraints, frame, X, tols) -> list:
     keep = drop(_nonfinite(g), lambda j: DimensionError("gradient contains non-finite entries"))
     U, Q, R, g = U[keep], Q[keep], R[keep], g[keep]
     sigma = np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ g[:, :, None])[:, :, 0]
+    if not len(U):
+        return reports
 
     if frame is None:
         cond = np.ones(len(U))
         basis = [Q]
     else:
-        T = _stacked((_tangent_frame(frame, u, k) for u in U), len(U), (m, m - k), "frame")
+        T = frame.at(U)
+        if T.shape[2] != m - k:
+            raise DimensionError(
+                f"frame supplies {T.shape[2]} tangent directions, expected "
+                f"{m - k} (ambient {m} minus {k} constraints)"
+            )
         T_plus, cond, refused = numkit.frame_pseudo_inverses(T, tols.condition_limit)
         keep = refuse(refused)
         U, sigma, cond = U[keep], sigma[keep], cond[keep]
@@ -979,18 +1019,6 @@ def _evaluate_stack(f, constraints, frame, X, tols) -> list:
         except LapbelError as exc:
             reports[i] = exc
     return reports
-
-
-def _tangent_frame(frame: AdaptedFrame, u: np.ndarray, k: int) -> np.ndarray:
-    """``frame.at(u)``, refused unless it has m - k columns."""
-    T = frame.at(u)
-    m, r = T.shape
-    if r != m - k:
-        raise DimensionError(
-            f"frame supplies {r} tangent directions, expected "
-            f"{m - k} (ambient {m} minus {k} constraints)"
-        )
-    return T
 
 
 def _projected_traces(H: np.ndarray, basis: list) -> np.ndarray:
@@ -1032,8 +1060,17 @@ def qr_nullspace_frame(constraints: ConstraintSet) -> AdaptedFrame:
 
     At each point the gradients are stacked as columns and QR-factored in
     complete mode; the trailing orthonormal columns span the tangent space.
-    Rank-deficient gradients raise RegularityError.
+    Non-finite gradients raise DimensionError, rank-deficient ones
+    RegularityError.
     """
-    return AdaptedFrame(
-        provider=lambda u: _gradient_qr(constraints.jacobian(u), "complete")[0][:, constraints.count :]
-    )
+
+    def provider(U):
+        J = constraints.jacobians_at(U)
+        if _nonfinite(J).any():
+            raise DimensionError("gradient contains non-finite entries")
+        Q, _, deficient = _gradient_qrs(J, "complete")
+        if deficient.any():
+            raise RegularityError(_RANK_DEFICIENT)
+        return Q[:, :, constraints.count :]
+
+    return AdaptedFrame(provider=provider)

@@ -96,6 +96,14 @@ def unvec(v, n: int) -> np.ndarray:
     return arr.reshape((n, n), order="F").copy()
 
 
+def vec_rows(M: np.ndarray) -> np.ndarray:
+    """:func:`vec` of every matrix of an (N, n, n) stack, as the rows of an
+    (N, n*n) array, refused as ``vec`` refuses a non-finite matrix."""
+    if not np.isfinite(M).all():
+        raise DimensionError("vec input contains non-finite entries")
+    return np.ascontiguousarray(np.swapaxes(M, 1, 2)).reshape(len(M), -1)
+
+
 def unvec_rows(X: np.ndarray, n: int) -> np.ndarray:
     """:func:`unvec` of every row of an (N, n*n) stack: the N matrices, each
     the same C-order copy ``unvec`` makes of its row."""

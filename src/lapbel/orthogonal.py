@@ -23,6 +23,8 @@ from .constraint_core import (
     BlockProductSet,
     LaplacianReport,
     ScalarField,
+    _repeated,
+    _tiled,
     block_product_set,
 )
 from .errors import DimensionError, DomainError
@@ -34,6 +36,7 @@ from .numkit import (
     unvec,
     unvec_rows,
     vec,
+    vec_rows,
 )
 
 
@@ -51,18 +54,7 @@ class OrthogonalPoint:
     def __post_init__(self, tol):
         matrix = _check_square(self.matrix, name="orthogonal point")
         object.__setattr__(self, "matrix", matrix)
-        r = matrix.shape[0]
-        if r < 2:
-            raise DimensionError("orthogonal points need n >= 2")
-        tol = DEFAULT_TOLERANCES.orthogonality if tol is None else tol
-        with np.errstate(over="ignore"):  # a huge point is refused, not warned about
-            residual = float(np.max(np.abs(matrix.T @ matrix - np.eye(r))))
-        if residual > tol:
-            raise DomainError(
-                f"matrix is not orthogonal: max |U^t U - I| = {residual:.6g} "
-                f"exceeds tolerance {tol:.6g}",
-                residual=residual,
-            )
+        _admit_orthogonal(matrix[None], tol)
 
     @property
     def n(self) -> int:
@@ -73,6 +65,26 @@ class OrthogonalPoint:
 
     def to_vector(self) -> np.ndarray:
         return vec(self.matrix)
+
+
+def _admit_orthogonal(Us: np.ndarray, tol: float | None) -> None:
+    """Refuse an (N, n, n) stack of finite matrices unless n >= 2 and every
+    max |U^t U - I| is within ``tol`` (default: the orthogonality
+    tolerance); the first matrix beyond it gives the DomainError."""
+    n = Us.shape[1]
+    if n < 2:
+        raise DimensionError("orthogonal points need n >= 2")
+    tol = DEFAULT_TOLERANCES.orthogonality if tol is None else tol
+    with np.errstate(over="ignore"):  # a huge point is refused, not warned about
+        residual = np.abs(np.swapaxes(Us, 1, 2) @ Us - np.eye(n)).max(axis=(1, 2))
+    bad = np.flatnonzero(residual > tol)
+    if bad.size:
+        r = float(residual[bad[0]])
+        raise DomainError(
+            f"matrix is not orthogonal: max |U^t U - I| = {r:.6g} "
+            f"exceeds tolerance {tol:.6g}",
+            residual=r,
+        )
 
 
 def index_pairs(n: int) -> tuple:
@@ -125,27 +137,35 @@ def on_frame(point: OrthogonalPoint) -> np.ndarray:
     Column (a, b) is the flattening of U Theta_ab, which has sign * u_b in
     column a and -sign * u_a in column b and zeros elsewhere.
     """
-    n = point.n
-    U = point.matrix
-    pairs = index_pairs(n)
-    T = np.zeros((n * n, len(pairs)))
-    for idx, (a, b) in enumerate(pairs):
-        s = pair_sign(a, b)
-        T[a * n : (a + 1) * n, idx] = s * U[:, b]
-        T[b * n : (b + 1) * n, idx] = -s * U[:, a]
-    return T
+    return _on_frames(point.matrix[None])[0]
+
+
+def _on_frames(Us: np.ndarray) -> np.ndarray:
+    """:func:`on_frame` of every matrix of an (N, n, n) stack."""
+    N, n = Us.shape[:2]
+    a, b = np.triu_indices(n, 1)  # the index pairs, lexicographic
+    s = np.where((a + b) % 2, -1.0, 1.0)[:, None, None]
+    p = np.arange(a.size)
+    T = np.zeros((N, n, n, a.size))  # (row, block, entry, column)
+    # T[:, a, :, p] is (pairs, N, n): block a of column p, every row
+    T[:, a, :, p] = s * np.moveaxis(Us[:, :, b], 2, 0)
+    T[:, b, :, p] = -s * np.moveaxis(Us[:, :, a], 2, 0)
+    return T.reshape(N, n * n, a.size)
 
 
 def on_adapted_frame(tol: float | None = None) -> AdaptedFrame:
-    """AdaptedFrame wrapping :func:`on_frame` for the general evaluator."""
+    """AdaptedFrame of :func:`on_frame` at flattened points, each admitted
+    as an :class:`OrthogonalPoint` at ``tol``."""
 
-    def provider(u: np.ndarray) -> np.ndarray:
-        n = math.isqrt(u.size)
-        if n * n != u.size:
+    def provider(X: np.ndarray) -> np.ndarray:
+        n = math.isqrt(X.shape[1])
+        if n * n != X.shape[1]:
             raise DimensionError(
-                f"point length {u.size} is not a square matrix flattening"
+                f"point length {X.shape[1]} is not a square matrix flattening"
             )
-        return on_frame(OrthogonalPoint(unvec(u, n), tol=tol))
+        Us = unvec_rows(X, n)
+        _admit_orthogonal(Us, tol)
+        return _on_frames(Us)
 
     return AdaptedFrame(provider=provider)
 
@@ -264,6 +284,8 @@ def p1_field(A) -> ScalarField:
         gradient_fn=lambda u: grad.copy(),
         hessian_fn=lambda u: np.zeros((dim, dim)),
         values_fn=values,
+        gradients_fn=_tiled(grad),
+        hessians_fn=_repeated(np.zeros((dim, dim))),
     )
 
 
@@ -279,16 +301,24 @@ def p11_field(A) -> ScalarField:
     def value(u):
         return float(np.trace(A @ unvec(u, n))) ** 2
 
+    def traces(X):
+        return np.trace(A @ unvec_rows(X, n), axis1=1, axis2=2)
+
     def values(X):
         # the scalar ** (libm pow), not t * t, which differs in the last bit
-        traces = np.trace(A @ unvec_rows(X, n), axis1=1, axis2=2)
-        return np.array([float(t) ** 2 for t in traces])
+        return np.array([float(t) ** 2 for t in traces(X)])
 
-    def gradient(u):
-        return 2.0 * float(np.trace(A @ unvec(u, n))) * w
+    def gradients(X):
+        return (2.0 * traces(X))[:, None] * w
 
     return ScalarField(
-        dim, value, gradient, lambda u: H.copy(), values_fn=values
+        dim,
+        value,
+        lambda u: gradients(u[None])[0],
+        lambda u: H.copy(),
+        values_fn=values,
+        gradients_fn=gradients,
+        hessians_fn=_repeated(H),
     )
 
 
@@ -312,12 +342,17 @@ def p2_field(A) -> ScalarField:
         AU = A @ unvec_rows(X, n)
         return np.trace(AU @ AU, axis1=1, axis2=2)
 
-    def gradient(u):
-        U = unvec(u, n)
-        return vec(2.0 * (B @ U.T @ B))
+    def gradients(X):
+        return vec_rows(2.0 * (B @ np.swapaxes(unvec_rows(X, n), 1, 2) @ B))
 
     return ScalarField(
-        dim, value, gradient, lambda u: H.copy(), values_fn=values
+        dim,
+        value,
+        lambda u: gradients(u[None])[0],
+        lambda u: H.copy(),
+        values_fn=values,
+        gradients_fn=gradients,
+        hessians_fn=_repeated(H),
     )
 
 
@@ -347,12 +382,17 @@ def brockett_field(A, diagonal) -> ScalarField:
         U = unvec_rows(X, n)
         return np.trace(U.transpose(0, 2, 1) @ A @ U @ np.diag(mu), axis1=1, axis2=2)
 
-    def gradient(u):
-        U = unvec(u, n)
-        return vec(2.0 * (A @ U) * mu[None, :])
+    def gradients(X):
+        return vec_rows(2.0 * (A @ unvec_rows(X, n)) * mu[None, :])
 
     return ScalarField(
-        dim, value, gradient, lambda u: H.copy(), values_fn=values
+        dim,
+        value,
+        lambda u: gradients(u[None])[0],
+        lambda u: H.copy(),
+        values_fn=values,
+        gradients_fn=gradients,
+        hessians_fn=_repeated(H),
     )
 
 

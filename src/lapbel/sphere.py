@@ -10,6 +10,7 @@ Laplacian minus radial first- and second-order corrections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -42,23 +43,34 @@ class SpherePoint:
         coords = as_vector(self.coords, "sphere point")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "radius", float(self.radius))
-        if coords.size < 2:
-            raise DimensionError("sphere points need ambient dimension >= 2")
-        if not (self.radius > 0 and np.isfinite(self.radius)):
-            raise DimensionError(f"radius must be positive, got {self.radius}")
-        tol = DEFAULT_TOLERANCES.on_manifold if tol is None else tol
-        with np.errstate(over="ignore"):  # a huge point is refused, not warned about
-            residual = abs(float(coords @ coords) - self.radius**2)
-        if residual > tol:
-            raise DomainError(
-                f"point is off the sphere: |<x,x> - R^2| = {residual:.6g} "
-                f"exceeds tolerance {tol:.6g}",
-                residual=residual,
-            )
+        _admit_sphere(coords[None], self.radius, tol)
 
     @property
     def n(self) -> int:
         return self.coords.size
+
+
+def _admit_sphere(X: np.ndarray, radius: float, tol: float | None) -> None:
+    """Refuse an (N, n) stack of finite points unless n >= 2, the radius is
+    positive and finite, and every |<x, x> - R^2| is within ``tol``
+    (default: the on-manifold tolerance); the first point beyond it gives
+    the DomainError."""
+    if X.shape[1] < 2:
+        raise DimensionError("sphere points need ambient dimension >= 2")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise DimensionError(f"radius must be positive, got {radius}")
+    tol = DEFAULT_TOLERANCES.on_manifold if tol is None else tol
+    with np.errstate(over="ignore"):  # a huge point is refused, not warned about
+        # stacked 1-by-n times n-by-1 products: the ddot of x @ x per row
+        residual = np.abs(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0] - radius**2)
+    bad = np.flatnonzero(residual > tol)
+    if bad.size:
+        r = float(residual[bad[0]])
+        raise DomainError(
+            f"point is off the sphere: |<x,x> - R^2| = {r:.6g} "
+            f"exceeds tolerance {tol:.6g}",
+            residual=r,
+        )
 
 
 def default_chart_index(point: SpherePoint) -> int:
@@ -66,19 +78,44 @@ def default_chart_index(point: SpherePoint) -> int:
     return int(np.argmax(np.abs(point.coords)))
 
 
-def _resolve_chart(point: SpherePoint, excluded_index: int | None) -> int:
-    j = default_chart_index(point) if excluded_index is None else excluded_index
-    n = point.n
-    if not (0 <= j < n):
-        raise DimensionError(f"excluded index {j} out of range for dimension {n}")
-    margin = DEFAULT_TOLERANCES.chart_margin * point.radius
-    if abs(point.coords[j]) < margin:
+def _charts(X: np.ndarray, radius: float, excluded_index: int | None) -> np.ndarray:
+    """Per row of an (N, n) stack of points of the radius-``radius`` sphere,
+    the chart's excluded index j: ``excluded_index``, or argmax |x_j| when
+    it is None. The first row whose |x_j| is below the chart margin gives
+    the ChartError."""
+    best = np.argmax(np.abs(X), axis=1)
+    n = X.shape[1]
+    if excluded_index is None:
+        j = best
+    elif not (0 <= excluded_index < n):
+        raise DimensionError(f"excluded index {excluded_index} out of range for dimension {n}")
+    else:
+        j = np.full(len(X), excluded_index)
+    xj = X[np.arange(len(X)), j]
+    bad = np.flatnonzero(np.abs(xj) < DEFAULT_TOLERANCES.chart_margin * radius)
+    if bad.size:
+        i = bad[0]
         raise ChartError(
-            f"coordinate {j} is too small ({point.coords[j]:.3e}) for a valid "
-            f"chart; try index {default_chart_index(point)}",
-            suggested_index=default_chart_index(point),
+            f"coordinate {j[i]} is too small ({xj[i]:.3e}) for a valid "
+            f"chart; try index {best[i]}",
+            suggested_index=int(best[i]),
         )
     return j
+
+
+def _resolve_chart(point: SpherePoint, excluded_index: int | None) -> int:
+    return int(_charts(point.coords[None], point.radius, excluded_index)[0])
+
+
+def _sphere_frames(X: np.ndarray, radius: float, j: np.ndarray) -> np.ndarray:
+    """:func:`sphere_frame` at every row of an (N, n) stack, row i in the
+    chart that excludes j[i]."""
+    N, n = X.shape
+    rows, cols = np.arange(N)[:, None], np.arange(n - 1)
+    keep = cols + (cols >= j[:, None])  # per row, the indices other than j
+    E = np.zeros((N, n, n - 1))
+    E[rows, keep, cols] = radius**2
+    return E - X[:, :, None] * X[rows, keep][:, None, :]
 
 
 def sphere_frame(point: SpherePoint, excluded_index: int | None = None) -> np.ndarray:
@@ -87,11 +124,8 @@ def sphere_frame(point: SpherePoint, excluded_index: int | None = None) -> np.nd
     ``excluded_index`` defaults to the largest-magnitude coordinate. The
     frame exists only where |x_j| clears the chart margin.
     """
-    j = _resolve_chart(point, excluded_index)
-    x = point.coords
-    n = point.n
-    keep = [i for i in range(n) if i != j]
-    return point.radius**2 * np.eye(n)[:, keep] - np.outer(x, x[keep])
+    x = point.coords[None]
+    return _sphere_frames(x, point.radius, _charts(x, point.radius, excluded_index))[0]
 
 
 def sphere_frame_gram_inverse(
@@ -177,7 +211,7 @@ def sphere_constraint_set(n: int, radius: float) -> BlockProductSet:
 def sphere_adapted_frame(
     radius: float, excluded_index: int | None = None, tol: float | None = None
 ) -> AdaptedFrame:
-    """AdaptedFrame wrapping :func:`sphere_frame` for the general evaluator.
+    """AdaptedFrame of :func:`sphere_frame` for the general evaluator.
 
     With ``excluded_index`` None the chart is chosen per point. ``tol`` is
     the admission tolerance of each point (see :class:`SpherePoint`); the
@@ -185,8 +219,10 @@ def sphere_adapted_frame(
     ``on_manifold`` tolerance, so callers pass that same value.
     """
 
-    def provider(u: np.ndarray) -> np.ndarray:
-        return sphere_frame(SpherePoint(u, radius, tol=tol), excluded_index)
+    def provider(X: np.ndarray) -> np.ndarray:
+        R = float(radius)
+        _admit_sphere(X, R, tol)
+        return _sphere_frames(X, R, _charts(X, R, excluded_index))
 
     return AdaptedFrame(provider=provider)
 

@@ -14,6 +14,7 @@ import pytest
 
 from lapbel import constraint_core, numkit, orthogonal, sphere
 from lapbel.cli import main
+from lapbel import oracles
 from lapbel.constraint_core import (
     AdaptedFrame,
     BlockProductSet,
@@ -21,13 +22,23 @@ from lapbel.constraint_core import (
     ScalarField,
     _gradient_qrs,
     _projected_traces,
+    constant_field,
     evaluate_points,
     laplace_beltrami_general,
+    linear_field,
     polynomial_field,
+    qr_nullspace_frame,
 )
-from lapbel.errors import ChartError, ContractError, DimensionError, LapbelError
+from lapbel.errors import (
+    ChartError,
+    ContractError,
+    DimensionError,
+    DomainError,
+    LapbelError,
+    RegularityError,
+)
 from lapbel.numkit import Tolerances
-from lapbel.verify import random_polynomial_field, random_symmetric
+from lapbel.verify import _SALT_ORACLE, _rng, random_polynomial_field, random_symmetric
 
 
 def same_bits(a, b) -> bool:
@@ -109,9 +120,31 @@ def test_polynomial_stacked_forms_match_the_per_point_forms_row_by_row(dim):
     f = polynomial_field(dim, random_sparse_terms(rng, dim))
     X = rng.uniform(-1.5, 1.5, size=(40, dim))
     X[::5, : (dim + 1) // 2] = 0.0  # 0.0 ** 0 == 1 in the stacked pass too
-    assert same_bits(f.values_fn(X), np.array([f.value_fn(x) for x in X]))
-    assert same_bits(f.gradients_fn(X), np.stack([f.gradient_fn(x) for x in X]))
-    assert same_bits(f.hessians_fn(X), np.stack([f.hessian_fn(x) for x in X]))
+    values = np.array([f.value_fn(x) for x in X])
+    gradients = np.stack([f.gradient_fn(x) for x in X])
+    hessians = np.stack([f.hessian_fn(x) for x in X])
+    assert same_bits(f.values_fn(X), values)
+    assert same_bits(f.gradients_fn(X), gradients)
+    assert same_bits(f.hessians_fn(X), hessians)
+    # an F-ordered stack reaches the stacked forms as C-ordered rows
+    F = np.asfortranarray(X)
+    assert same_bits(f.values(F), values)
+    assert same_bits(f.gradients(F), gradients)
+    assert same_bits(f.hessians(F), hessians)
+
+
+def test_an_f_ordered_geodesic_stack_has_the_per_point_values():
+    # verify's oracle n = 3 sphere polynomial on the two geodesic steps of
+    # each tangent direction: the stacked dot over the strided monomial rows
+    # of this F-ordered stack was 1 ulp off the per-point value in 3 rows
+    rng = _rng(_SALT_ORACLE, 3, 9999)
+    point = sphere.random_sphere_point(3, 1.0, rng)
+    f = random_polynomial_field(rng, 3, degree=4)
+    B, x = oracles._sphere_tangent_basis(point, None), point.coords
+    ch, sh = np.cos(1e-2), np.sin(1e-2)
+    X = np.concatenate([ch * x + sh * B.T, ch * x - sh * B.T])
+    assert X.flags.f_contiguous and not X.flags.c_contiguous
+    assert same_bits(f.values(X), np.array([f.value_fn(r) for r in X]))
 
 
 def test_polynomial_stacked_forms_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -123,6 +156,71 @@ def test_polynomial_stacked_forms_do_not_depend_on_the_chunk_size(monkeypatch):
     assert all(
         same_bits(a, b) for a, b in zip(whole, (f.values_fn(X), f.gradients_fn(X), f.hessians_fn(X)))
     )
+
+
+def orthogonal_fields(rng, n):
+    """The O(n) fields with stacked forms, and the linear and constant ones."""
+    A, B = random_symmetric(rng, n), rng.standard_normal((n, n))
+    return [
+        orthogonal.brockett_field(A, rng.uniform(-1.0, 1.0, n)),
+        orthogonal.p1_field(B),
+        orthogonal.p11_field(B),
+        orthogonal.p2_field(B),
+        linear_field(rng.standard_normal(n * n)),
+        constant_field(n * n, 2.5),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_orthogonal_field_gradients_match_the_per_point_form(n):
+    rng = np.random.default_rng([8, n])
+    X = rng.standard_normal((9, n * n))
+    for f in orthogonal_fields(rng, n):
+        assert same_bits(f.gradients(X), np.stack([f.gradient_fn(x) for x in X]))
+        assert same_bits(f.values(X), np.array([f.value_fn(x) for x in X]))
+
+
+def test_orthogonal_field_gradients_refuse_a_non_finite_row_as_vec_does():
+    # the per-point gradients raise in ``vec``; the stacked ones raise the same
+    # error, so a chunk's one-row re-run gives each row its per-point record
+    big = np.full((2, 2), 1e308)
+    X = np.stack([orthogonal.random_orthogonal(2, s).to_vector() for s in range(3)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in (orthogonal.brockett_field(big, [1.0, 1.0]), orthogonal.p2_field(big)):
+            with pytest.raises(DimensionError, match="vec input contains non-finite entries"):
+                f.gradient_fn(X[0])
+            with pytest.raises(DimensionError, match="vec input contains non-finite entries"):
+                f.gradients(X)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_constant_hessian_stacks_are_read_only_views_of_the_per_point_hessian(n):
+    rng = np.random.default_rng([9, n])
+    X = rng.standard_normal((6, n * n))
+    for f in orthogonal_fields(rng, n):
+        H = f.hessians(X)
+        assert H.shape == (6, n * n, n * n) and not H.flags.writeable
+        assert H.strides[0] == 0  # one matrix, not a copy per row
+        with pytest.raises(ValueError):
+            H[0, 0, 0] = 1.0
+        for x, h in zip(X, H):
+            assert same_bits(h, f.hessian_fn(x))
+
+
+def test_an_asymmetric_constant_hessian_is_refused_on_every_row():
+    Ha = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    f = ScalarField(
+        3,
+        lambda u: float(u @ Ha @ u) / 2.0,
+        lambda u: Ha @ u,
+        lambda u: Ha.copy(),
+        hessians_fn=constraint_core._repeated(Ha),
+    )
+    cons = sphere.sphere_constraint_set(3, 1.0)
+    X = np.eye(3)
+    for frame in (sphere.sphere_adapted_frame(1.0), None):
+        records = assert_matches_per_row(f, cons, frame, X)
+        assert [str(r) for r in records] == ["hessian is not symmetric: max |H - H^T| = 1.000e+00"] * 3
 
 
 def test_block_product_gradients_match_the_per_point_form():
@@ -217,6 +315,7 @@ def test_evaluate_points_on_the_orthogonal_group_across_chunks(monkeypatch):
     for n in (3, 4):
         X = np.stack([orthogonal.random_orthogonal(n, s).to_vector() for s in range(11)])
         X[[2, 3, 7]] *= 1.001
+        X[[5, 9], :n] *= np.sqrt(1.0 + 1.5e-8)  # admitted, but not orthogonal
         blocks = orthogonal.on_constraint_set(n)
         dense = ConstraintSet(blocks.ambient_dim, blocks.fields, blocks.regular_value)
         brockett = orthogonal.brockett_field(random_symmetric(rng, n), rng.uniform(-1.0, 1.0, n))
@@ -290,20 +389,114 @@ def test_every_row_gets_its_own_first_error(monkeypatch, budget, raising):
     assert str(records[5]) == "hessian is not symmetric: max |H - H^T| = 1.500e+00"
 
 
-def test_explicit_frame_is_taken_once_per_admitted_row():
-    calls = []
+def test_the_frame_provider_sees_only_admitted_rows_once_per_chunk(monkeypatch):
+    seen = []
     cons = sphere.sphere_constraint_set(3, 1.0)
     inner = sphere.sphere_adapted_frame(1.0)
 
-    def provider(u):
-        calls.append(1)
-        return inner.at(u)
+    def provider(U):
+        seen.append(U.copy())
+        return inner.at(U)
 
     X = sphere_stack(np.random.default_rng(2), 3, 1.0, 12)
     f = random_polynomial_field(np.random.default_rng(3), 3, degree=3)
     records = evaluate_points(f, cons, AdaptedFrame(provider), X)
-    admitted = sum(1 for r in records if not isinstance(r, LapbelError))
-    assert admitted == len(X) - 3 and len(calls) == admitted
+    admitted = [i for i, r in enumerate(records) if not isinstance(r, LapbelError)]
+    assert len(admitted) == len(X) - 3 and len(seen) == 1
+    assert same_bits(seen[0], X[admitted])
+    # chunks of 5 rows (the field's m^2 = 9 doubles a row): one call each
+    monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", 5 * 8 * 9)
+    seen.clear()
+    assert all(map(same_outcome, evaluate_points(f, cons, AdaptedFrame(provider), X), records))
+    assert len(seen) == 3 and same_bits(np.concatenate(seen), X[admitted])
+
+
+# -- stacked frames against independent references ----------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stacked_on_frame_is_the_flattened_theta_products(n):
+    U = np.stack([orthogonal.random_orthogonal(n, [n, s]).matrix for s in range(5)])
+    T = orthogonal.on_adapted_frame().at(np.stack([numkit.vec(u) for u in U]))
+    basis = orthogonal.theta_basis(n)
+    # + 0.0 turns the -0.0 of negative entries times zero into 0.0
+    reference = np.stack([np.stack([numkit.vec(u @ theta) for theta in basis], axis=1) for u in U])
+    assert same_bits(T, reference + 0.0)
+
+
+def test_the_stacked_on_frame_refuses_a_row_that_is_not_orthogonal():
+    X = np.stack([orthogonal.random_orthogonal(3, s).to_vector() for s in range(4)])
+    X[2, :3] *= np.sqrt(1.0 + 1.5e-8)  # column 0 of row 2
+    frame = orthogonal.on_adapted_frame()
+    with pytest.raises(DomainError, match="= 1.5e-08 exceeds") as stacked:
+        frame.at(X)
+    with pytest.raises(DomainError) as single:
+        frame.at(X[2])
+    assert str(stacked.value) == str(single.value)
+    assert stacked.value.residual == single.value.residual
+    assert same_bits(frame.at(X[[0, 1, 3]]), np.stack([frame.at(x) for x in X[[0, 1, 3]]]))
+
+
+@pytest.mark.parametrize("n, radius", [(2, 1.0), (3, 1.0), (5, 2.5), (8, 0.5)])
+def test_stacked_sphere_frame_is_the_chart_frame_of_each_row(n, radius):
+    rng = np.random.default_rng([10, n])
+    X = rng.standard_normal((3 * n, n))
+    X[np.arange(3 * n), np.arange(3 * n) % n] += 4.0  # every chart index is taken
+    X = radius * X / np.linalg.norm(X, axis=1, keepdims=True)
+    T = sphere.sphere_adapted_frame(radius).at(X)
+    for x, t in zip(X, T):
+        j = int(np.argmax(np.abs(x)))
+        keep = [i for i in range(n) if i != j]
+        assert same_bits(t, radius**2 * np.eye(n)[:, keep] - np.outer(x, x[keep]))
+        assert same_bits(t, sphere.sphere_frame(sphere.SpherePoint(x, radius), j))
+
+
+def test_the_stacked_sphere_frame_refuses_a_row_at_the_chart_edge():
+    X = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8], [0.8, 0.0, 0.6]])
+    frame = sphere.sphere_adapted_frame(1.0, excluded_index=0)
+    with pytest.raises(ChartError, match="coordinate 0 is too small") as info:
+        frame.at(X)
+    assert info.value.suggested_index == 2
+    T = frame.at(X[[0, 2]])
+    assert same_bits(T, np.stack([sphere.sphere_frame(sphere.SpherePoint(x, 1.0), 0) for x in X[[0, 2]]]))
+    records = evaluate_points(linear_field([1.0, 2.0, 3.0]), sphere.sphere_constraint_set(3, 1.0), frame, X)
+    assert [type(r).__name__ for r in records] == ["LaplacianReport", "ChartError", "LaplacianReport"]
+
+
+def circle_at_height_one():
+    """The sphere of radius sqrt(2) cut by the plane x3 = 1: two
+    constraints in R^3."""
+    return ConstraintSet(
+        ambient_dim=3,
+        fields=(
+            polynomial_field(3, [(1.0, (2, 0, 0)), (1.0, (0, 2, 0)), (1.0, (0, 0, 2))]),
+            linear_field([0.0, 0.0, 1.0]),
+        ),
+        regular_value=[2.0, 1.0],
+    )
+
+
+def test_stacked_qr_frame_is_the_complete_qr_of_each_row():
+    for cons, X in (
+        (sphere.sphere_constraint_set(4, 1.5), sphere_stack(np.random.default_rng(4), 4, 1.5, 12)[[0, 1, 3, 5, 8]]),
+        (circle_at_height_one(), np.array([[np.cos(t), np.sin(t), 1.0] for t in np.linspace(0.0, 6.0, 7)])),
+    ):
+        T = qr_nullspace_frame(cons).at(X)
+        assert T.flags.c_contiguous  # not the strided trailing columns of Q
+        for x, t in zip(X, T):
+            Q, _ = np.linalg.qr(cons.jacobian(x).T, mode="complete")
+            assert same_bits(t, Q[:, cons.count :])
+
+
+def test_the_stacked_qr_frame_refuses_a_rank_deficient_row():
+    planes = ConstraintSet(3, (polynomial_field(3, [(1.0, (2, 0, 0)), (-1.0, (0, 2, 0))]),), [0.0])
+    X = np.array([[1.0, 1.0, 0.3], [0.0, 0.0, 1.0], [-0.5, 0.5, 2.0]])
+    frame = qr_nullspace_frame(planes)
+    with pytest.raises(RegularityError):
+        frame.at(X)
+    with pytest.raises(RegularityError):
+        frame.at(X[1])
+    assert frame.at(X[[0, 2]]).shape == (2, 3, 2)
 
 
 # -- block-product traces against the dense constraint Hessians ---------------

@@ -514,8 +514,8 @@ def test_general_rejects_off_manifold():
 
 def test_general_rejects_wrong_frame_width():
     cons = sphere_constraints()
-    frame = AdaptedFrame(provider=lambda u: np.ones((3, 1)))
-    with pytest.raises(DimensionError):
+    frame = AdaptedFrame(provider=lambda U: np.ones((len(U), 3, 1)))
+    with pytest.raises(DimensionError, match="frame supplies 1 tangent directions, expected 2"):
         laplace_beltrami_general(linear_field([1.0, 0.0, 0.0]), cons, frame, [1.0, 0.0, 0.0])
 
 
@@ -523,10 +523,10 @@ def test_general_condition_limit():
     cons = sphere_constraints()
     x = np.array([1.0, 0.0, 0.0])
 
-    def skewed(u):
+    def skewed(U):
         # Tangent columns e2 and e2 + 1e-3 e3 span the tangent plane but
         # have a Gram condition near 4e6.
-        return np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1e-3]])
+        return np.tile([[0.0, 0.0], [1.0, 1.0], [0.0, 1e-3]], (len(U), 1, 1))
 
     frame = AdaptedFrame(provider=skewed)
     f = linear_field([1.0, 0.0, 0.0])
@@ -545,7 +545,7 @@ def test_general_value_invariant_under_frame_change():
     cons = sphere_constraints()
     base = qr_nullspace_frame(cons)
     M = np.array([[2.0, 1.0], [0.0, 3.0]])
-    mixed = AdaptedFrame(provider=lambda u: base.at(u) @ M)
+    mixed = AdaptedFrame(provider=lambda U: base.at(U) @ M)
     f = polynomial_field(3, [(1.0, (1, 1, 0)), (0.5, (0, 0, 2))])
     for _ in range(5):
         v = rng.standard_normal(3)
@@ -629,12 +629,24 @@ def test_qr_frame_rejects_rank_deficient_gradients():
 
 
 def test_adapted_frame_validation():
-    frame = AdaptedFrame(provider=lambda u: np.ones((4, 2)))
-    with pytest.raises(DimensionError):
+    frame = AdaptedFrame(provider=lambda U: np.ones((len(U), 4, 2)))
+    with pytest.raises(DimensionError, match="frame has 4 rows, expected 3"):
         frame.at([1.0, 2.0, 3.0])
-    wide = AdaptedFrame(provider=lambda u: np.ones((3, 3)))
-    with pytest.raises(DimensionError):
+    wide = AdaptedFrame(provider=lambda U: np.ones((len(U), 3, 3)))
+    with pytest.raises(DimensionError, match="fewer columns than rows, got \\(3, 3\\)"):
         wide.at([1.0, 2.0, 3.0])
+    extra = AdaptedFrame(provider=lambda U: np.ones((len(U) + 1, 3, 2)))
+    with pytest.raises(DimensionError, match="frame stack has shape \\(3, 3, 2\\), expected 2 frames"):
+        extra.at(np.eye(3)[:2])
+    flat = AdaptedFrame(provider=lambda U: np.ones((3, 2)))  # one frame, not a stack
+    with pytest.raises(DimensionError, match="frame stack has shape"):
+        flat.at([1.0, 2.0, 3.0])
+    nan = AdaptedFrame(provider=lambda U: np.full((len(U), 3, 2), np.nan))
+    with pytest.raises(DimensionError, match="frame matrix contains non-finite entries"):
+        nan.at(np.eye(3))
+    ones = AdaptedFrame(provider=lambda U: np.ones((len(U), 3, 2)))
+    assert ones.at([1.0, 2.0, 3.0]).shape == (3, 2)
+    assert ones.at(np.eye(3)).shape == (3, 3, 2)
 
 
 # -- derivative builds per point on the general path ---------------------------
