@@ -802,7 +802,9 @@ def lagrange_multipliers(
     independent, as R^{-1} Q^t ∇f with J^t = QR; linear in ``f``. Dependent
     gradients raise RegularityError.
     """
-    Q, R = _gradient_qr(constraints.jacobian(u))
+    Q, R, deficient = _gradient_qrs(constraints.jacobian(u))
+    if deficient:
+        raise RegularityError(_RANK_DEFICIENT)
     return np.linalg.solve(R, Q.T @ f.gradient(u))
 
 
@@ -1044,15 +1046,6 @@ def _gradient_qrs(J: np.ndarray, mode: str = "reduced") -> tuple:
     diag = np.abs(np.diagonal(R[..., :k, :k], axis1=-2, axis2=-1))
     scale = np.maximum(1.0, np.abs(J).max(axis=(-2, -1)))
     return Q, R, (diag < 1e-12 * scale[..., None]).any(axis=-1)
-
-
-def _gradient_qr(J: np.ndarray, mode: str = "reduced") -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_gradient_qrs` of one Jacobian; a failed rank test raises
-    RegularityError."""
-    Q, R, deficient = _gradient_qrs(J, mode)
-    if deficient:
-        raise RegularityError(_RANK_DEFICIENT)
-    return Q, R
 
 
 def qr_nullspace_frame(constraints: ConstraintSet) -> AdaptedFrame:
