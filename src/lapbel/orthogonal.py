@@ -13,6 +13,7 @@ sums, their squares, and the Brockett cost.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass
 
@@ -137,20 +138,30 @@ def on_frame(point: OrthogonalPoint) -> np.ndarray:
     Column (a, b) is the flattening of U Theta_ab, which has sign * u_b in
     column a and -sign * u_a in column b and zeros elsewhere.
     """
-    return _on_frames(point.matrix[None])[0]
+    return _on_frames(point.to_vector()[None], point.n)[0]
 
 
-def _on_frames(Us: np.ndarray) -> np.ndarray:
-    """:func:`on_frame` of every matrix of an (N, n, n) stack."""
-    N, n = Us.shape[:2]
+@functools.cache
+def _on_frame_entries(n: int) -> tuple:
+    """Where :func:`on_frame` puts the entries of vec(U): per nonzero, its
+    frame row and column, the entry of vec(U) and its sign."""
     a, b = np.triu_indices(n, 1)  # the index pairs, lexicographic
-    s = np.where((a + b) % 2, -1.0, 1.0)[:, None, None]
-    p = np.arange(a.size)
-    T = np.zeros((N, n, n, a.size))  # (row, block, entry, column)
-    # T[:, a, :, p] is (pairs, N, n): block a of column p, every row
-    T[:, a, :, p] = s * np.moveaxis(Us[:, :, b], 2, 0)
-    T[:, b, :, p] = -s * np.moveaxis(Us[:, :, a], 2, 0)
-    return T.reshape(N, n * n, a.size)
+    s = np.where((a + b) % 2, -1.0, 1.0)
+    block_a, block_b = a[:, None] * n + np.arange(n), b[:, None] * n + np.arange(n)
+    # column p = (a, b): s u_b in block a, -s u_a in block b
+    rows = np.concatenate([block_a, block_b]).ravel()
+    entries = np.concatenate([block_b, block_a]).ravel()
+    cols = np.repeat(np.tile(np.arange(a.size), 2), n)
+    signs = np.repeat(np.concatenate([s, -s]), n)
+    return rows, cols, entries, signs
+
+
+def _on_frames(X: np.ndarray, n: int) -> np.ndarray:
+    """:func:`on_frame` at every row vec(U) of an (N, n*n) stack."""
+    rows, cols, entries, signs = _on_frame_entries(n)
+    T = np.zeros((len(X), n * n, n * (n - 1) // 2))
+    T[:, rows, cols] = signs * X[:, entries]
+    return T
 
 
 def on_adapted_frame(tol: float | None = None) -> AdaptedFrame:
@@ -163,9 +174,8 @@ def on_adapted_frame(tol: float | None = None) -> AdaptedFrame:
             raise DimensionError(
                 f"point length {X.shape[1]} is not a square matrix flattening"
             )
-        Us = unvec_rows(X, n)
-        _admit_orthogonal(Us, tol)
-        return _on_frames(Us)
+        _admit_orthogonal(unvec_rows(X, n), tol)
+        return _on_frames(X, n)
 
     return AdaptedFrame(provider=provider)
 
