@@ -78,9 +78,9 @@ def _admit_orthogonal(Us: np.ndarray, tol: float | None) -> None:
     tol = DEFAULT_TOLERANCES.orthogonality if tol is None else tol
     with np.errstate(over="ignore"):  # a huge point is refused, not warned about
         residual = np.abs(np.swapaxes(Us, 1, 2) @ Us - np.eye(n)).max(axis=(1, 2))
-    bad = np.flatnonzero(residual > tol)
-    if bad.size:
-        r = float(residual[bad[0]])
+    bad = residual > tol
+    if np.count_nonzero(bad):
+        r = float(residual[bad.argmax()])
         raise DomainError(
             f"matrix is not orthogonal: max |U^t U - I| = {r:.6g} "
             f"exceeds tolerance {tol:.6g}",

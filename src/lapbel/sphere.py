@@ -63,9 +63,9 @@ def _admit_sphere(X: np.ndarray, radius: float, tol: float | None) -> None:
     with np.errstate(over="ignore"):  # a huge point is refused, not warned about
         # stacked 1-by-n times n-by-1 products: the ddot of x @ x per row
         residual = np.abs(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0] - radius**2)
-    bad = np.flatnonzero(residual > tol)
-    if bad.size:
-        r = float(residual[bad[0]])
+    bad = residual > tol
+    if np.count_nonzero(bad):
+        r = float(residual[bad.argmax()])
         raise DomainError(
             f"point is off the sphere: |<x,x> - R^2| = {r:.6g} "
             f"exceeds tolerance {tol:.6g}",
@@ -92,9 +92,9 @@ def _charts(X: np.ndarray, radius: float, excluded_index: int | None) -> np.ndar
     else:
         j = np.full(len(X), excluded_index)
     xj = X[np.arange(len(X)), j]
-    bad = np.flatnonzero(np.abs(xj) < DEFAULT_TOLERANCES.chart_margin * radius)
-    if bad.size:
-        i = bad[0]
+    bad = np.abs(xj) < DEFAULT_TOLERANCES.chart_margin * radius
+    if np.count_nonzero(bad):
+        i = bad.argmax()
         raise ChartError(
             f"coordinate {j[i]} is too small ({xj[i]:.3e}) for a valid "
             f"chart; try index {best[i]}",

@@ -463,6 +463,15 @@ def test_the_stacked_sphere_frame_refuses_a_row_at_the_chart_edge():
     assert [type(r).__name__ for r in records] == ["LaplacianReport", "ChartError", "LaplacianReport"]
 
 
+def test_the_stacked_sphere_frame_admits_every_row_at_its_tolerance():
+    X = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8], [1.00001, 0.0, 0.0]])  # row 2: residual 2e-5
+    with pytest.raises(DomainError, match="point is off the sphere") as info:
+        sphere.sphere_adapted_frame(1.0).at(X)
+    assert info.value.residual == abs(float(X[2] @ X[2]) - 1.0)
+    T = sphere.sphere_adapted_frame(1.0, tol=1e-2).at(X)
+    assert same_bits(T[2], sphere.sphere_frame(sphere.SpherePoint(X[2], 1.0, tol=1e-2)))
+
+
 def circle_at_height_one():
     """The sphere of radius sqrt(2) cut by the plane x3 = 1: two
     constraints in R^3."""
