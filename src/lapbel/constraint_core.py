@@ -43,10 +43,14 @@ class ScalarField:
     another label for externally supplied data. Derivative-hygiene checks
     only accept analytic fields.
 
-    ``values_fn``, ``gradients_fn`` and ``hessians_fn`` optionally evaluate
-    a C-ordered (N, dim) stack of points at once, returning N values,
-    (N, dim) gradients or (N, dim, dim) Hessians; each row must have the
-    same bits as ``value_fn``, ``gradient_fn`` or ``hessian_fn`` on that row.
+    Each derivative comes in per-point form (``value_fn``, ``gradient_fn``,
+    ``hessian_fn``) or stacked form (``values_fn``, ``gradients_fn``,
+    ``hessians_fn``: a C-ordered (N, dim) stack in, N values, (N, dim)
+    gradients or (N, dim, dim) Hessians out); a field with neither form of
+    some derivative is refused with ContractError. A missing per-point form
+    is the stacked form's one-row case on a C-ordered ``u[None]``. A stacked
+    form serves every stack, one row included, so where a field has both,
+    each row must have the bits of the per-point form.
     A derivative that is one array at every point may come back as a
     read-only broadcast view of it (:func:`_repeated`). Finite-difference
     stencils go through :meth:`values`, the general evaluator through
@@ -54,9 +58,9 @@ class ScalarField:
     """
 
     dim: int
-    value_fn: Callable[[np.ndarray], float]
-    gradient_fn: Callable[[np.ndarray], np.ndarray]
-    hessian_fn: Callable[[np.ndarray], np.ndarray]
+    value_fn: Callable[[np.ndarray], float] | None = None
+    gradient_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    hessian_fn: Callable[[np.ndarray], np.ndarray] | None = None
     provenance: str = "analytic"
     values_fn: Callable[[np.ndarray], np.ndarray] | None = None
     gradients_fn: Callable[[np.ndarray], np.ndarray] | None = None
@@ -65,6 +69,12 @@ class ScalarField:
     def __post_init__(self):
         if self.dim <= 0:
             raise DimensionError(f"ScalarField dim must be positive, got {self.dim}")
+        for form in ("value", "gradient", "hessian"):
+            one, stacked = f"{form}_fn", f"{form}s_fn"
+            if getattr(self, one) is None:
+                if getattr(self, stacked) is None:
+                    raise ContractError(f"ScalarField needs {one} or {stacked}")
+                object.__setattr__(self, one, _one_row(getattr(self, stacked)))
 
     @property
     def is_analytic(self) -> bool:
@@ -97,19 +107,18 @@ class ScalarField:
 
     def values(self, X) -> np.ndarray:
         """Unchecked values at the rows of an (N, dim) stack: ``values_fn``
-        when the field has one and the stack more than one row, else
-        ``value_fn`` row by row."""
+        when the field has one, else ``value_fn`` row by row."""
         X = self._check_stack(X)
-        if self.values_fn is not None and len(X) > 1:
+        if self.values_fn is not None:
             return np.asarray(self.values_fn(X), dtype=float)
         return np.array([float(self.value_fn(x)) for x in X])
 
     def gradients(self, X) -> np.ndarray:
         """(N, dim) gradients at the rows of an (N, dim) stack, shape-checked
-        but not checked finite: ``gradients_fn`` as :meth:`values` takes
-        ``values_fn``, else ``gradient_fn`` row by row."""
+        but not checked finite: ``gradients_fn`` when the field has one, else
+        ``gradient_fn`` row by row."""
         X = self._check_stack(X)
-        if self.gradients_fn is not None and len(X) > 1:
+        if self.gradients_fn is not None:
             return _shaped(self.gradients_fn(X), X.shape, "gradient stack")
         return _stacked(map(self.gradient_fn, X), len(X), (self.dim,), "gradient")
 
@@ -118,19 +127,19 @@ class ScalarField:
         :meth:`gradients`, through ``hessians_fn`` or ``hessian_fn``."""
         X = self._check_stack(X)
         shape = (self.dim, self.dim)
-        if self.hessians_fn is not None and len(X) > 1:
+        if self.hessians_fn is not None:
             return _shaped(self.hessians_fn(X), (len(X),) + shape, "hessian stack")
         return _stacked(map(self.hessian_fn, X), len(X), shape, "hessian")
 
     def gradient(self, u) -> np.ndarray:
-        u = self._check_point(u)
-        return _finite(_stacked([self.gradient_fn(u)], 1, (self.dim,), "gradient"), "gradient")[0]
+        g = self.gradients(self._check_point(u)[None])
+        return _writable(_finite(g, "gradient")[0])
 
     def hessian(self, u) -> np.ndarray:
         H, (error,) = _hessians_at((self,), self._check_point(u)[None])
         if error is not None:
             raise error
-        return H[0, 0]
+        return _writable(H[0, 0])
 
     # -- field arithmetic ---------------------------------------------------
     # Sums, scalar multiples, and products are themselves scalar fields with
@@ -228,6 +237,17 @@ class ScalarField:
     __rmul__ = __mul__
 
 
+def _one_row(stacked: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The per-point form of a stacked derivative: its one-row case, on the
+    point made C-ordered as :meth:`ScalarField._check_stack` makes a stack."""
+    return lambda u: stacked(np.ascontiguousarray(u, dtype=float)[None])[0]
+
+
+def _writable(a: np.ndarray) -> np.ndarray:
+    """``a``, or a copy of it when it is a read-only view (of a broadcast)."""
+    return a if a.flags.writeable else a.copy()
+
+
 def _shaped(a, shape: tuple, name: str) -> np.ndarray:
     """``a`` as a float64 array, refused unless it has the given shape."""
     a = np.asarray(a, dtype=float)
@@ -266,10 +286,12 @@ def _hessians_at(fields, X: np.ndarray) -> tuple:
         H = np.empty((len(X), len(fields)) + X.shape[1:] * 2)
         for a, field in enumerate(fields):
             H[:, a] = field.hessians(X)
-    errors = numkit.symmetry_errors(H, "hessian", "H")
-    for i in np.flatnonzero(_nonfinite(H)):
+    # a broadcast stack (stride 0 across rows) repeats one matrix: check it once
+    checked = H[:1] if H.strides[0] == 0 else H
+    errors = numkit.symmetry_errors(checked, "hessian", "H")
+    for i in np.flatnonzero(_nonfinite(checked)):
         errors[i] = DimensionError("hessian contains non-finite entries")
-    return H, errors
+    return H, errors if checked is H else errors * len(H)
 
 
 def _repeated(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -278,21 +300,13 @@ def _repeated(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda X: np.broadcast_to(A, (len(X),) + A.shape)
 
 
-def _tiled(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The stacked form of a gradient that is the vector ``a`` at every
-    point: one copy of ``a`` per row of the stack."""
-    return lambda X: np.tile(a, (len(X), 1))
-
-
 def constant_field(dim: int, value: float) -> ScalarField:
     """The constant function on R^dim."""
     c = float(value)
     return ScalarField(
-        dim=dim,
-        value_fn=lambda u: c,
-        gradient_fn=lambda u: np.zeros(dim),
-        hessian_fn=lambda u: np.zeros((dim, dim)),
-        gradients_fn=_tiled(np.zeros(dim)),
+        dim,
+        values_fn=lambda X: np.full(len(X), c),
+        gradients_fn=_repeated(np.zeros(dim)),
         hessians_fn=_repeated(np.zeros((dim, dim))),
     )
 
@@ -302,11 +316,10 @@ def linear_field(coefficients) -> ScalarField:
     c = as_vector(coefficients, "coefficients")
     dim = c.size
     return ScalarField(
-        dim=dim,
-        value_fn=lambda u: float(c @ u),
-        gradient_fn=lambda u: c.copy(),
-        hessian_fn=lambda u: np.zeros((dim, dim)),
-        gradients_fn=_tiled(c),
+        dim,
+        # stacked 1-by-dim times dim-by-1 products: the ddot of c @ u per row
+        values_fn=lambda X: np.matmul(X[:, None], c[:, None])[:, 0, 0],
+        gradients_fn=_repeated(c),
         hessians_fn=_repeated(np.zeros((dim, dim))),
     )
 
@@ -362,8 +375,8 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
     coefficient that overflows refuses the term. At a point, one monomial
     pass over the stacked rows feeds one dot per nonzero entry, so the cost
     scales with the sum of squared term supports, not with dim**2. The
-    stacked forms make one monomial pass per chunk of points and one stacked
-    dot per entry, with the bits of the per-point dots.
+    derivatives come in stacked form only: one monomial pass per chunk of
+    points and one stacked dot per entry.
     """
     if dim <= 0:
         raise DimensionError("polynomial dim must be positive")
@@ -413,15 +426,14 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
     grad_keys = np.array([i for i, *_ in grad_slices], dtype=np.intp)
     hess_i, hess_j = np.array([key for key, *_ in hess_slices], dtype=np.intp).reshape(-1, 2).T
 
-    def _monomials(u, expo):
-        # numpy evaluates 0.0 ** 0 as 1.0, which is the convention needed here;
-        # u is one point or an (N, dim) stack
-        return np.prod(u[..., None, :] ** expo, axis=-1)
+    def _monomials(X, expo):
+        # numpy evaluates 0.0 ** 0 as 1.0, which is the convention needed here
+        return np.prod(X[:, None, :] ** expo, axis=-1)
 
     def _stacked_dots(X, table, slices):
         # (N, entries): per chunk of rows one monomial pass, then per entry
-        # one stacked 1-by-L times L-by-1 product, the same ddot per row as
-        # the per-point ``coef @ mono[a:b]``
+        # one stacked 1-by-L times L-by-1 product, the ddot of one row's
+        # ``coef @ mono[a:b]`` on every row, whatever the chunk
         out = np.empty((len(X), len(slices)))
         for rows in _chunks(len(X), 8 * table.size):
             M = _monomials(X[rows], table)
@@ -429,30 +441,13 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
                 out[rows, e] = np.matmul(M[:, None, a:b], coef[:, None])[:, 0, 0]
         return out
 
-    def value(u):
-        return float(C @ _monomials(u, P))
-
     def values(X):
         return _stacked_dots(X, P, [(None, 0, len(C), C)])[:, 0]
-
-    def gradient(u):
-        g = np.zeros(dim)
-        mono = _monomials(u, grad_table)
-        for i, a, b, coef in grad_slices:
-            g[i] = float(coef @ mono[a:b])
-        return g
 
     def gradients(X):
         G = np.zeros(X.shape)
         G[:, grad_keys] = _stacked_dots(X, grad_table, grad_slices)
         return G
-
-    def hessian(u):
-        H = np.zeros((dim, dim))
-        mono = _monomials(u, hess_table)
-        for (i, j), a, b, coef in hess_slices:
-            H[i, j] = H[j, i] = float(coef @ mono[a:b])
-        return H
 
     def hessians(X):
         H = np.zeros((len(X), dim, dim))
@@ -461,15 +456,7 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
         H[:, hess_j, hess_i] = entries
         return H
 
-    return ScalarField(
-        dim,
-        value,
-        gradient,
-        hessian,
-        values_fn=values,
-        gradients_fn=gradients,
-        hessians_fn=hessians,
-    )
+    return ScalarField(dim, values_fn=values, gradients_fn=gradients, hessians_fn=hessians)
 
 
 def block_product_field(
@@ -481,21 +468,17 @@ def block_product_field(
     constraints of a :class:`BlockProductSet` are all of this form."""
     size = len(range(dim)[first])
 
-    def value(u):
-        return weight * float(u[first] @ u[second])
-
     def values(X):
-        # stacked 1-by-s times s-by-1 products: the same ddot per row as value
+        # stacked 1-by-s times s-by-1 products: the ddot of u[first] @ u[second] per row
         return weight * np.matmul(X[:, None, first], X[:, second, None])[:, 0, 0]
 
     def gradients(X):
-        # one point or an (N, dim) stack
         G = np.zeros(X.shape)
         if first == second:
-            G[..., first] = (2.0 * weight) * X[..., first]
+            G[:, first] = (2.0 * weight) * X[:, first]
         else:
-            G[..., first] = weight * X[..., second]
-            G[..., second] = weight * X[..., first]
+            G[:, first] = weight * X[:, second]
+            G[:, second] = weight * X[:, first]
         return G
 
     def hessian(u):
@@ -504,14 +487,8 @@ def block_product_field(
         H[second, first] += weight * np.eye(size)
         return H
 
-    return ScalarField(
-        dim,
-        value,
-        gradients,
-        hessian,
-        values_fn=values,
-        gradients_fn=gradients,
-    )
+    # a stacked Hessian would be dense: the per-point one is the only form
+    return ScalarField(dim, hessian_fn=hessian, values_fn=values, gradients_fn=gradients)
 
 
 # Bytes the largest arrays of one stacked pass may take: the Hessian stacks in
@@ -665,27 +642,20 @@ class ConstraintSet:
         return self.residuals_at(self._check_point(u)[None])[0]
 
     def residuals_at(self, X) -> np.ndarray:
-        """The (N, k) residuals at the rows of an (N, m) stack; one row takes
-        the fields' per-point callables."""
+        """The (N, k) residuals at the rows of an (N, m) stack, from each
+        field's :meth:`ScalarField.values`."""
         # a constraint that overflows at a huge point gives a non-finite
         # residual, which admission refuses, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if len(X) == 1:
-                values = np.array([[float(f.value_fn(X[0])) for f in self.fields]])
-            else:
-                values = np.stack([f.values(X) for f in self.fields], axis=1)
-            return values - self.regular_value
+            return np.stack([f.values(X) for f in self.fields], axis=1) - self.regular_value
 
     def jacobian(self, u) -> np.ndarray:
         """The k-by-m matrix whose row a is the gradient of constraint a."""
         return _finite(self.jacobians_at(self._check_point(u)[None])[0], "gradient")
 
     def jacobians_at(self, X) -> np.ndarray:
-        """The (N, k, m) Jacobians at the rows of an (N, m) stack, not
-        checked finite; one row takes the fields' per-point callables."""
-        if len(X) == 1:
-            grads = [f.gradient_fn(X[0]) for f in self.fields]
-            return _stacked(grads, len(grads), (self.ambient_dim,), "gradient")[None]
+        """The (N, k, m) Jacobians at the rows of an (N, m) stack, from each
+        field's :meth:`ScalarField.gradients`, not checked finite."""
         return np.stack([f.gradients(X) for f in self.fields], axis=1)
 
     def gradients(self, u) -> list:
@@ -696,7 +666,7 @@ class ConstraintSet:
         H, (error,) = _hessians_at(self.fields, self._check_point(u)[None])
         if error is not None:
             raise error
-        return H[0]
+        return _writable(H[0])
 
     def projected_traces(self, X: np.ndarray, basis: list) -> tuple:
         """Per row of X, the k traces :func:`_projected_traces` gives on the

@@ -101,7 +101,7 @@ def vec_rows(M: np.ndarray) -> np.ndarray:
     (N, n*n) array, refused as ``vec`` refuses a non-finite matrix."""
     if not np.isfinite(M).all():
         raise DimensionError("vec input contains non-finite entries")
-    return np.ascontiguousarray(np.swapaxes(M, 1, 2)).reshape(len(M), -1)
+    return np.ascontiguousarray(np.swapaxes(M, 1, 2)).reshape(len(M), M.shape[1] * M.shape[2])
 
 
 def unvec_rows(X: np.ndarray, n: int) -> np.ndarray:

@@ -25,7 +25,6 @@ from .constraint_core import (
     LaplacianReport,
     ScalarField,
     _repeated,
-    _tiled,
     block_product_set,
 )
 from .errors import DimensionError, DomainError
@@ -280,21 +279,14 @@ def p1_field(A) -> ScalarField:
     A = _check_square(A, name="coefficient matrix")
     n = A.shape[0]
     dim = n * n
-    grad = vec(A.T)
-
-    def value(u):
-        return float(np.trace(A @ unvec(u, n)))
 
     def values(X):
         return np.trace(A @ unvec_rows(X, n), axis1=1, axis2=2)
 
     return ScalarField(
-        dim=dim,
-        value_fn=value,
-        gradient_fn=lambda u: grad.copy(),
-        hessian_fn=lambda u: np.zeros((dim, dim)),
+        dim,
         values_fn=values,
-        gradients_fn=_tiled(grad),
+        gradients_fn=_repeated(vec(A.T)),
         hessians_fn=_repeated(np.zeros((dim, dim))),
     )
 
@@ -308,9 +300,6 @@ def p11_field(A) -> ScalarField:
     w = vec(A.T)
     H = 2.0 * np.outer(w, w)
 
-    def value(u):
-        return float(np.trace(A @ unvec(u, n))) ** 2
-
     def traces(X):
         return np.trace(A @ unvec_rows(X, n), axis1=1, axis2=2)
 
@@ -321,15 +310,7 @@ def p11_field(A) -> ScalarField:
     def gradients(X):
         return (2.0 * traces(X))[:, None] * w
 
-    return ScalarField(
-        dim,
-        value,
-        lambda u: gradients(u[None])[0],
-        lambda u: H.copy(),
-        values_fn=values,
-        gradients_fn=gradients,
-        hessians_fn=_repeated(H),
-    )
+    return ScalarField(dim, values_fn=values, gradients_fn=gradients, hessians_fn=_repeated(H))
 
 
 def p2_field(A) -> ScalarField:
@@ -344,10 +325,6 @@ def p2_field(A) -> ScalarField:
         for j in range(n):
             H[i * n : (i + 1) * n, j * n : (j + 1) * n] = 2.0 * np.outer(B[:, j], B[:, i])
 
-    def value(u):
-        AU = A @ unvec(u, n)
-        return float(np.trace(AU @ AU))
-
     def values(X):
         AU = A @ unvec_rows(X, n)
         return np.trace(AU @ AU, axis1=1, axis2=2)
@@ -355,15 +332,7 @@ def p2_field(A) -> ScalarField:
     def gradients(X):
         return vec_rows(2.0 * (B @ np.swapaxes(unvec_rows(X, n), 1, 2) @ B))
 
-    return ScalarField(
-        dim,
-        value,
-        lambda u: gradients(u[None])[0],
-        lambda u: H.copy(),
-        values_fn=values,
-        gradients_fn=gradients,
-        hessians_fn=_repeated(H),
-    )
+    return ScalarField(dim, values_fn=values, gradients_fn=gradients, hessians_fn=_repeated(H))
 
 
 def _brockett_coefficients(A, diagonal, n: int | None = None) -> tuple:
@@ -384,10 +353,6 @@ def brockett_field(A, diagonal) -> ScalarField:
     dim = n * n
     H = 2.0 * np.kron(np.diag(mu), A)
 
-    def value(u):
-        U = unvec(u, n)
-        return float(np.trace(U.T @ A @ U @ np.diag(mu)))
-
     def values(X):
         U = unvec_rows(X, n)
         return np.trace(U.transpose(0, 2, 1) @ A @ U @ np.diag(mu), axis1=1, axis2=2)
@@ -395,15 +360,7 @@ def brockett_field(A, diagonal) -> ScalarField:
     def gradients(X):
         return vec_rows(2.0 * (A @ unvec_rows(X, n)) * mu[None, :])
 
-    return ScalarField(
-        dim,
-        value,
-        lambda u: gradients(u[None])[0],
-        lambda u: H.copy(),
-        values_fn=values,
-        gradients_fn=gradients,
-        hessians_fn=_repeated(H),
-    )
+    return ScalarField(dim, values_fn=values, gradients_fn=gradients, hessians_fn=_repeated(H))
 
 
 def p1_laplacian(A, point: OrthogonalPoint) -> float:

@@ -24,6 +24,7 @@ from lapbel.constraint_core import (
     _projected_traces,
     constant_field,
     evaluate_points,
+    finite_difference_field,
     laplace_beltrami_general,
     linear_field,
     polynomial_field,
@@ -244,6 +245,133 @@ def test_stacked_derivatives_fall_back_to_the_rows_and_check_shapes():
     bad = ScalarField(2, f.value_fn, f.gradient_fn, f.hessian_fn, gradients_fn=lambda X: X[:, :1])
     with pytest.raises(DimensionError, match="gradient stack has shape"):
         bad.gradients(X)
+
+
+# -- one form per derivative --------------------------------------------------
+
+
+def built_in_fields(rng, n):
+    """A field of every built-in family on R^(n*n): the O(n) fields, the
+    linear and constant ones, a polynomial, then the O(n) block products."""
+    fields = orthogonal_fields(rng, n) + [random_polynomial_field(rng, n * n, degree=4)]
+    return fields, list(orthogonal.on_constraint_set(n).fields)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_every_built_in_family_has_stacked_values_and_gradients(n):
+    # so none falls back to the row loop unnoticed; a block product keeps its
+    # per-point Hessian as its only form, since a stacked one would be dense
+    fields, blocks = built_in_fields(np.random.default_rng([10, n]), n)
+    for f in fields + blocks:
+        assert f.values_fn is not None and f.gradients_fn is not None
+    assert all(f.hessians_fn is not None for f in fields)
+    assert all(f.hessians_fn is None for f in blocks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_every_built_in_family_takes_an_empty_stack(n):
+    m = n * n
+    X = np.zeros((0, m))
+    fields, blocks = built_in_fields(np.random.default_rng([11, n]), n)
+    for f in fields + blocks:
+        assert f.values(X).shape == (0,)
+        assert f.gradients(X).shape == (0, m)
+        assert f.hessians(X).shape == (0, m, m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_per_point_derivatives_are_writable_rows_of_the_stacks(n):
+    rng = np.random.default_rng([12, n])
+    X = rng.standard_normal((4, n * n))
+    fields, blocks = built_in_fields(rng, n)
+    for f in fields + blocks:
+        for x, g, h in zip(X, f.gradients(X), f.hessians(X)):
+            gradient, hessian = f.gradient(x), f.hessian(x)
+            assert gradient.flags.writeable and hessian.flags.writeable
+            assert same_bits(gradient, g) and same_bits(hessian, h)
+
+
+def test_a_filled_in_per_point_form_reads_a_strided_point_as_its_copy():
+    # a column of a C-ordered matrix has stride 3 doubles, and a ddot over a
+    # strided row rounds differently from the unit-stride one
+    rng = np.random.default_rng(16)
+    u = rng.standard_normal((25, 3))[:, 0]
+    fields, blocks = built_in_fields(rng, 5)
+    for f in fields + blocks:
+        assert f.value_fn(u) == f.value_fn(u.copy())
+        assert same_bits(f.gradient_fn(u), f.gradient_fn(u.copy()))
+        assert same_bits(f.hessian_fn(u), f.hessian_fn(u.copy()))
+
+
+def test_a_broadcast_constant_hessian_is_checked_once_not_once_per_row():
+    # checking each row of the stride-0 stack of 32 O(8) Brockett rows took a
+    # 1.1 MB (N, 1, m, m) difference array; the one 64 x 64 matrix takes 32 kB
+    rng = np.random.default_rng(13)
+    f = orthogonal.brockett_field(random_symmetric(rng, 8), rng.uniform(-1.0, 1.0, 8))
+    X = np.stack([orthogonal.random_orthogonal(8, s).to_vector() for s in range(32)])
+    tracemalloc.start()
+    try:
+        H, errors = constraint_core._hessians_at((f,), X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.strides[0] == 0 and errors == [None] * 32
+    assert peak < 256 * 1024
+
+
+def cubic_sum(dim):
+    """sum(u_i^3) on R^dim from stacked forms only."""
+    return ScalarField(
+        dim,
+        values_fn=lambda X: (X**3).sum(axis=1),
+        gradients_fn=lambda X: 3.0 * X**2,
+        hessians_fn=lambda X: 6.0 * X[:, :, None] * np.eye(dim),
+    )
+
+
+def test_a_field_of_stacked_forms_only_works_wherever_a_field_does():
+    f = cubic_sum(3)
+    u = np.array([0.6, -0.8, 0.0])
+    assert f.value(u) == f.values_fn(u[None])[0]
+    assert same_bits(f.gradient(u), 3.0 * u**2)
+    assert same_bits(f.hessian(u), 6.0 * u[:, None] * np.eye(3))
+    double = f + f  # arithmetic reads the filled-in per-point forms
+    assert double.value(u) == 2.0 * f.value(u)
+    assert same_bits(double.hessian(u), 2.0 * f.hessian(u))
+    fd = finite_difference_field(f, 3)
+    assert np.allclose(fd.gradient(u), f.gradient(u), rtol=0.0, atol=1e-8)
+    assert np.allclose(fd.hessian(u), f.hessian(u), rtol=0.0, atol=1e-6)
+    rng = np.random.default_rng(15)
+    X = sphere_stack(rng, 3, 1.0, 12)
+    cons = sphere.sphere_constraint_set(3, 1.0)
+    rows = ScalarField(3, f.value_fn, f.gradient_fn, f.hessian_fn)  # row by row
+    for frame in (sphere.sphere_adapted_frame(1.0), None):
+        records = assert_matches_per_row(f, cons, frame, X)
+        assert all(map(same_outcome, records, evaluate_points(rows, cons, frame, X)))
+        x = X[0]
+        expected = sphere.sphere_laplacian(f, sphere.SpherePoint(x, 1.0))
+        assert abs(records[0].value - expected) < 1e-12
+
+
+def test_arithmetic_on_built_in_fields_reads_their_one_row_forms():
+    rng = np.random.default_rng(14)
+    A = rng.standard_normal((3, 3))
+    p11, p2 = orthogonal.p11_field(A), orthogonal.p2_field(A)
+    combo = p11 - p2  # as verify's theorem-equivalence suite builds it
+    X = rng.standard_normal((5, 9))
+    assert combo.values_fn is None
+    assert same_bits(combo.values(X), p11.values(X) - p2.values(X))
+    assert same_bits(combo.gradients(X), p11.gradients(X) - p2.gradients(X))
+    assert same_bits(combo.hessians(X), p11.hessians(X) - p2.hessians(X))
+
+
+@pytest.mark.parametrize("missing", ["value", "gradient", "hessian"])
+def test_a_field_with_neither_form_of_a_derivative_is_refused(missing):
+    f = cubic_sum(2)
+    forms = {"values_fn": f.values_fn, "gradients_fn": f.gradients_fn, "hessians_fn": f.hessians_fn}
+    del forms[f"{missing}s_fn"]
+    with pytest.raises(ContractError, match=f"needs {missing}_fn or {missing}s_fn"):
+        ScalarField(2, **forms)
 
 
 # -- evaluate_points against the per-point evaluator ------------------------
