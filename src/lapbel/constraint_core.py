@@ -89,8 +89,7 @@ class ScalarField:
         return u
 
     def value(self, u) -> float:
-        u = self._check_point(u)
-        val = float(self.value_fn(u))
+        val = float(self.values(self._check_point(u)[None])[0])
         if not math.isfinite(val):
             raise DomainError("field value is not finite")
         return val
@@ -106,11 +105,12 @@ class ScalarField:
         return np.ascontiguousarray(X)
 
     def values(self, X) -> np.ndarray:
-        """Unchecked values at the rows of an (N, dim) stack: ``values_fn``
-        when the field has one, else ``value_fn`` row by row."""
+        """N values at the rows of an (N, dim) stack, shape-checked but not
+        checked finite: ``values_fn`` when the field has one, else
+        ``value_fn`` row by row."""
         X = self._check_stack(X)
         if self.values_fn is not None:
-            return np.asarray(self.values_fn(X), dtype=float)
+            return _shaped(self.values_fn(X), X.shape[:1], "value stack")
         return np.array([float(self.value_fn(x)) for x in X])
 
     def gradients(self, X) -> np.ndarray:

@@ -365,6 +365,19 @@ def test_arithmetic_on_built_in_fields_reads_their_one_row_forms():
     assert same_bits(combo.hessians(X), p11.hessians(X) - p2.hessians(X))
 
 
+def test_a_stacked_value_form_of_the_wrong_shape_is_refused():
+    f = cubic_sum(2)
+    bad = ScalarField(
+        2,
+        values_fn=lambda X: f.values_fn(X)[:, None],
+        gradients_fn=f.gradients_fn,
+        hessians_fn=f.hessians_fn,
+    )
+    for call in (lambda: bad.values(np.ones((3, 2))), lambda: bad.value([1.0, 2.0])):
+        with pytest.raises(DimensionError, match=r"value stack has shape \(\d, 1\)"):
+            call()
+
+
 @pytest.mark.parametrize("missing", ["value", "gradient", "hessian"])
 def test_a_field_with_neither_form_of_a_derivative_is_refused(missing):
     f = cubic_sum(2)
