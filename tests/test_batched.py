@@ -304,8 +304,8 @@ def test_a_filled_in_per_point_form_reads_a_strided_point_as_its_copy():
 
 
 def test_a_broadcast_constant_hessian_is_checked_once_not_once_per_row():
-    # checking each row of the stride-0 stack of 32 O(8) Brockett rows took a
-    # 1.1 MB (N, 1, m, m) difference array; the one 64 x 64 matrix takes 32 kB
+    # checked row by row, the stride-0 stack of 32 O(8) Brockett rows makes a
+    # 1.1 MB (N, 1, m, m) difference array; the one 64 x 64 matrix, 32 kB
     rng = np.random.default_rng(13)
     f = orthogonal.brockett_field(random_symmetric(rng, 8), rng.uniform(-1.0, 1.0, 8))
     X = np.stack([orthogonal.random_orthogonal(8, s).to_vector() for s in range(32)])
