@@ -54,7 +54,14 @@ CORPUS = Path(__file__).parent / "eval_corpus"
 #   points, so the default _CHUNK_BYTES splits them into chunks of 13 and 3
 #   rows; index 5 has column 0 scaled by sqrt(1 + 1.5e-8), which the
 #   constraints admit (residual 7.5e-9) and the frame refuses as not
-#   orthogonal, and index 14 is scaled by 1.001, off the group (exit 4).
+#   orthogonal, and index 14 is scaled by 1.001, off the group (exit 4);
+# - sphere_closed_chunks: sphere n = 200 on the closed form, 7 points, so the
+#   default _CHUNK_BYTES splits them into chunks of 3, 3 and 1 rows; index 4
+#   is scaled by 1.001, off the sphere, and index 5 is [1e200, 0, ...], whose
+#   residual is inf, so its record has no residual (exit 4);
+# - orthogonal_closed_samples: per-point samples on the O(3) closed form, flat
+#   and matrix-object points alternating, index 1 with an asymmetric Hessian
+#   (ContractError) and index 2 scaled off the group (exit 4).
 JOBS = [
     ("sphere_wide", 0),
     ("clifford_torus", 4),
@@ -69,6 +76,8 @@ JOBS = [
     ("general_errors", 4),
     ("external_general", 4),
     ("orthogonal_general_chunks", 4),
+    ("sphere_closed_chunks", 4),
+    ("orthogonal_closed_samples", 4),
 ]
 
 
