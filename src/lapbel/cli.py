@@ -151,6 +151,8 @@ _MATRIX_FIELDS = {
 
 def _build_function(spec, ambient_dim: int) -> core.ScalarField:
     ftype = _require(spec, "type", "job.function")
+    if not isinstance(ftype, str):
+        raise ValidationError("job.function.type must be a string")
     if ftype in _MATRIX_FIELDS:
         where = "function.matrix"
         A = _load_matrix_spec(_require(spec, "matrix", "job.function"), where)
@@ -261,7 +263,6 @@ def _evaluate_job(data) -> tuple[list, bool]:
         tols = dataclasses.replace(tols, **overrides)
 
     matrix_side = None
-    radius = None
     constraints = None  # sphere and O(n): built after the points, general path only
     if kind == "sphere":
         n = _number(_require(manifold, "n", "job.manifold"), "manifold.n", integer=True)
@@ -272,6 +273,7 @@ def _evaluate_job(data) -> tuple[list, bool]:
             raise ValidationError(f"job.manifold: {exc}") from exc
         build = functools.partial(sphere.sphere_constraint_set, n, radius)
         frame = sphere.sphere_adapted_frame(radius, tol=tols.on_manifold)
+        closed = functools.partial(sphere.sphere_reports, radius=radius, tol=tols.on_manifold)
         ambient = n
         default_path = "closed-form"
     elif kind == "orthogonal":
@@ -282,6 +284,7 @@ def _evaluate_job(data) -> tuple[list, bool]:
             raise ValidationError(f"job.manifold: {exc}") from exc
         build = functools.partial(orthogonal.on_constraint_set, n)
         frame = orthogonal.on_adapted_frame(tols.orthogonality)
+        closed = functools.partial(orthogonal.on_laplacians, tol=tols.orthogonality)
         ambient = n * n
         matrix_side = n
         default_path = "closed-form"
@@ -334,26 +337,21 @@ def _evaluate_job(data) -> tuple[list, bool]:
             shared = core.finite_difference_field(
                 shared, ambient, grad_step=grad_step, hess_step=hess_step
             )
-        fields = [shared] * len(resolved)
-    if path == "general-frame" and constraints is None:
-        constraints = build()
+    if path == "general-frame":
+        if constraints is None:
+            constraints = build()
+
+        def evaluate(field, X):
+            return core.evaluate_points(field, constraints, frame, X, tols)
+
+    else:
+        evaluate = closed
 
     X = np.stack([u for _, u in resolved])
-    # overflow becomes a non-finite number that admission or
-    # LaplacianReport.assemble refuses, not a warning on stderr
-    with np.errstate(all="ignore"):
-        if path == "general-frame" and shared is not None:
-            outcomes = core.evaluate_points(shared, constraints, frame, X, tols)
-        elif path == "general-frame":  # one field per point
-            outcomes = [
-                core.evaluate_points(field, constraints, frame, u[None], tols)[0]
-                for field, u in zip(fields, X)
-            ]
-        else:
-            outcomes = [
-                _closed_form(kind, field, u, radius, matrix_side, tols)
-                for field, u in zip(fields, X)
-            ]
+    if shared is not None:
+        outcomes = evaluate(shared, X)
+    else:  # one field per point
+        outcomes = [evaluate(field, u[None])[0] for field, u in zip(fields, X)]
 
     records = []
     for i, ((ref, _), outcome) in enumerate(zip(resolved, outcomes)):
@@ -368,21 +366,6 @@ def _evaluate_job(data) -> tuple[list, bool]:
                 error[key] = float(number)
         records.append({**base, "error": error})
     return records, any(isinstance(o, LapbelError) for o in outcomes)
-
-
-def _closed_form(kind, field, u, radius, matrix_side, tols):
-    """The sphere or O(n) closed-form report at ``u``, or the LapbelError
-    that refuses the point."""
-    try:
-        if kind == "sphere":
-            point = sphere.SpherePoint(u, radius, tol=tols.on_manifold)
-            return sphere.sphere_report(field, point)
-        point = orthogonal.OrthogonalPoint(
-            numkit.unvec(u, matrix_side), tol=tols.orthogonality
-        )
-        return orthogonal.on_laplacian(field, point)
-    except LapbelError as exc:
-        return exc
 
 
 def cmd_eval(args) -> int:

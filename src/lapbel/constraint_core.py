@@ -158,20 +158,20 @@ class ScalarField:
             f, g = self, other
             return ScalarField(
                 dim=self.dim,
-                value_fn=lambda u: f.value_fn(u) + g.value_fn(u),
-                gradient_fn=lambda u: np.asarray(f.gradient_fn(u)) + np.asarray(g.gradient_fn(u)),
-                hessian_fn=lambda u: np.asarray(f.hessian_fn(u)) + np.asarray(g.hessian_fn(u)),
                 provenance=f._combined_provenance(g),
+                values_fn=lambda X: f.values(X) + g.values(X),
+                gradients_fn=lambda X: f.gradients(X) + g.gradients(X),
+                hessians_fn=lambda X: f.hessians(X) + g.hessians(X),
             )
         if isinstance(other, (int, float)):
             c = float(other)
             f = self
             return ScalarField(
                 dim=self.dim,
-                value_fn=lambda u: f.value_fn(u) + c,
-                gradient_fn=f.gradient_fn,
-                hessian_fn=f.hessian_fn,
                 provenance=f.provenance,
+                values_fn=lambda X: f.values(X) + c,
+                gradients_fn=f.gradients,
+                hessians_fn=f.hessians,
             )
         return NotImplemented
 
@@ -196,41 +196,31 @@ class ScalarField:
                 raise DimensionError("field dimensions differ")
             f, g = self, other
 
-            def prod_value(u):
-                return f.value_fn(u) * g.value_fn(u)
+            def gradients(X):
+                fv, gv = f.values(X)[:, None], g.values(X)[:, None]
+                return gv * f.gradients(X) + fv * g.gradients(X)
 
-            def prod_gradient(u):
-                fv, gv = f.value_fn(u), g.value_fn(u)
-                return gv * np.asarray(f.gradient_fn(u)) + fv * np.asarray(g.gradient_fn(u))
-
-            def prod_hessian(u):
-                fv, gv = f.value_fn(u), g.value_fn(u)
-                fg = np.asarray(f.gradient_fn(u))
-                gg = np.asarray(g.gradient_fn(u))
-                cross = np.outer(fg, gg)
-                return (
-                    gv * np.asarray(f.hessian_fn(u))
-                    + fv * np.asarray(g.hessian_fn(u))
-                    + cross
-                    + cross.T
-                )
+            def hessians(X):
+                fv, gv = f.values(X)[:, None, None], g.values(X)[:, None, None]
+                cross = f.gradients(X)[:, :, None] * g.gradients(X)[:, None, :]
+                return gv * f.hessians(X) + fv * g.hessians(X) + cross + np.swapaxes(cross, 1, 2)
 
             return ScalarField(
                 dim=self.dim,
-                value_fn=prod_value,
-                gradient_fn=prod_gradient,
-                hessian_fn=prod_hessian,
                 provenance=f._combined_provenance(g),
+                values_fn=lambda X: f.values(X) * g.values(X),
+                gradients_fn=gradients,
+                hessians_fn=hessians,
             )
         if isinstance(other, (int, float)):
             a = float(other)
             f = self
             return ScalarField(
                 dim=self.dim,
-                value_fn=lambda u: a * f.value_fn(u),
-                gradient_fn=lambda u: a * np.asarray(f.gradient_fn(u)),
-                hessian_fn=lambda u: a * np.asarray(f.hessian_fn(u)),
                 provenance=f.provenance,
+                values_fn=lambda X: a * f.values(X),
+                gradients_fn=lambda X: a * f.gradients(X),
+                hessians_fn=lambda X: a * f.hessians(X),
             )
         return NotImplemented
 
@@ -837,10 +827,15 @@ def laplace_beltrami_general(
     evaluated at the on-manifold point ``u``: :func:`evaluate_points` on a
     one-row stack, raising the error that refuses the row."""
     u = as_vector(u, "point")
-    report = evaluate_points(f, constraints, frame, u[None], tols)[0]
-    if isinstance(report, LapbelError):
-        raise report
-    return report
+    return _only(evaluate_points(f, constraints, frame, u[None], tols))
+
+
+def _only(records: list) -> LaplacianReport:
+    """The one record of a one-row evaluation, raised when it is an error."""
+    (record,) = records
+    if isinstance(record, LapbelError):
+        raise record
+    return record
 
 
 def evaluate_points(
@@ -873,11 +868,10 @@ def evaluate_points(
     - :meth:`LaplacianReport.assemble` (NumericalError on overflow).
 
     The rows go in chunks whose Hessian stacks (m^2 doubles per row, k m^2
-    more unless the set is a BlockProductSet) stay within ``_CHUNK_BYTES``. A
-    LapbelError raised for a chunk as a whole (by a field or frame callable,
-    or for a frame of the wrong width) is put on its row by evaluating the
-    chunk one row at a time. Overflow
-    gives non-finite numbers that the checks refuse, not warnings.
+    more unless the set is a BlockProductSet) stay within ``_CHUNK_BYTES``,
+    through :func:`_in_chunks`: a LapbelError raised for a chunk as a whole
+    (by a field or frame callable, or for a frame of the wrong width) is put
+    on its row.
     """
     tols = DEFAULT_TOLERANCES if tols is None else tols
     X = np.asarray(X, dtype=float)
@@ -886,73 +880,95 @@ def evaluate_points(
         raise DimensionError(
             "field, constraints, and point must share one ambient dimension"
         )
-    reports = []
+    stacks = 1 if isinstance(constraints, BlockProductSet) else 1 + k
+    return _in_chunks(
+        lambda U: _evaluate_stack(f, constraints, frame, U, tols), X, 8 * stacks * m * m
+    )
+
+
+def _in_chunks(evaluate, X: np.ndarray, row_bytes: int) -> list:
+    """``evaluate`` (an (N, m) stack -> N records) on the rows of X in chunks
+    of at most ``_CHUNK_BYTES // row_bytes`` rows, the records in row order.
+    A LapbelError raised for a chunk as a whole (by a field or frame
+    callable, say) is put on its row by evaluating the chunk one row at a
+    time. Overflow gives non-finite numbers that the checks refuse, not
+    warnings."""
+
+    def rows(U):
+        try:
+            return evaluate(U)
+        except LapbelError as exc:
+            if len(U) == 1:
+                return [exc]
+        return [rows(U[i : i + 1])[0] for i in range(len(U))]
+
     with np.errstate(all="ignore"):
-        stacks = 1 if isinstance(constraints, BlockProductSet) else 1 + k
-        for rows in _chunks(len(X), 8 * stacks * m * m):
-            reports.extend(_evaluate_rows(f, constraints, frame, X[rows], tols))
-    return reports
+        return [record for chunk in _chunks(len(X), row_bytes) for record in rows(X[chunk])]
 
 
-def _evaluate_rows(f, constraints, frame, X, tols) -> list:
-    try:
-        return _evaluate_stack(f, constraints, frame, X, tols)
-    except LapbelError as exc:
-        if len(X) == 1:
-            return [exc]
-        return [
-            report
-            for i in range(len(X))
-            for report in _evaluate_rows(f, constraints, frame, X[i : i + 1], tols)
-        ]
+class _Rows:
+    """The records of one chunk's rows: each stage drops the rows it refuses,
+    each with its error, from the live rows and from the per-row arrays."""
+
+    def __init__(self, count: int):
+        self.records = [None] * count
+        self.live = np.arange(count)  # the rows still standing
+
+    def drop(self, bad, error, *arrays):
+        """Each live row j flagged in ``bad`` gets ``error(j)`` and leaves;
+        returns ``arrays`` (one row per live row) without them, or the one."""
+        bad = np.asarray(bad, dtype=bool)
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                self.records[self.live[j]] = error(j)
+            self.live = self.live[~bad]
+            arrays = tuple(a[~bad] for a in arrays)
+        return arrays if len(arrays) > 1 else arrays[0]
+
+    def refuse(self, errors: list, *arrays):
+        """:meth:`drop` the live rows whose entry in ``errors`` is not None."""
+        return self.drop([e is not None for e in errors], errors.__getitem__, *arrays)
+
+    def finite(self, A: np.ndarray, name: str, *arrays):
+        """:meth:`drop` the live rows whose row of ``A`` is not finite."""
+        message = f"{name} contains non-finite entries"
+        return self.drop(_nonfinite(A), lambda j: DimensionError(message), *arrays)
+
+    def assemble(self, trace_main, sigma, trace_constraint, cond) -> list:
+        """The records, live row j's the report of the parts' rows j."""
+        for j, i in enumerate(self.live):
+            try:
+                parts = trace_main[j], sigma[j], trace_constraint[j], cond[j]
+                self.records[i] = LaplacianReport.assemble(*parts)
+            except LapbelError as exc:
+                self.records[i] = exc
+        return self.records
 
 
 def _evaluate_stack(f, constraints, frame, X, tols) -> list:
     """The stages of :func:`evaluate_points` on one chunk."""
     m, k = X.shape[1], constraints.count
-    reports = [None] * len(X)
-    live = np.arange(len(X))  # the rows still standing
-
-    def drop(bad, error):
-        # the live rows flagged in ``bad`` get ``error(j)``, j their position
-        # among the live rows, and leave; returns the index of those kept
-        nonlocal live
-        bad = np.asarray(bad, dtype=bool)
-        if not bad.any():
-            return slice(None)
-        for j in np.flatnonzero(bad):
-            reports[live[j]] = error(j)
-        live = live[~bad]
-        return ~bad
-
-    def refuse(errors):
-        # drop the live rows whose entry in ``errors`` is not None
-        return drop([e is not None for e in errors], errors.__getitem__)
-
-    keep = drop(_nonfinite(X), lambda j: DimensionError("point contains non-finite entries"))
-    U = X[keep]
+    rows = _Rows(len(X))
+    U = rows.finite(X, "point", X)
     residual = np.abs(constraints.residuals_at(U)).max(axis=1)
-    keep = drop(
+    U = rows.drop(
         ~(residual <= tols.on_manifold),
         lambda j: DomainError(
             f"point is off the manifold: residual {residual[j]:.6g} exceeds "
             f"tolerance {tols.on_manifold:.6g}",
             residual=float(residual[j]),
         ),
+        U,
     )
-    U = U[keep]
     J = constraints.jacobians_at(U)
-    keep = drop(_nonfinite(J), lambda j: DimensionError("gradient contains non-finite entries"))
-    U, J = U[keep], J[keep]
+    U, J = rows.finite(J, "gradient", U, J)
     Q, R, deficient = _gradient_qrs(J)
-    keep = drop(deficient, lambda j: RegularityError(_RANK_DEFICIENT))
-    U, Q, R = U[keep], Q[keep], R[keep]
+    U, Q, R = rows.drop(deficient, lambda j: RegularityError(_RANK_DEFICIENT), U, Q, R)
     g = f.gradients(U)
-    keep = drop(_nonfinite(g), lambda j: DimensionError("gradient contains non-finite entries"))
-    U, Q, R, g = U[keep], Q[keep], R[keep], g[keep]
+    U, Q, R, g = rows.finite(g, "gradient", U, Q, R, g)
     sigma = np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ g[:, :, None])[:, :, 0]
     if not len(U):
-        return reports
+        return rows.records
 
     if frame is None:
         cond = np.ones(len(U))
@@ -965,32 +981,15 @@ def _evaluate_stack(f, constraints, frame, X, tols) -> list:
                 f"{m - k} (ambient {m} minus {k} constraints)"
             )
         T_plus, cond, refused = numkit.frame_pseudo_inverses(T, tols.condition_limit)
-        keep = refuse(refused)
-        U, sigma, cond = U[keep], sigma[keep], cond[keep]
-        basis = [T_plus, T[keep]]
+        U, sigma, cond, T = rows.refuse(refused, U, sigma, cond, T)
+        basis = [T_plus, T]
 
-    def field_traces(U, basis):
-        H, errors = _hessians_at((f,), U)
-        return _projected_traces(H, basis), errors
-
-    traces = []  # the field's (N, 1), then the constraints' (N, k)
-    for projected in (field_traces, constraints.projected_traces):
-        trace, errors = projected(U, basis)
-        traces.append(trace)
-        keep = refuse(errors)
-        U, sigma, cond = U[keep], sigma[keep], cond[keep]
-        basis = [b[keep] for b in basis]
-        traces = [t[keep] for t in traces]
-
-    trace_main, trace_constraint = traces
-    for j, i in enumerate(live):
-        try:
-            reports[i] = LaplacianReport.assemble(
-                trace_main[j, 0], sigma[j], trace_constraint[j], cond[j]
-            )
-        except LapbelError as exc:
-            reports[i] = exc
-    return reports
+    H, errors = _hessians_at((f,), U)
+    trace_main = _projected_traces(H, basis)[:, 0]
+    U, sigma, cond, trace_main, *basis = rows.refuse(errors, U, sigma, cond, trace_main, *basis)
+    trace_constraint, errors = constraints.projected_traces(U, basis)
+    parts = rows.refuse(errors, trace_main, sigma, trace_constraint, cond)
+    return rows.assemble(*parts)
 
 
 def _projected_traces(H: np.ndarray, basis: list) -> np.ndarray:

@@ -50,21 +50,23 @@ DEFAULT_TOLERANCES = Tolerances()
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Validate and return ``v`` as a finite 1-D float64 array."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise DimensionError(f"{name} contains non-finite entries")
-    return arr
+    return _as_array(v, name, 1)
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Validate and return ``M`` as a finite 2-D float64 array."""
-    arr = np.asarray(M, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
+    return _as_array(M, name, 2)
+
+
+def _as_array(a, name: str, ndim: int) -> np.ndarray:
+    """``a`` as a float64 array, refused with DimensionError unless it
+    converts and is non-empty, finite and ``ndim``-D."""
+    try:
+        arr = np.asarray(a, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:  # ragged, not numbers, beyond double
+        raise DimensionError(f"{name} is not an array of numbers: {exc}") from exc
+    if arr.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError(f"{name} must be non-empty")
     if not np.all(np.isfinite(arr)):
@@ -166,9 +168,14 @@ def symmetry_errors(M: np.ndarray, name: str, symbol: str) -> list:
 def require_symmetric(M: np.ndarray, name: str, symbol: str) -> None:
     """Raise ContractError unless the matrix ``M``, or every matrix of the
     stack ``M``, is symmetric (see :func:`symmetry_errors`)."""
-    error = symmetry_errors(np.asarray(M)[None], name, symbol)[0]
-    if error is not None:
-        raise error
+    raise_first(symmetry_errors(np.asarray(M)[None], name, symbol))
+
+
+def raise_first(errors: list) -> None:
+    """Raise the first entry of a per-row list of None or errors, if any."""
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def solve_spd(A, B) -> np.ndarray:

@@ -24,7 +24,11 @@ from .constraint_core import (
     BlockProductSet,
     LaplacianReport,
     ScalarField,
+    _hessians_at,
+    _in_chunks,
+    _only,
     _repeated,
+    _Rows,
     block_product_set,
 )
 from .errors import DimensionError, DomainError
@@ -32,8 +36,8 @@ from .numkit import (
     DEFAULT_TOLERANCES,
     as_matrix,
     as_vector,
+    raise_first,
     require_symmetric,
-    unvec,
     unvec_rows,
     vec,
     vec_rows,
@@ -54,7 +58,7 @@ class OrthogonalPoint:
     def __post_init__(self, tol):
         matrix = _check_square(self.matrix, name="orthogonal point")
         object.__setattr__(self, "matrix", matrix)
-        _admit_orthogonal(matrix[None], tol)
+        raise_first(_admit_orthogonal(matrix[None], tol))
 
     @property
     def n(self) -> int:
@@ -67,24 +71,26 @@ class OrthogonalPoint:
         return vec(self.matrix)
 
 
-def _admit_orthogonal(Us: np.ndarray, tol: float | None) -> None:
-    """Refuse an (N, n, n) stack of finite matrices unless n >= 2 and every
-    max |U^t U - I| is within ``tol`` (default: the orthogonality
-    tolerance); the first matrix beyond it gives the DomainError."""
+def _admit_orthogonal(Us: np.ndarray, tol: float | None) -> list:
+    """Per matrix of an (N, n, n) stack of finite matrices: None, or the
+    DomainError carrying the residual max |U^t U - I| when it exceeds
+    ``tol`` (default: the orthogonality tolerance). The whole stack is
+    refused unless n >= 2."""
     n = Us.shape[1]
     if n < 2:
         raise DimensionError("orthogonal points need n >= 2")
     tol = DEFAULT_TOLERANCES.orthogonality if tol is None else tol
     with np.errstate(over="ignore"):  # a huge point is refused, not warned about
         residual = np.abs(np.swapaxes(Us, 1, 2) @ Us - np.eye(n)).max(axis=(1, 2))
-    bad = residual > tol
-    if np.count_nonzero(bad):
-        r = float(residual[bad.argmax()])
-        raise DomainError(
+    errors = [None] * len(Us)
+    for i in np.flatnonzero(residual > tol):
+        r = float(residual[i])
+        errors[i] = DomainError(
             f"matrix is not orthogonal: max |U^t U - I| = {r:.6g} "
             f"exceeds tolerance {tol:.6g}",
             residual=r,
         )
+    return errors
 
 
 def index_pairs(n: int) -> tuple:
@@ -168,15 +174,19 @@ def on_adapted_frame(tol: float | None = None) -> AdaptedFrame:
     as an :class:`OrthogonalPoint` at ``tol``."""
 
     def provider(X: np.ndarray) -> np.ndarray:
-        n = math.isqrt(X.shape[1])
-        if n * n != X.shape[1]:
-            raise DimensionError(
-                f"point length {X.shape[1]} is not a square matrix flattening"
-            )
-        _admit_orthogonal(unvec_rows(X, n), tol)
+        n = _side(X)
+        raise_first(_admit_orthogonal(unvec_rows(X, n), tol))
         return _on_frames(X, n)
 
     return AdaptedFrame(provider=provider)
+
+
+def _side(X: np.ndarray) -> int:
+    """n for an (N, n*n) stack of flattened n-by-n matrices."""
+    n = math.isqrt(X.shape[1])
+    if n * n != X.shape[1]:
+        raise DimensionError(f"point length {X.shape[1]} is not a square matrix flattening")
+    return n
 
 
 _LAMBDA_MAX_N = 16
@@ -211,18 +221,28 @@ def trace_lambda_product(point: OrthogonalPoint, H) -> float:
         raise DimensionError(
             f"hessian has shape {H.shape}, expected {(n * n, n * n)}"
         )
-    Hr = H.reshape(n, n, n, n)
-    return float(np.einsum("pi,jpiq,qj->", point.matrix, Hr, point.matrix))
+    return float(_lambda_traces(point.matrix[None], H[None])[0])
+
+
+def _lambda_traces(U: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """:func:`trace_lambda_product` for each matrix of an (N, n, n) stack U,
+    with (N, n*n, n*n) Hessians H."""
+    N, n = U.shape[:2]
+    return np.einsum("npi,njpiq,nqj->n", U, H.reshape(N, n, n, n, n), U)
 
 
 def sigma_matrix(f: ScalarField, point: OrthogonalPoint) -> np.ndarray:
     """Multiplier matrix (G^t U + U^t G) / 2 with G the gradient in matrix
     form; diagonal entries are the column-constraint multipliers,
     off-diagonal entries the pair-constraint multipliers."""
-    n = point.n
-    G = unvec(f.gradient(point.to_vector()), n)
-    U = point.matrix
-    return 0.5 * (G.T @ U + U.T @ G)
+    G = unvec_rows(f.gradient(point.to_vector())[None], point.n)
+    return _sigma_matrices(point.matrix[None], G)[0]
+
+
+def _sigma_matrices(U: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """:func:`sigma_matrix` for each matrix of an (N, n, n) stack U, with
+    the gradients in matrix form G."""
+    return 0.5 * (np.swapaxes(G, 1, 2) @ U + np.swapaxes(U, 1, 2) @ G)
 
 
 def pack_sigma(S, n: int) -> np.ndarray:
@@ -231,37 +251,60 @@ def pack_sigma(S, n: int) -> np.ndarray:
     S = as_matrix(S, "sigma matrix")
     if S.shape != (n, n):
         raise DimensionError(f"sigma matrix has shape {S.shape}, expected {(n, n)}")
-    diag = [float(S[a, a]) for a in range(n)]
-    off = [float(S[b, c]) for b, c in index_pairs(n)]
-    return np.array(diag + off)
+    return _packed(S[None])[0]
+
+
+def _packed(S: np.ndarray) -> np.ndarray:
+    """:func:`pack_sigma` of each matrix of an (N, n, n) stack, as the rows
+    of a C-ordered array."""
+    n = S.shape[1]
+    a, b = np.triu_indices(n, 1)  # the index pairs, lexicographic
+    diagonal = np.arange(n)
+    # fancy indexing leaves the rows strided, and LaplacianReport.assemble's
+    # np.dot rounds a strided row differently from a contiguous one
+    return np.ascontiguousarray(S[:, np.concatenate([diagonal, a]), np.concatenate([diagonal, b])])
 
 
 def on_laplacian(f: ScalarField, point: OrthogonalPoint) -> LaplacianReport:
     """Laplace-Beltrami value of ``f`` on the orthogonal group, with
-    diagnostics.
+    diagnostics: the one-row case of :func:`on_laplacians`, raising the
+    error that refuses the point, which is not admitted again."""
+    return _only(on_laplacians(f, point.to_vector()[None], math.inf))
+
+
+def on_laplacians(f: ScalarField, X, tol: float | None = None) -> list:
+    """Closed-form reports of ``f`` on the orthogonal group at the rows
+    vec(U) of the (N, n*n) stack ``X`` of finite points: per row, in row
+    order, a LaplacianReport or the LapbelError that refuses the row, the
+    first one it meets of admission at ``tol`` (see :class:`OrthogonalPoint`),
+    the field Hessian (as in :meth:`ScalarField.hessian`), a non-finite field
+    gradient, a non-finite multiplier matrix and assembly. The rows go in
+    chunks, as in :func:`~lapbel.constraint_core.evaluate_points`.
 
     The value is half the ambient Laplacian, minus (n-1)/2 times the trace
     of U^t times the gradient in matrix form, minus half the blockwise
     Lambda-Hessian trace. The frame Gram is exactly twice the identity, so
     its condition is reported as 1.
     """
-    n = point.n
-    u = point.to_vector()
-    H = f.hessian(u)
-    lam_trace = trace_lambda_product(point, H)
-    trace_main = 0.5 * (float(np.trace(H)) - lam_trace)
-    S = sigma_matrix(f, point)
-    sigma = pack_sigma(S, n)
-    pair_count = len(index_pairs(n))
-    trace_constraint = np.concatenate(
-        [np.full(n, (n - 1) / 2.0), np.zeros(pair_count)]
-    )
-    return LaplacianReport.assemble(
-        trace_main=trace_main,
-        sigma=sigma,
-        trace_constraint=trace_constraint,
-        frame_gram_condition=1.0,
-    )
+    X = as_matrix(X, "orthogonal points")
+    n = _side(X)
+    trace_constraint = np.repeat([(n - 1) / 2.0, 0.0], [n, n * (n - 1) // 2])
+
+    def stack(X):
+        rows = _Rows(len(X))
+        X = rows.refuse(_admit_orthogonal(unvec_rows(X, n), tol), X)
+        U = unvec_rows(X, n)
+        H, errors = _hessians_at((f,), X)
+        trace_main = 0.5 * (np.trace(H[:, 0], axis1=1, axis2=2) - _lambda_traces(U, H[:, 0]))
+        X, U, trace_main = rows.refuse(errors, X, U, trace_main)
+        g = f.gradients(X)
+        U, g, trace_main = rows.finite(g, "gradient", U, g, trace_main)
+        S = _sigma_matrices(U, unvec_rows(g, n))
+        S, trace_main = rows.finite(S, "sigma matrix", S, trace_main)
+        N = len(S)
+        return rows.assemble(trace_main, _packed(S), np.tile(trace_constraint, (N, 1)), np.ones(N))
+
+    return _in_chunks(stack, X, 8 * f.dim**2)
 
 
 def _check_square(A, n: int | None = None, name: str = "matrix") -> np.ndarray:

@@ -20,10 +20,14 @@ from .constraint_core import (
     BlockProductSet,
     LaplacianReport,
     ScalarField,
+    _hessians_at,
+    _in_chunks,
+    _only,
+    _Rows,
     block_product_set,
 )
 from .errors import ChartError, ContractError, DimensionError, DomainError
-from .numkit import DEFAULT_TOLERANCES, as_vector
+from .numkit import DEFAULT_TOLERANCES, as_matrix, as_vector, raise_first
 
 
 @dataclass(frozen=True)
@@ -43,18 +47,18 @@ class SpherePoint:
         coords = as_vector(self.coords, "sphere point")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "radius", float(self.radius))
-        _admit_sphere(coords[None], self.radius, tol)
+        raise_first(_admit_sphere(coords[None], self.radius, tol))
 
     @property
     def n(self) -> int:
         return self.coords.size
 
 
-def _admit_sphere(X: np.ndarray, radius: float, tol: float | None) -> None:
-    """Refuse an (N, n) stack of finite points unless n >= 2, the radius is
-    positive and finite, and every |<x, x> - R^2| is within ``tol``
-    (default: the on-manifold tolerance); the first point beyond it gives
-    the DomainError."""
+def _admit_sphere(X: np.ndarray, radius: float, tol: float | None) -> list:
+    """Per row of an (N, n) stack of finite points: None, or the DomainError
+    carrying the residual |<x, x> - R^2| when it exceeds ``tol`` (default:
+    the on-manifold tolerance). The whole stack is refused unless n >= 2 and
+    the radius is positive and finite."""
     if X.shape[1] < 2:
         raise DimensionError("sphere points need ambient dimension >= 2")
     if not (radius > 0 and math.isfinite(radius)):
@@ -63,14 +67,15 @@ def _admit_sphere(X: np.ndarray, radius: float, tol: float | None) -> None:
     with np.errstate(over="ignore"):  # a huge point is refused, not warned about
         # stacked 1-by-n times n-by-1 products: the ddot of x @ x per row
         residual = np.abs(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0] - radius**2)
-    bad = residual > tol
-    if np.count_nonzero(bad):
-        r = float(residual[bad.argmax()])
-        raise DomainError(
+    errors = [None] * len(X)
+    for i in np.flatnonzero(residual > tol):
+        r = float(residual[i])
+        errors[i] = DomainError(
             f"point is off the sphere: |<x,x> - R^2| = {r:.6g} "
             f"exceeds tolerance {tol:.6g}",
             residual=r,
         )
+    return errors
 
 
 def default_chart_index(point: SpherePoint) -> int:
@@ -78,11 +83,11 @@ def default_chart_index(point: SpherePoint) -> int:
     return int(np.argmax(np.abs(point.coords)))
 
 
-def _charts(X: np.ndarray, radius: float, excluded_index: int | None) -> np.ndarray:
+def _charts(X: np.ndarray, radius: float, excluded_index: int | None) -> tuple:
     """Per row of an (N, n) stack of points of the radius-``radius`` sphere,
-    the chart's excluded index j: ``excluded_index``, or argmax |x_j| when
-    it is None. The first row whose |x_j| is below the chart margin gives
-    the ChartError."""
+    the chart's excluded index j (``excluded_index``, or argmax |x_j| when
+    it is None) and None or, where |x_j| is below the chart margin, the
+    ChartError refusing the row."""
     best = np.argmax(np.abs(X), axis=1)
     n = X.shape[1]
     if excluded_index is None:
@@ -92,19 +97,20 @@ def _charts(X: np.ndarray, radius: float, excluded_index: int | None) -> np.ndar
     else:
         j = np.full(len(X), excluded_index)
     xj = X[np.arange(len(X)), j]
-    bad = np.abs(xj) < DEFAULT_TOLERANCES.chart_margin * radius
-    if np.count_nonzero(bad):
-        i = bad.argmax()
-        raise ChartError(
+    errors = [None] * len(X)
+    for i in np.flatnonzero(np.abs(xj) < DEFAULT_TOLERANCES.chart_margin * radius):
+        errors[i] = ChartError(
             f"coordinate {j[i]} is too small ({xj[i]:.3e}) for a valid "
             f"chart; try index {best[i]}",
             suggested_index=int(best[i]),
         )
-    return j
+    return j, errors
 
 
 def _resolve_chart(point: SpherePoint, excluded_index: int | None) -> int:
-    return int(_charts(point.coords[None], point.radius, excluded_index)[0])
+    j, errors = _charts(point.coords[None], point.radius, excluded_index)
+    raise_first(errors)
+    return int(j[0])
 
 
 def _sphere_frames(X: np.ndarray, radius: float, j: np.ndarray) -> np.ndarray:
@@ -124,8 +130,8 @@ def sphere_frame(point: SpherePoint, excluded_index: int | None = None) -> np.nd
     ``excluded_index`` defaults to the largest-magnitude coordinate. The
     frame exists only where |x_j| clears the chart margin.
     """
-    x = point.coords[None]
-    return _sphere_frames(x, point.radius, _charts(x, point.radius, excluded_index))[0]
+    j = _resolve_chart(point, excluded_index)
+    return _sphere_frames(point.coords[None], point.radius, np.array([j]))[0]
 
 
 def sphere_frame_gram_inverse(
@@ -152,7 +158,13 @@ def sphere_projector(point: SpherePoint) -> np.ndarray:
 def sphere_sigma(f: ScalarField, point: SpherePoint) -> float:
     """The sphere's single Lagrange multiplier: <x, grad f(x)> / (2 R^2)."""
     x = point.coords
-    return float(x @ f.gradient(x)) / (2.0 * point.radius**2)
+    return float(_sphere_sigmas(x[None], f.gradient(x)[None], point.radius)[0])
+
+
+def _sphere_sigmas(X: np.ndarray, G: np.ndarray, radius: float) -> np.ndarray:
+    """:func:`sphere_sigma` at the rows of X, with gradients G."""
+    # stacked 1-by-n times n-by-1 products: the ddot of x @ g per row
+    return np.matmul(X[:, None, :], G[:, :, None])[:, 0, 0] / (2.0 * radius**2)
 
 
 def sphere_laplacian(f: ScalarField, point: SpherePoint) -> float:
@@ -221,8 +233,9 @@ def sphere_adapted_frame(
 
     def provider(X: np.ndarray) -> np.ndarray:
         R = float(radius)
-        _admit_sphere(X, R, tol)
-        return _sphere_frames(X, R, _charts(X, R, excluded_index))
+        j, errors = _charts(X, R, excluded_index)
+        raise_first(_admit_sphere(X, R, tol) + errors)
+        return _sphere_frames(X, R, j)
 
     return AdaptedFrame(provider=provider)
 
@@ -232,24 +245,40 @@ def sphere_report(
 ) -> LaplacianReport:
     """Closed-form evaluation packaged with the same diagnostics the general
     path reports: multiplier, projected traces, and the frame Gram condition
-    of the chart actually used."""
-    j = _resolve_chart(point, excluded_index)
-    x = point.coords
-    Rsq = point.radius**2
-    g = f.gradient(x)
-    H = f.hessian(x)
-    sigma = float(x @ g) / (2.0 * Rsq)
-    trace_main = float(np.trace(H) - (x @ H @ x) / Rsq)
-    # Frame Gram eigenvalues are R^4 (multiplicity n-2) and R^2 x_j^2.
-    condition = float(Rsq / x[j] ** 2) if point.n > 2 else 1.0
-    if condition < 1.0:
-        condition = 1.0
-    return LaplacianReport.assemble(
-        trace_main=trace_main,
-        sigma=np.array([sigma]),
-        trace_constraint=np.array([2.0 * (point.n - 1)]),
-        frame_gram_condition=condition,
-    )
+    of the chart actually used. The one-row case of :func:`sphere_reports`,
+    raising the error that refuses the point, which is not admitted again."""
+    return _only(sphere_reports(f, point.coords[None], point.radius, excluded_index, math.inf))
+
+
+def sphere_reports(f: ScalarField, X, radius: float, excluded_index=None, tol=None) -> list:
+    """Closed-form reports of ``f`` on the radius-``radius`` sphere at the
+    rows of the (N, n) stack ``X`` of finite points: per row, in row order,
+    a LaplacianReport or the LapbelError that refuses the row, the first one
+    it meets of admission at ``tol`` (see :class:`SpherePoint`), the chart
+    (see :func:`sphere_frame`), a non-finite field gradient, the field
+    Hessian (as in :meth:`ScalarField.hessian`) and assembly. The rows go in
+    chunks, as in :func:`~lapbel.constraint_core.evaluate_points`."""
+    R = float(radius)
+
+    def stack(X):
+        rows = _Rows(len(X))
+        X = rows.refuse(_admit_sphere(X, R, tol), X)
+        j, errors = _charts(X, R, excluded_index)
+        X, j = rows.refuse(errors, X, j)
+        g = f.gradients(X)
+        X, j, g = rows.finite(g, "gradient", X, j, g)
+        H, errors = _hessians_at((f,), X)
+        quadratic = (X[:, None, :] @ H[:, 0] @ X[:, :, None])[:, 0, 0]
+        trace_main = np.trace(H[:, 0], axis1=1, axis2=2) - quadratic / R**2
+        X, j, g, trace_main = rows.refuse(errors, X, j, g, trace_main)
+        # Frame Gram eigenvalues are R^4 (multiplicity n-2) and R^2 x_j^2;
+        # the scalar ** (libm pow), not x * x, which differs in the last bit
+        N, n = X.shape
+        cond = [max(R**2 / float(x) ** 2, 1.0) if n > 2 else 1.0 for x in X[np.arange(N), j]]
+        sigma = _sphere_sigmas(X, g, R)[:, None]
+        return rows.assemble(trace_main, sigma, np.full((N, 1), 2.0 * (n - 1)), cond)
+
+    return _in_chunks(stack, as_matrix(X, "sphere points"), 8 * f.dim**2)
 
 
 def random_sphere_point(n: int, radius: float, rng) -> SpherePoint:

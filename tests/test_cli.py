@@ -830,3 +830,50 @@ def test_eval_builds_the_orthogonal_constraint_set_only_for_the_general_path(
     code, records, _ = eval_records(capsys, tmp_path, {**job, "options": {"path": "general-frame"}})
     assert (code, built) == (0, [2])
     assert "value" in records[0]
+
+
+def _p1_data_job(data):
+    return _p1_job(_matrix(2, 2, data))
+
+
+def _brockett_diagonal_job(diagonal):
+    job = _p1_job(_matrix(2, 2, [1.0, 0.0, 0.0, 1.0]))
+    job["function"].update(type="brockett", diagonal=diagonal)
+    return job
+
+
+def _ragged_gradient_job():
+    job = _sample_job(1.0)
+    job["function"]["samples"][0]["gradient"] = [1.0, [0.0], 0.0]
+    return job
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        {**_sphere_job(), "points": [[1.0, [0.0], 0.0]]},
+        _sphere_job(function__coefficients=[1.0, [0.0], 0.0]),
+        _p1_data_job([1.0, [0.0, 0.0], 0.0, 1.0]),
+        _ragged_gradient_job(),
+        {**_sphere_job(), "points": [[10**400, 0.0, 0.0]]},
+        _p1_data_job([10**400, 0.0, 0.0, 1.0]),
+        _brockett_diagonal_job([10**400, 1.0]),
+        _p1_data_job([1.0, "a", 0.0, 1.0]),
+        _sphere_job(function__type=["linear"]),
+    ],
+    ids=[
+        "ragged-points",
+        "ragged-coefficients",
+        "ragged-matrix-data",
+        "ragged-sample-gradient",
+        "beyond-double-points",
+        "beyond-double-matrix-data",
+        "beyond-double-diagonal",
+        "string-in-matrix-data",
+        "list-function-type",
+    ],
+)
+def test_eval_malformed_job_numbers_exit_2_with_one_line(capsys, tmp_path, job):
+    code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,0 +1,213 @@
+"""The stacked sphere and O(n) closed forms against their one-row cases.
+
+``sphere_reports`` and ``on_laplacians`` evaluate a stack of points in
+chunks. Each row's record must equal, bit for bit, what ``sphere_report``
+and ``on_laplacian`` give at that point alone (or the error that point
+raises), whatever the chunking and whichever rows around it are refused.
+"""
+
+import numpy as np
+import pytest
+
+from lapbel import constraint_core, numkit, orthogonal, sphere
+from lapbel.constraint_core import ScalarField, linear_field
+from lapbel.errors import ContractError, DimensionError, DomainError, LapbelError
+from lapbel.verify import random_polynomial_field, random_symmetric
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_outcome(a, b) -> bool:
+    if isinstance(a, LapbelError) or isinstance(b, LapbelError):
+        return (
+            type(a) is type(b)
+            and str(a) == str(b)
+            and getattr(a, "residual", None) == getattr(b, "residual", None)
+        )
+    return all(
+        same_bits(getattr(a, key), getattr(b, key))
+        for key in ("value", "sigma", "trace_main", "trace_constraint", "frame_gram_condition")
+    )
+
+
+def outcome(call):
+    try:
+        return call()
+    except LapbelError as exc:
+        return exc
+
+
+def poisoned(f, gradient_at=(), asymmetric_at=(), nan_hessian_at=()):
+    """``f`` with a non-finite gradient, an asymmetric Hessian or a NaN
+    Hessian entry at the listed points (matched exactly), in stacked forms
+    that return C-ordered copies (a copy of a broadcast keeps its strides'
+    order, and a strided row sums in another order)."""
+
+    def at(X, points):
+        return np.array([any(np.array_equal(x, p) for p in points) for x in X], dtype=bool)
+
+    def gradients(X):
+        G = np.array(f.gradients(X), order="C")
+        G[at(X, gradient_at), 0] = np.inf
+        return G
+
+    def hessians(X):
+        H = np.array(f.hessians(X), order="C")
+        H[at(X, asymmetric_at), 0, 1] += 1.0
+        H[at(X, nan_hessian_at), 0, 0] = np.nan
+        return H
+
+    return ScalarField(f.dim, values_fn=f.values, gradients_fn=gradients, hessians_fn=hessians)
+
+
+def small_chunks(monkeypatch, m):
+    """Chunks of 3 rows for points of dimension m."""
+    monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", 3 * 8 * m * m)
+
+
+# -- the sphere -----------------------------------------------------------------
+
+
+def sphere_stack(n, radius, rng):
+    X = np.stack([sphere.random_sphere_point(n, radius, rng).coords for _ in range(11)])
+    X[2] *= 1.001  # off the sphere
+    X[6] = 0.0
+    X[6, 0] = 1e200  # residual inf
+    return X
+
+
+def sphere_one_row(f, x, radius):
+    return outcome(lambda: sphere.sphere_report(f, sphere.SpherePoint(x, radius)))
+
+
+@pytest.mark.parametrize("n", [3, 50, 200])
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_sphere_reports_equal_their_one_row_calls_across_chunks(monkeypatch, n, radius):
+    rng = np.random.default_rng([11, n])
+    X = sphere_stack(n, radius, rng)
+    polynomial = random_polynomial_field(rng, n, degree=4)
+    fields = [
+        polynomial,
+        linear_field(rng.uniform(-1.0, 1.0, n)),
+        poisoned(polynomial, gradient_at=[X[4]], asymmetric_at=[X[5], X[9]], nan_hessian_at=[X[8]]),
+    ]
+    small_chunks(monkeypatch, n)
+    for f in fields:
+        stacked = sphere.sphere_reports(f, X, radius)
+        assert len(stacked) == len(X)
+        for i, x in enumerate(X):
+            assert same_outcome(stacked[i], sphere_one_row(f, x, radius)), (i, stacked[i])
+    kinds = [type(r).__name__ for r in stacked]
+    assert kinds[2] == kinds[6] == "DomainError" and kinds[4] == "DimensionError"
+    assert kinds[5] == kinds[9] == "ContractError" and kinds[8] == "DimensionError"
+    assert kinds.count("LaplacianReport") == 5
+
+
+def test_sphere_reports_keep_chart_then_gradient_then_hessian_order():
+    x = np.array([0.6, 0.8, 0.0])
+    f = poisoned(random_polynomial_field(np.random.default_rng(3), 3), [x], [x], [x])
+    (record,) = sphere.sphere_reports(f, x[None], 1.0)
+    assert isinstance(record, DimensionError) and "gradient" in str(record)
+    (record,) = sphere.sphere_reports(f, x[None], 1.0, excluded_index=2)
+    assert type(record).__name__ == "ChartError"
+
+
+# -- the orthogonal group ----------------------------------------------------------
+
+
+def on_fields(n, rng):
+    A = rng.standard_normal((n, n))
+    return [
+        orthogonal.p1_field(A),
+        orthogonal.p11_field(A),
+        orthogonal.p2_field(A),
+        orthogonal.brockett_field(random_symmetric(rng, n), rng.uniform(-1.0, 1.0, n)),
+        linear_field(rng.uniform(-1.0, 1.0, n * n)),
+        random_polynomial_field(rng, n * n, degree=4),
+    ]
+
+
+def on_stack(n, rng):
+    X = np.stack([orthogonal.random_orthogonal(n, rng).to_vector() for _ in range(10)])
+    X[1] *= 1.001  # off the group
+    X[7, 0] = 1e200  # residual inf
+    return X
+
+
+def on_one_row(f, x, n):
+    return outcome(lambda: orthogonal.on_laplacian(f, orthogonal.OrthogonalPoint(numkit.unvec(x, n))))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_on_laplacians_equal_their_one_row_calls_across_chunks(monkeypatch, n):
+    rng = np.random.default_rng([21, n])
+    X = on_stack(n, rng)
+    fields = on_fields(n, rng)
+    fields.append(poisoned(fields[3], gradient_at=[X[4]], asymmetric_at=[X[5]], nan_hessian_at=[X[9]]))
+    small_chunks(monkeypatch, n * n)
+    for f in fields:
+        stacked = orthogonal.on_laplacians(f, X)
+        assert len(stacked) == len(X)
+        for i, x in enumerate(X):
+            assert same_outcome(stacked[i], on_one_row(f, x, n)), (i, stacked[i])
+    kinds = [type(r).__name__ for r in stacked]
+    assert kinds[1] == kinds[7] == "DomainError"
+    assert kinds[4] == kinds[9] == "DimensionError" and kinds[5] == "ContractError"
+    assert kinds.count("LaplacianReport") == 5
+
+
+def test_on_laplacians_read_the_hessian_before_the_gradient():
+    rng = np.random.default_rng(8)
+    x = orthogonal.random_orthogonal(3, rng).to_vector()
+    f = poisoned(orthogonal.brockett_field(random_symmetric(rng, 3), [1.0, 2.0, 3.0]), [x], [], [x])
+    (record,) = orthogonal.on_laplacians(f, x[None])
+    assert isinstance(record, DimensionError)
+    assert str(record) == "hessian contains non-finite entries"
+    with pytest.raises(DimensionError, match="^hessian contains non-finite entries$"):
+        orthogonal.on_laplacian(f, orthogonal.OrthogonalPoint(numkit.unvec(x, 3)))
+
+
+def test_on_laplacians_refuse_a_row_whose_multipliers_overflow():
+    x = np.eye(2).reshape(-1)
+    f = linear_field([1e308, 0.0, 0.0, 1e308])
+    (record,) = orthogonal.on_laplacians(f, x[None])
+    assert isinstance(record, DimensionError)
+    assert str(record) == "sigma matrix contains non-finite entries"
+
+
+# -- one-row cases do not admit again --------------------------------------------
+
+
+def test_a_point_admitted_at_a_looser_tolerance_still_evaluates():
+    rng = np.random.default_rng(5)
+    x = sphere.random_sphere_point(4, 2.0, rng).coords * (1 + 1e-6)
+    f = random_polynomial_field(rng, 4)
+    with pytest.raises(DomainError):
+        sphere.SpherePoint(x, 2.0)
+    point = sphere.SpherePoint(x, 2.0, tol=1e-3)
+    report = sphere.sphere_report(f, point)
+    assert same_outcome(report, sphere.sphere_reports(f, x[None], 2.0, tol=1e-3)[0])
+
+    U = orthogonal.random_orthogonal(3, rng).matrix * (1 + 1e-6)
+    with pytest.raises(DomainError):
+        orthogonal.OrthogonalPoint(U)
+    point = orthogonal.OrthogonalPoint(U, tol=1e-3)
+    f = orthogonal.brockett_field(random_symmetric(rng, 3), [1.0, 2.0, 3.0])
+    report = orthogonal.on_laplacian(f, point)
+    assert same_outcome(report, orthogonal.on_laplacians(f, point.to_vector()[None], 1e-3)[0])
+
+
+def test_the_stacked_closed_forms_refuse_a_stack_as_a_whole_only_when_it_is_malformed():
+    f = linear_field([1.0, 0.0, 0.0])
+    with pytest.raises(DimensionError):
+        sphere.sphere_reports(f, [[np.nan, 0.0, 0.0]], 1.0)
+    with pytest.raises(DimensionError, match="not a square matrix flattening"):
+        orthogonal.on_laplacians(f, np.zeros((2, 3)))
+    bad_shape = ScalarField(3, values_fn=f.values, gradients_fn=lambda X: np.zeros((len(X), 2)),
+                            hessians_fn=f.hessians)
+    records = sphere.sphere_reports(bad_shape, np.eye(3), 1.0)
+    assert [str(r) for r in records] == ["gradient stack has shape (1, 2), expected (1, 3)"] * 3
+    assert not isinstance(records[0], ContractError)
