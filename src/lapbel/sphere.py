@@ -250,7 +250,9 @@ def sphere_report(
     return _only(sphere_reports(f, point.coords[None], point.radius, excluded_index, math.inf))
 
 
-def sphere_reports(f: ScalarField, X, radius: float, excluded_index=None, tol=None) -> list:
+def sphere_reports(
+    f: ScalarField, X, radius: float, excluded_index: int | None = None, tol: float | None = None
+) -> list:
     """Closed-form reports of ``f`` on the radius-``radius`` sphere at the
     rows of the (N, n) stack ``X`` of finite points: per row, in row order,
     a LaplacianReport or the LapbelError that refuses the row, the first one
