@@ -689,8 +689,8 @@ class BlockProductSet(ConstraintSet):
         traces = w * (G[:, b, c] + G[:, c, b])
         if len(basis) == 1:
             traces = 2.0 * s * w * (b == c) - traces
-        # G[:, b, c] leaves the rows strided, and LaplacianReport.assemble's
-        # np.dot rounds a strided row differently from a contiguous one
+        # G[:, b, c] leaves the rows strided, and the ddot of the assembly
+        # rounds a strided row differently from a contiguous one
         return np.ascontiguousarray(traces), [None] * N
 
 
@@ -773,8 +773,8 @@ class LaplacianReport:
     """Assembled Laplace-Beltrami evaluation with its diagnostics.
 
     ``value`` always equals ``trace_main - sigma @ trace_constraint`` as
-    stored, because :meth:`assemble` computes it from those parts, and every
-    number is finite: :meth:`assemble` raises NumericalError otherwise.
+    stored, because the evaluators assemble it from those parts, and every
+    number is finite: they refuse the row with NumericalError otherwise.
     """
 
     value: float
@@ -782,29 +782,6 @@ class LaplacianReport:
     trace_main: float
     trace_constraint: np.ndarray
     frame_gram_condition: float
-
-    @classmethod
-    def assemble(
-        cls, trace_main: float, sigma, trace_constraint, frame_gram_condition: float
-    ) -> "LaplacianReport":
-        if not all(np.isfinite(part).all() for part in (trace_main, sigma, trace_constraint)):
-            raise NumericalError("the evaluation overflowed: sigma or a trace is not finite")
-        sigma = as_vector(sigma, "sigma")
-        trace_constraint = as_vector(trace_constraint, "trace_constraint")
-        if sigma.size != trace_constraint.size:
-            raise DimensionError(
-                "sigma and trace_constraint must have matching lengths"
-            )
-        value = float(trace_main) - float(np.dot(sigma, trace_constraint))
-        if not math.isfinite(value):
-            raise NumericalError("the evaluation overflowed: the value is not finite")
-        return cls(
-            value=value,
-            sigma=sigma,
-            trace_main=float(trace_main),
-            trace_constraint=trace_constraint,
-            frame_gram_condition=float(frame_gram_condition),
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -865,7 +842,7 @@ def evaluate_points(
       (SingularityError);
     - the field Hessian, checked finite and symmetric, and its trace; then
       :meth:`ConstraintSet.projected_traces` (no Hessian for block products);
-    - :meth:`LaplacianReport.assemble` (NumericalError on overflow).
+    - assembly, one array step per chunk (NumericalError on overflow).
 
     The rows go in chunks whose Hessian stacks (m^2 doubles per row, k m^2
     more unless the set is a BlockProductSet) stay within ``_CHUNK_BYTES``,
@@ -907,41 +884,45 @@ def _in_chunks(evaluate, X: np.ndarray, row_bytes: int) -> list:
 
 
 class _Rows:
-    """The records of one chunk's rows: each stage drops the rows it refuses,
-    each with its error, from the live rows and from the per-row arrays."""
+    """The records of one chunk's rows: each stage refuses rows, which leave
+    the live rows and the per-row arrays with their errors as records."""
 
     def __init__(self, count: int):
         self.records = [None] * count
         self.live = np.arange(count)  # the rows still standing
 
-    def drop(self, bad, error, *arrays):
-        """Each live row j flagged in ``bad`` gets ``error(j)`` and leaves;
-        returns ``arrays`` (one row per live row) without them, or the one."""
-        bad = np.asarray(bad, dtype=bool)
-        if bad.any():
-            for j in np.flatnonzero(bad):
-                self.records[self.live[j]] = error(j)
-            self.live = self.live[~bad]
-            arrays = tuple(a[~bad] for a in arrays)
+    def refuse(self, errors: list, *arrays):
+        """Live row j leaves with its record ``errors[j]`` unless that is None;
+        returns ``arrays`` (one row per live row) without those, or the one."""
+        keep = np.array([e is None for e in errors], dtype=bool)
+        if not keep.all():
+            for j in np.flatnonzero(~keep):
+                self.records[self.live[j]] = errors[j]
+            self.live = self.live[keep]
+            arrays = tuple(a[keep] for a in arrays)
         return arrays if len(arrays) > 1 else arrays[0]
 
-    def refuse(self, errors: list, *arrays):
-        """:meth:`drop` the live rows whose entry in ``errors`` is not None."""
-        return self.drop([e is not None for e in errors], errors.__getitem__, *arrays)
-
     def finite(self, A: np.ndarray, name: str, *arrays):
-        """:meth:`drop` the live rows whose row of ``A`` is not finite."""
+        """:meth:`refuse` the live rows whose row of ``A`` is not finite."""
         message = f"{name} contains non-finite entries"
-        return self.drop(_nonfinite(A), lambda j: DimensionError(message), *arrays)
+        errors = numkit.row_errors(_nonfinite(A), lambda j: DimensionError(message))
+        return self.refuse(errors, *arrays)
 
     def assemble(self, trace_main, sigma, trace_constraint, cond) -> list:
-        """The records, live row j's the report of the parts' rows j."""
-        for j, i in enumerate(self.live):
-            try:
-                parts = trace_main[j], sigma[j], trace_constraint[j], cond[j]
-                self.records[i] = LaplacianReport.assemble(*parts)
-            except LapbelError as exc:
-                self.records[i] = exc
+        """The records: live row j's the LaplacianReport of the parts' rows j,
+        valued trace_main - sigma . trace_constraint by a stacked 1-by-k times
+        k-by-1 product (per row the ddot of ``np.dot``), unless not finite."""
+        value = trace_main - np.matmul(sigma[:, None], trace_constraint[:, :, None])[:, 0, 0]
+        bad = ~np.isfinite(trace_main) | _nonfinite(sigma) | _nonfinite(trace_constraint)
+        what = {True: "sigma or a trace", False: "the value"}
+        errors = numkit.row_errors(
+            bad | ~np.isfinite(value),
+            lambda j: NumericalError(f"the evaluation overflowed: {what[bad[j]]} is not finite"),
+        )
+        parts = self.refuse(errors, value, sigma, trace_main, trace_constraint, np.asarray(cond))
+        # the report's fields in order, each number a Python float
+        for i, *report in zip(self.live, *(a.tolist() if a.ndim == 1 else a for a in parts)):
+            self.records[i] = LaplacianReport(*report)
         return self.records
 
 
@@ -951,19 +932,13 @@ def _evaluate_stack(f, constraints, frame, X, tols) -> list:
     rows = _Rows(len(X))
     U = rows.finite(X, "point", X)
     residual = np.abs(constraints.residuals_at(U)).max(axis=1)
-    U = rows.drop(
-        ~(residual <= tols.on_manifold),
-        lambda j: DomainError(
-            f"point is off the manifold: residual {residual[j]:.6g} exceeds "
-            f"tolerance {tols.on_manifold:.6g}",
-            residual=float(residual[j]),
-        ),
-        U,
-    )
+    off = numkit.off_manifold(residual, tols.on_manifold, "point is off the manifold: residual")
+    U = rows.refuse(off, U)
     J = constraints.jacobians_at(U)
     U, J = rows.finite(J, "gradient", U, J)
     Q, R, deficient = _gradient_qrs(J)
-    U, Q, R = rows.drop(deficient, lambda j: RegularityError(_RANK_DEFICIENT), U, Q, R)
+    rank = numkit.row_errors(deficient, lambda j: RegularityError(_RANK_DEFICIENT))
+    U, Q, R = rows.refuse(rank, U, Q, R)
     g = f.gradients(U)
     U, Q, R, g = rows.finite(g, "gradient", U, Q, R, g)
     sigma = np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ g[:, :, None])[:, :, 0]

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, FactorizationError, SingularityError
+from .errors import ContractError, DimensionError, DomainError, FactorizationError
+from .errors import SingularityError
 
 
 @dataclass(frozen=True)
@@ -149,26 +150,41 @@ def symmetry_errors(M: np.ndarray, name: str, symbol: str) -> list:
     ContractError naming the value of max |M - M^t| of the row's first matrix
     that is not symmetric to the equality tolerance scaled by its
     magnitude."""
-    scale = np.maximum(np.abs(M).max(axis=(-2, -1)), 1.0)
-    asym = M - np.swapaxes(M, -1, -2)
-    asym = np.abs(asym, out=asym).max(axis=(-2, -1))
-    bad = asym > DEFAULT_TOLERANCES.equality * scale
-    errors = [None] * len(M)
-    if not bad.any():
-        return errors
     rows = (len(M), math.prod(M.shape[1:-2]))  # (N, matrices per row)
-    asym, bad = asym.reshape(rows), bad.reshape(rows)
-    for i in np.flatnonzero(bad.any(axis=1)):
-        errors[i] = ContractError(
+    scale = np.maximum(np.abs(M).max(axis=(-2, -1)), 1.0).reshape(rows)
+    asym = M - np.swapaxes(M, -1, -2)
+    asym = np.abs(asym, out=asym).max(axis=(-2, -1)).reshape(rows)
+    bad = asym > DEFAULT_TOLERANCES.equality * scale
+    return row_errors(
+        bad.any(axis=1),
+        lambda i: ContractError(
             f"{name} is not symmetric: max |{symbol} - {symbol}^T| = {asym[i][bad[i]][0]:.3e}"
-        )
-    return errors
+        ),
+    )
 
 
 def require_symmetric(M: np.ndarray, name: str, symbol: str) -> None:
     """Raise ContractError unless the matrix ``M``, or every matrix of the
     stack ``M``, is symmetric (see :func:`symmetry_errors`)."""
     raise_first(symmetry_errors(np.asarray(M)[None], name, symbol))
+
+
+def row_errors(bad, make) -> list:
+    """Per row: ``make(i)`` where ``bad[i]`` is set, else None."""
+    errors = [None] * len(bad)
+    for i in np.flatnonzero(bad):
+        errors[i] = make(i)
+    return errors
+
+
+def off_manifold(residual: np.ndarray, tol: float, what: str) -> list:
+    """Per row: None, or where the residual r is not within ``tol`` (nan is
+    not), the DomainError "{what} {r} exceeds tolerance {tol}" carrying r."""
+    message = f"{what} {{:.6g}} exceeds tolerance {tol:.6g}"
+    return row_errors(
+        ~(residual <= tol),
+        lambda i: DomainError(message.format(residual[i]), residual=float(residual[i])),
+    )
 
 
 def raise_first(errors: list) -> None:
@@ -224,8 +240,7 @@ def left_moore_penrose(T, condition_limit: float | None = None) -> np.ndarray:
         )
     limit = DEFAULT_TOLERANCES.condition_limit if condition_limit is None else condition_limit
     T_plus, _, refused = frame_pseudo_inverses(T[None], limit)
-    if refused[0] is not None:
-        raise refused[0]
+    raise_first(refused)
     return T_plus[0]
 
 
@@ -242,12 +257,10 @@ def frame_pseudo_inverses(T: np.ndarray, condition_limit: float) -> tuple:
     with np.errstate(over="ignore"):
         cond *= cond
     accepted = cond <= condition_limit
-    refused = [None] * len(T)
-    for i in np.flatnonzero(~accepted):
-        refused[i] = SingularityError(
-            f"frame Gram condition {cond[i]:.3e} exceeds limit {condition_limit:.3e}",
-            condition=float(cond[i]),
-        )
+    message = f"frame Gram condition {{:.3e}} exceeds limit {condition_limit:.3e}"
+    refused = row_errors(
+        ~accepted, lambda i: SingularityError(message.format(cond[i]), condition=float(cond[i]))
+    )
     Q, R = Q[accepted], R[accepted]
     return np.linalg.solve(R, np.swapaxes(Q, -1, -2)), cond, refused
 

@@ -31,11 +31,12 @@ from .constraint_core import (
     _Rows,
     block_product_set,
 )
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 from .numkit import (
     DEFAULT_TOLERANCES,
     as_matrix,
     as_vector,
+    off_manifold,
     raise_first,
     require_symmetric,
     unvec_rows,
@@ -73,7 +74,7 @@ class OrthogonalPoint:
 
 def _admit_orthogonal(Us: np.ndarray, tol: float | None) -> list:
     """Per matrix of an (N, n, n) stack of finite matrices: None, or the
-    DomainError carrying the residual max |U^t U - I| when it exceeds
+    DomainError carrying the residual max |U^t U - I| when it is not within
     ``tol`` (default: the orthogonality tolerance). The whole stack is
     refused unless n >= 2."""
     n = Us.shape[1]
@@ -82,15 +83,7 @@ def _admit_orthogonal(Us: np.ndarray, tol: float | None) -> list:
     tol = DEFAULT_TOLERANCES.orthogonality if tol is None else tol
     with np.errstate(over="ignore"):  # a huge point is refused, not warned about
         residual = np.abs(np.swapaxes(Us, 1, 2) @ Us - np.eye(n)).max(axis=(1, 2))
-    errors = [None] * len(Us)
-    for i in np.flatnonzero(residual > tol):
-        r = float(residual[i])
-        errors[i] = DomainError(
-            f"matrix is not orthogonal: max |U^t U - I| = {r:.6g} "
-            f"exceeds tolerance {tol:.6g}",
-            residual=r,
-        )
-    return errors
+    return off_manifold(residual, tol, "matrix is not orthogonal: max |U^t U - I| =")
 
 
 def index_pairs(n: int) -> tuple:
@@ -260,8 +253,8 @@ def _packed(S: np.ndarray) -> np.ndarray:
     n = S.shape[1]
     a, b = np.triu_indices(n, 1)  # the index pairs, lexicographic
     diagonal = np.arange(n)
-    # fancy indexing leaves the rows strided, and LaplacianReport.assemble's
-    # np.dot rounds a strided row differently from a contiguous one
+    # fancy indexing leaves the rows strided, and the ddot of the assembly
+    # rounds a strided row differently from a contiguous one
     return np.ascontiguousarray(S[:, np.concatenate([diagonal, a]), np.concatenate([diagonal, b])])
 
 

@@ -26,8 +26,8 @@ from .constraint_core import (
     _Rows,
     block_product_set,
 )
-from .errors import ChartError, ContractError, DimensionError, DomainError
-from .numkit import DEFAULT_TOLERANCES, as_matrix, as_vector, raise_first
+from .errors import ChartError, ContractError, DimensionError
+from .numkit import DEFAULT_TOLERANCES, as_matrix, as_vector, off_manifold, raise_first, row_errors
 
 
 @dataclass(frozen=True)
@@ -67,15 +67,7 @@ def _admit_sphere(X: np.ndarray, radius: float, tol: float | None) -> list:
     with np.errstate(over="ignore"):  # a huge point is refused, not warned about
         # stacked 1-by-n times n-by-1 products: the ddot of x @ x per row
         residual = np.abs(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0] - radius**2)
-    errors = [None] * len(X)
-    for i in np.flatnonzero(residual > tol):
-        r = float(residual[i])
-        errors[i] = DomainError(
-            f"point is off the sphere: |<x,x> - R^2| = {r:.6g} "
-            f"exceeds tolerance {tol:.6g}",
-            residual=r,
-        )
-    return errors
+    return off_manifold(residual, tol, "point is off the sphere: |<x,x> - R^2| =")
 
 
 def default_chart_index(point: SpherePoint) -> int:
@@ -97,14 +89,13 @@ def _charts(X: np.ndarray, radius: float, excluded_index: int | None) -> tuple:
     else:
         j = np.full(len(X), excluded_index)
     xj = X[np.arange(len(X)), j]
-    errors = [None] * len(X)
-    for i in np.flatnonzero(np.abs(xj) < DEFAULT_TOLERANCES.chart_margin * radius):
-        errors[i] = ChartError(
-            f"coordinate {j[i]} is too small ({xj[i]:.3e}) for a valid "
-            f"chart; try index {best[i]}",
+    return j, row_errors(
+        np.abs(xj) < DEFAULT_TOLERANCES.chart_margin * radius,
+        lambda i: ChartError(
+            f"coordinate {j[i]} is too small ({xj[i]:.3e}) for a valid chart; try index {best[i]}",
             suggested_index=int(best[i]),
-        )
-    return j, errors
+        ),
+    )
 
 
 def _resolve_chart(point: SpherePoint, excluded_index: int | None) -> int:

@@ -11,6 +11,7 @@ from lapbel.constraint_core import (
     ScalarField,
     block_product_field,
     constant_field,
+    evaluate_points,
     finite_difference_field,
     lagrange_multipliers,
     laplace_beltrami_general,
@@ -27,6 +28,8 @@ from lapbel.errors import (
     SingularityError,
 )
 from lapbel.numkit import Tolerances
+from lapbel.orthogonal import brockett_field, on_laplacians, p2_field, random_orthogonal
+from lapbel.sphere import sphere_reports
 
 
 def sphere_constraints(dim=3, radius=1.0):
@@ -461,28 +464,34 @@ def test_multipliers_reject_dependent_gradients():
 
 
 def test_report_assembly_identity():
-    report = LaplacianReport.assemble(
-        trace_main=1.75,
-        sigma=[0.3, -0.2],
-        trace_constraint=[2.0, 4.0],
-        frame_gram_condition=1.0,
+    """On every row of the three stacked evaluators, the value is trace_main
+    minus the dot of sigma and trace_constraint as stored, bit for bit."""
+    rng = np.random.default_rng(17)
+    torus = np.array([torus_point(s, t) for s, t in rng.uniform(0.0, 6.0, (40, 2))])
+    f = polynomial_field(4, [(1.0, (1, 1, 1, 0)), (-0.5, (0, 0, 2, 2)), (2.0, (3, 0, 0, 1))])
+    spheres = rng.standard_normal((40, 5))
+    spheres /= np.linalg.norm(spheres, axis=1)[:, None]
+    g = polynomial_field(
+        5, [(1.5, (2, 1, 0, 0, 1)), (-1.0, (0, 3, 0, 1, 0)), (0.5, (1, 0, 0, 0, 0))]
     )
-    expected = 1.75 - float(np.dot([0.3, -0.2], [2.0, 4.0]))
-    assert report.value == expected
-    d = report.to_dict()
-    assert set(d) == {
-        "value",
-        "sigma",
-        "trace_main",
-        "trace_constraint",
-        "frame_gram_condition",
-    }
-    assert d["sigma"] == [0.3, -0.2]
-
-
-def test_report_rejects_mismatched_lengths():
-    with pytest.raises(DimensionError):
-        LaplacianReport.assemble(0.0, [1.0], [1.0, 2.0], 1.0)
+    group = np.stack([random_orthogonal(4, seed).to_vector() for seed in range(40)])
+    h = brockett_field(np.diag([1.0, -2.0, 0.5, 3.0]), [0.5, 1.0, -1.5, 2.0])
+    h = h * p2_field(np.ones((4, 4)))
+    reports = (
+        evaluate_points(f, torus_constraints(), None, torus)
+        + sphere_reports(g, spheres, 1.0)
+        + on_laplacians(h, group)
+    )
+    assert len(reports) == 120
+    for report in reports:
+        assert isinstance(report, LaplacianReport)
+        dot = float(np.dot(report.sigma, report.trace_constraint))
+        assert report.value == report.trace_main - dot
+        d = report.to_dict()
+        assert set(d) == {
+            "value", "sigma", "trace_main", "trace_constraint", "frame_gram_condition"
+        }
+        assert d["sigma"] == report.sigma.tolist()
 
 
 # -- the general evaluator ----------------------------------------------------

@@ -211,3 +211,24 @@ def test_the_stacked_closed_forms_refuse_a_stack_as_a_whole_only_when_it_is_malf
     records = sphere.sphere_reports(bad_shape, np.eye(3), 1.0)
     assert [str(r) for r in records] == ["gradient stack has shape (1, 2), expected (1, 3)"] * 3
     assert not isinstance(records[0], ContractError)
+
+
+# -- assembly ---------------------------------------------------------------------
+
+
+def test_a_value_that_overflows_is_refused_on_both_sphere_paths():
+    hessian = np.diag([0.0, 1e308, 0.0])
+    f = ScalarField(
+        3,
+        value_fn=lambda u: 0.0,
+        gradient_fn=lambda u: np.array([-1e308, 0.0, 0.0]),
+        hessian_fn=lambda u: hessian,
+    )
+    e1 = np.eye(3)[:1]
+    constraints = sphere.sphere_constraint_set(3, 1.0)
+    for (record,) in (
+        sphere.sphere_reports(f, e1, 1.0),
+        constraint_core.evaluate_points(f, constraints, None, e1),
+    ):
+        assert type(record).__name__ == "NumericalError"
+        assert str(record) == "the evaluation overflowed: the value is not finite"
