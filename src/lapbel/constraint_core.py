@@ -50,11 +50,13 @@ class ScalarField:
     some derivative is refused with ContractError. A missing per-point form
     is the stacked form's one-row case on a C-ordered ``u[None]``. A stacked
     form serves every stack, one row included, so where a field has both,
-    each row must have the bits of the per-point form.
-    A derivative that is one array at every point may come back as a
-    read-only broadcast view of it (:func:`_repeated`). Finite-difference
-    stencils go through :meth:`values`, the general evaluator through
-    :meth:`gradients` and :meth:`hessians`.
+    each row must have the bits of the per-point form. The stacks come back
+    C-ordered (a stacked dot sums a strided row in another order than the
+    one-row case), except that a derivative that is one array at every
+    point may come back as a read-only broadcast view of it, row stride 0
+    (:func:`_repeated`). Finite-difference stencils go through
+    :meth:`values`, the general evaluator through :meth:`gradients` and
+    :meth:`hessians`.
     """
 
     dim: int
@@ -239,11 +241,12 @@ def _writable(a: np.ndarray) -> np.ndarray:
 
 
 def _shaped(a, shape: tuple, name: str) -> np.ndarray:
-    """``a`` as a float64 array, refused unless it has the given shape."""
+    """``a`` as a C-ordered float64 array, refused unless it has the given
+    shape; an array whose rows repeat one (row stride 0) stays a view."""
     a = np.asarray(a, dtype=float)
     if a.shape != shape:
         raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
-    return a
+    return a if a.strides[0] == 0 else np.ascontiguousarray(a)
 
 
 def _stacked(arrays, count: int, shape: tuple, name: str) -> np.ndarray:

@@ -43,19 +43,19 @@ def outcome(call):
 def poisoned(f, gradient_at=(), asymmetric_at=(), nan_hessian_at=()):
     """``f`` with a non-finite gradient, an asymmetric Hessian or a NaN
     Hessian entry at the listed points (matched exactly), in stacked forms
-    that return C-ordered copies (a copy of a broadcast keeps its strides'
-    order, and a strided row sums in another order)."""
+    that return copies (a copy of a broadcast keeps its strides' order, with
+    the row axis fastest)."""
 
     def at(X, points):
         return np.array([any(np.array_equal(x, p) for p in points) for x in X], dtype=bool)
 
     def gradients(X):
-        G = np.array(f.gradients(X), order="C")
+        G = np.array(f.gradients(X))
         G[at(X, gradient_at), 0] = np.inf
         return G
 
     def hessians(X):
-        H = np.array(f.hessians(X), order="C")
+        H = np.array(f.hessians(X))
         H[at(X, asymmetric_at), 0, 1] += 1.0
         H[at(X, nan_hessian_at), 0, 0] = np.nan
         return H
@@ -211,6 +211,56 @@ def test_the_stacked_closed_forms_refuse_a_stack_as_a_whole_only_when_it_is_malf
     records = sphere.sphere_reports(bad_shape, np.eye(3), 1.0)
     assert [str(r) for r in records] == ["gradient stack has shape (1, 2), expected (1, 3)"] * 3
     assert not isinstance(records[0], ContractError)
+
+
+# -- derivative stacks in any memory order -----------------------------------------
+
+
+def fortran_ordered(f):
+    """``f`` with stacked gradient and Hessian forms that return Fortran-ordered
+    stacks: the row axis fastest, each row strided."""
+    return ScalarField(
+        f.dim,
+        values_fn=f.values,
+        gradients_fn=lambda X: np.asfortranarray(f.gradients(X)),
+        hessians_fn=lambda X: np.asfortranarray(f.hessians(X)),
+    )
+
+
+def general_one_row(f, constraints):
+    evaluate = constraint_core.laplace_beltrami_general
+    return lambda x: outcome(lambda: evaluate(f, constraints, None, x))
+
+
+@pytest.mark.parametrize("evaluator", ["general", "sphere", "orthogonal"])
+def test_rows_of_fortran_ordered_derivative_stacks_equal_their_one_row_calls(evaluator):
+    rng = np.random.default_rng([31, len(evaluator)])
+    f = fortran_ordered(random_polynomial_field(rng, 9, degree=4))
+    if evaluator == "orthogonal":
+        X = np.stack([orthogonal.random_orthogonal(3, rng).to_vector() for _ in range(200)])
+        stacked = orthogonal.on_laplacians(f, X)
+        one_row = lambda x: on_one_row(f, x, 3)  # noqa: E731
+    else:
+        X = np.stack([sphere.random_sphere_point(9, 1.0, rng).coords for _ in range(200)])
+        if evaluator == "sphere":
+            stacked = sphere.sphere_reports(f, X, 1.0)
+            one_row = lambda x: sphere_one_row(f, x, 1.0)  # noqa: E731
+        else:
+            constraints = sphere.sphere_constraint_set(9, 1.0)
+            stacked = constraint_core.evaluate_points(f, constraints, None, X)
+            one_row = general_one_row(f, constraints)
+    assert all(isinstance(r, constraint_core.LaplacianReport) for r in stacked)
+    assert all(same_outcome(r, one_row(x)) for r, x in zip(stacked, X))
+
+
+def test_the_stacked_derivatives_are_c_ordered_unless_they_repeat_one_array():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((5, 9))
+    f = fortran_ordered(random_polynomial_field(rng, 9))
+    assert f.gradients(X).flags.c_contiguous and f.hessians(X).flags.c_contiguous
+    assert f.hessians(X[:1]).flags.c_contiguous
+    H = orthogonal.p2_field(rng.standard_normal((3, 3))).hessians(X)
+    assert H.strides[0] == 0 and not H.flags.writeable
 
 
 # -- assembly ---------------------------------------------------------------------
