@@ -58,9 +58,14 @@ def _require(mapping, key: str, where: str):
     return mapping[key]
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, where: str, integer: bool = False):
     """A finite job number (an int when ``integer``), else ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValidationError(f"{where} must be a number")
     try:
         number = float(value)
@@ -73,6 +78,15 @@ def _number(value, where: str, integer: bool = False):
     return int(number) if integer else number
 
 
+def _numbers(values: list, where: str) -> list:
+    """The JSON list ``values``, refused unless each entry is a number: the
+    one rule for the entries of every numeric list of a job."""
+    for i, value in enumerate(values):
+        if not _is_number(value):
+            raise ValidationError(f"{where}[{i}] is not a number")
+    return values
+
+
 def _load_matrix_spec(spec, where: str) -> np.ndarray:
     if isinstance(spec, dict) and "file" in spec:
         spec = _load_json(spec["file"])
@@ -80,6 +94,8 @@ def _load_matrix_spec(spec, where: str) -> np.ndarray:
         raise ValidationError(
             f"{where} must be a matrix object {{rows, cols, data}} or a file reference"
         )
+    if isinstance(spec.get("data"), list):
+        _numbers(spec["data"], f"{where}.data")
     try:
         return numkit.matrix_from_json(spec)
     except LapbelError as exc:
@@ -89,6 +105,7 @@ def _load_matrix_spec(spec, where: str) -> np.ndarray:
 def _as_float_list(values, where: str) -> np.ndarray:
     if not isinstance(values, list) or not values:
         raise ValidationError(f"{where} must be a non-empty list of numbers")
+    _numbers(values, where)
     try:
         return numkit.as_vector(values, where)
     except LapbelError as exc:
@@ -135,7 +152,7 @@ def _polynomial_terms(terms, where: str):
         coeff = _number(coeff, f"{where}[{i}].coeff")
         if not isinstance(powers, list):
             raise ValidationError(f"{where}[{i}].powers must be a list of exponents")
-        rows.append((coeff, powers))
+        rows.append((coeff, _numbers(powers, f"{where}[{i}].powers")))
     return rows
 
 

@@ -877,3 +877,70 @@ def test_eval_malformed_job_numbers_exit_2_with_one_line(capsys, tmp_path, job):
     code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _generic_circle(regular_value=(1.0,), powers=(2, 0)):
+    terms = [{"coeff": 1.0, "powers": list(powers)}, {"coeff": 1.0, "powers": [0, 2]}]
+    return {
+        "manifold": {"type": "generic", "ambient_dim": 2, "constraints": [{"terms": terms}],
+                     "regular_value": list(regular_value)},
+        "function": {"type": "linear", "coefficients": [1.0, 0.0]},
+        "points": [[1.0, 0.0]],
+    }
+
+
+def _sample_entries_job(gradient=(1.0, 0.0, 0.0), hessian_data=(0.0,) * 9):
+    job = _sample_job(1.0)
+    sample = job["function"]["samples"][0]
+    sample["gradient"], sample["hessian"]["data"] = list(gradient), list(hessian_data)
+    return job
+
+
+@pytest.mark.parametrize(
+    "job, key",
+    [
+        ({**_sphere_job(), "points": [["1", 0, 0]]}, "points[0][0]"),
+        ({**_sphere_job(), "points": [[1.0, 0.0, 0.0], {"file": "POINT"}]}, "points[1][2]"),
+        ({**_sphere_job(), "points": [_matrix(3, 1, [1, 0, None])]}, "points[0].data[2]"),
+        (_sphere_job(function__coefficients=[True, 0, 0]), "function.coefficients[0]"),
+        (
+            _sphere_job(
+                function__type="polynomial",
+                function__terms=[{"coeff": 1.0, "powers": [True, 0, 0]}],
+            ),
+            "function.terms[0].powers[0]",
+        ),
+        (_p1_data_job([1, "0", False, 1]), "function.matrix.data[1]"),
+        (_p1_data_job([1, 0, False, 1]), "function.matrix.data[2]"),
+        (_brockett_diagonal_job([1.0, "2"]), "function.diagonal[1]"),
+        (_sample_entries_job(gradient=[1.0, False, 0.0]), "function.samples[0].gradient[1]"),
+        (
+            _sample_entries_job(hessian_data=[0.0] * 8 + ["0"]),
+            "function.samples[0].hessian.data[8]",
+        ),
+        (_generic_circle(regular_value=[True]), "manifold.regular_value[0]"),
+        (_generic_circle(powers=[2, "0"]), "manifold.constraints[0].terms[0].powers[1]"),
+    ],
+    ids=[
+        "string-in-inline-point",
+        "string-in-file-point",
+        "null-in-point-matrix",
+        "boolean-coefficient",
+        "boolean-power",
+        "string-in-matrix-data",
+        "boolean-in-matrix-data",
+        "string-in-diagonal",
+        "boolean-in-sample-gradient",
+        "string-in-sample-hessian",
+        "boolean-regular-value",
+        "string-in-constraint-powers",
+    ],
+)
+def test_every_numeric_list_entry_must_be_a_json_number(capsys, tmp_path, job, key):
+    point = write_json(tmp_path / "point.json", [1.0, 0.0, "0"])
+    for entry in job["points"]:
+        if isinstance(entry, dict) and entry.get("file") == "POINT":
+            entry["file"] = point
+    code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} is not a number\n"
