@@ -54,12 +54,22 @@ def _sphere_tangent_basis(point: SpherePoint, drop_index: int | None) -> np.ndar
     return Q
 
 
-def _second_difference_sum(evaluate, directions, f0: float, h: float) -> float:
-    total = 0.0
-    for idx in range(directions):
-        plus, minus = evaluate(idx, h)
-        total += (plus - 2.0 * f0 + minus) / (h * h)
-    return total
+def _second_difference_sum(evaluate, directions: int, f0: float, config: OracleConfig) -> float:
+    """The sum over the directions of the central second differences of the
+    values ``evaluate(idx, h)`` = (f(+h), f(-h)) at step ``config.step``,
+    Richardson-extrapolated as :class:`OracleConfig` says."""
+
+    def total(h: float) -> float:
+        out = 0.0
+        for idx in range(directions):
+            plus, minus = evaluate(idx, h)
+            out += (plus - 2.0 * f0 + minus) / (h * h)
+        return out
+
+    estimate = total(config.step)
+    if config.richardson:
+        return (4.0 * total(config.step / 2.0) - estimate) / 3.0
+    return estimate
 
 
 def geodesic_laplacian_sphere(
@@ -86,11 +96,7 @@ def geodesic_laplacian_sphere(
         sh = R * np.sin(h / R)
         return f.value(ch * x + sh * v), f.value(ch * x - sh * v)
 
-    estimate = _second_difference_sum(evaluate, basis.shape[1], f0, config.step)
-    if config.richardson:
-        finer = _second_difference_sum(evaluate, basis.shape[1], f0, config.step / 2.0)
-        return (4.0 * finer - estimate) / 3.0
-    return estimate
+    return _second_difference_sum(evaluate, basis.shape[1], f0, config)
 
 
 def geodesic_laplacian_on(
@@ -123,11 +129,7 @@ def geodesic_laplacian_on(
         angle = pair_sign(a, b) * h / np.sqrt(2.0)
         return f.value(vec(rotated(a, b, angle))), f.value(vec(rotated(a, b, -angle)))
 
-    estimate = _second_difference_sum(evaluate, len(pairs), f0, config.step)
-    if config.richardson:
-        finer = _second_difference_sum(evaluate, len(pairs), f0, config.step / 2.0)
-        return (4.0 * finer - estimate) / 3.0
-    return estimate
+    return _second_difference_sum(evaluate, len(pairs), f0, config)
 
 
 def _require_analytic(f: ScalarField, what: str) -> None:
