@@ -887,8 +887,8 @@ def _in_chunks(evaluate, X: np.ndarray, row_bytes: int) -> list:
 
 
 class _Rows:
-    """The records of one chunk's rows: each stage refuses rows, which leave
-    the live rows and the per-row arrays with their errors as records."""
+    """The records of one chunk's rows: the rows a stage refuses leave the
+    live rows and the per-row arrays, each with its error as its record."""
 
     def __init__(self, count: int):
         self.records = [None] * count
