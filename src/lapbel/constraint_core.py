@@ -897,8 +897,8 @@ class _Rows:
     def refuse(self, errors: list, *arrays):
         """Live row j leaves with its record ``errors[j]`` unless that is None;
         returns ``arrays`` (one row per live row) without those, or the one."""
-        keep = np.array([e is None for e in errors], dtype=bool)
-        if not keep.all():
+        if errors.count(None) != len(errors):
+            keep = np.array([e is None for e in errors], dtype=bool)
             for j in np.flatnonzero(~keep):
                 self.records[self.live[j]] = errors[j]
             self.live = self.live[keep]

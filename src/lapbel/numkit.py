@@ -169,10 +169,10 @@ def require_symmetric(M: np.ndarray, name: str, symbol: str) -> None:
     raise_first(symmetry_errors(np.asarray(M)[None], name, symbol))
 
 
-def row_errors(bad, make) -> list:
-    """Per row: ``make(i)`` where ``bad[i]`` is set, else None."""
+def row_errors(bad: np.ndarray, make) -> list:
+    """Per row: ``make(i)`` where the boolean ``bad[i]`` is set, else None."""
     errors = [None] * len(bad)
-    for i in np.flatnonzero(bad):
+    for i in bad.nonzero()[0]:
         errors[i] = make(i)
     return errors
 
