@@ -913,8 +913,9 @@ class _Rows:
 
     def assemble(self, trace_main, sigma, trace_constraint, cond) -> list:
         """The records: live row j's the LaplacianReport of the parts' rows j,
-        valued trace_main - sigma . trace_constraint by a stacked 1-by-k times
-        k-by-1 product (per row the ddot of ``np.dot``), unless not finite."""
+        its value trace_main - sigma . trace_constraint from one stacked 1-by-k
+        times k-by-1 product (per row the ddot of ``np.dot``), or the
+        NumericalError refusing it where a part or the value is not finite."""
         value = trace_main - np.matmul(sigma[:, None], trace_constraint[:, :, None])[:, 0, 0]
         bad = ~np.isfinite(trace_main) | _nonfinite(sigma) | _nonfinite(trace_constraint)
         what = {True: "sigma or a trace", False: "the value"}
