@@ -227,9 +227,9 @@ def fortran_ordered(f):
     )
 
 
-def general_one_row(f, constraints):
+def general_one_row(f, constraints, x):
     evaluate = constraint_core.laplace_beltrami_general
-    return lambda x: outcome(lambda: evaluate(f, constraints, None, x))
+    return outcome(lambda: evaluate(f, constraints, None, x))
 
 
 @pytest.mark.parametrize("evaluator", ["general", "sphere", "orthogonal"])
@@ -239,18 +239,18 @@ def test_rows_of_fortran_ordered_derivative_stacks_equal_their_one_row_calls(eva
     if evaluator == "orthogonal":
         X = np.stack([orthogonal.random_orthogonal(3, rng).to_vector() for _ in range(200)])
         stacked = orthogonal.on_laplacians(f, X)
-        one_row = lambda x: on_one_row(f, x, 3)  # noqa: E731
+        one_row = [on_one_row(f, x, 3) for x in X]
     else:
         X = np.stack([sphere.random_sphere_point(9, 1.0, rng).coords for _ in range(200)])
         if evaluator == "sphere":
             stacked = sphere.sphere_reports(f, X, 1.0)
-            one_row = lambda x: sphere_one_row(f, x, 1.0)  # noqa: E731
+            one_row = [sphere_one_row(f, x, 1.0) for x in X]
         else:
             constraints = sphere.sphere_constraint_set(9, 1.0)
             stacked = constraint_core.evaluate_points(f, constraints, None, X)
-            one_row = general_one_row(f, constraints)
+            one_row = [general_one_row(f, constraints, x) for x in X]
     assert all(isinstance(r, constraint_core.LaplacianReport) for r in stacked)
-    assert all(same_outcome(r, one_row(x)) for r, x in zip(stacked, X))
+    assert all(map(same_outcome, stacked, one_row))
 
 
 def test_the_stacked_derivatives_are_c_ordered_unless_they_repeat_one_array():
