@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -24,9 +25,9 @@ import sys
 import numpy as np
 
 from . import constraint_core as core
-from . import numkit, orthogonal, sphere, verify
+from . import numkit
 from .errors import LapbelError, NumericalError, ValidationError
-from .numkit import DEFAULT_TOLERANCES
+from .numkit import DEFAULT_TOLERANCES, SUITES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -81,9 +82,10 @@ def _number(value, where: str, integer: bool = False):
 def _numbers(values: list, where: str) -> list:
     """The JSON list ``values``, refused unless each entry is a number: the
     one rule for the entries of every numeric list of a job."""
-    for i, value in enumerate(values):
-        if not _is_number(value):
-            raise ValidationError(f"{where}[{i}] is not a number")
+    if not set(map(type, values)) <= {int, float}:
+        for i, value in enumerate(values):
+            if not _is_number(value):
+                raise ValidationError(f"{where}[{i}] is not a number")
     return values
 
 
@@ -142,6 +144,24 @@ def _resolve_point(entry, index: int, ambient_dim: int, matrix_side: int | None)
     return ref, u
 
 
+def _resolve_points(points: list, ambient_dim: int, matrix_side: int | None):
+    """The refs and the (N, ambient_dim) stack of the job's points. Inline
+    lists of finite numbers convert as one stack; any other entry sends every
+    row through _resolve_point, which names the first bad one."""
+    if all(type(p) is list and len(p) == ambient_dim for p in points) and set(
+        map(type, itertools.chain.from_iterable(points))
+    ) <= {int, float}:
+        try:
+            X = np.array(points, dtype=float)
+        except OverflowError:  # an integer beyond the double range
+            pass
+        else:
+            if np.isfinite(X).all():
+                return [f"inline[{i}]" for i in range(len(points))], X
+    resolved = [_resolve_point(p, i, ambient_dim, matrix_side) for i, p in enumerate(points)]
+    return [ref for ref, _ in resolved], np.stack([u for _, u in resolved])
+
+
 def _polynomial_terms(terms, where: str):
     if not isinstance(terms, list) or not terms:
         raise ValidationError(f"{where} must be a non-empty list of terms")
@@ -156,14 +176,9 @@ def _polynomial_terms(terms, where: str):
     return rows
 
 
-# Fields on the orthogonal group built from one coefficient matrix; brockett
-# also takes a diagonal.
-_MATRIX_FIELDS = {
-    "p1": orthogonal.p1_field,
-    "p11": orthogonal.p11_field,
-    "p2": orthogonal.p2_field,
-    "brockett": orthogonal.brockett_field,
-}
+# Fields on the orthogonal group built from one coefficient matrix by
+# orthogonal.<type>_field; brockett also takes a diagonal.
+_MATRIX_FIELDS = ("p1", "p11", "p2", "brockett")
 
 
 def _build_function(spec, ambient_dim: int) -> core.ScalarField:
@@ -171,6 +186,8 @@ def _build_function(spec, ambient_dim: int) -> core.ScalarField:
     if not isinstance(ftype, str):
         raise ValidationError("job.function.type must be a string")
     if ftype in _MATRIX_FIELDS:
+        from . import orthogonal
+
         where = "function.matrix"
         A = _load_matrix_spec(_require(spec, "matrix", "job.function"), where)
         if A.shape[0] ** 2 != ambient_dim:
@@ -182,7 +199,7 @@ def _build_function(spec, ambient_dim: int) -> core.ScalarField:
         if ftype == "brockett":
             diagonal = _require(spec, "diagonal", "job.function")
             args.append(_as_float_list(diagonal, "function.diagonal"))
-        make = _MATRIX_FIELDS[ftype]
+        make = getattr(orthogonal, f"{ftype}_field")
     elif ftype == "linear":
         coeffs = _as_float_list(
             _require(spec, "coefficients", "job.function"), "function.coefficients"
@@ -282,6 +299,8 @@ def _evaluate_job(data) -> tuple[list, bool]:
     matrix_side = None
     constraints = None  # sphere and O(n): built after the points, general path only
     if kind == "sphere":
+        from . import sphere
+
         n = _number(_require(manifold, "n", "job.manifold"), "manifold.n", integer=True)
         radius = _number(manifold.get("radius", 1.0), "manifold.radius")
         try:
@@ -294,6 +313,8 @@ def _evaluate_job(data) -> tuple[list, bool]:
         ambient = n
         default_path = "closed-form"
     elif kind == "orthogonal":
+        from . import orthogonal
+
         n = _number(_require(manifold, "n", "job.manifold"), "manifold.n", integer=True)
         try:
             orthogonal.check_orthogonal_side(n)
@@ -326,17 +347,14 @@ def _evaluate_job(data) -> tuple[list, bool]:
     points_raw = _require(data, "points", "job")
     if not isinstance(points_raw, list) or not points_raw:
         raise ValidationError("job.points must be a non-empty list")
-    resolved = [
-        _resolve_point(entry, i, ambient, matrix_side)
-        for i, entry in enumerate(points_raw)
-    ]
+    refs, X = _resolve_points(points_raw, ambient, matrix_side)
 
     fspec = _require(data, "function", "job")
     ftype = _require(fspec, "type", "job.function")
     shared = None
     if ftype == "external-samples":
         samples = _require(fspec, "samples", "job.function")
-        if not isinstance(samples, list) or len(samples) != len(resolved):
+        if not isinstance(samples, list) or len(samples) != len(refs):
             raise ValidationError(
                 "function.samples must be a list aligned with job.points"
             )
@@ -364,14 +382,13 @@ def _evaluate_job(data) -> tuple[list, bool]:
     else:
         evaluate = closed
 
-    X = np.stack([u for _, u in resolved])
     if shared is not None:
         outcomes = evaluate(shared, X)
     else:  # one field per point
         outcomes = [evaluate(field, u[None])[0] for field, u in zip(fields, X)]
 
     records = []
-    for i, ((ref, _), outcome) in enumerate(zip(resolved, outcomes)):
+    for i, (ref, outcome) in enumerate(zip(refs, outcomes)):
         base = {"index": i, "ref": ref, "path": path}
         if not isinstance(outcome, LapbelError):
             records.append({**base, **outcome.to_dict()})
@@ -388,8 +405,8 @@ def _evaluate_job(data) -> tuple[list, bool]:
 def cmd_eval(args) -> int:
     data = _load_json(args.job)
     records, had_error = _evaluate_job(data)
-    for record in records:
-        sys.stdout.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+    sys.stdout.write("".join(encode(record) + "\n" for record in records))
     return EXIT_NUMERICAL if had_error else EXIT_OK
 
 
@@ -410,6 +427,8 @@ def _parse_range(text: str) -> list:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     ns = _parse_range(args.n)
     tol, source = args.tol, "--tol"
     if tol is None and TOL_ENV_VAR in os.environ:
@@ -476,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=verify.SUITES)
+    p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--n", default="2..5", help="dimension range, e.g. 3 or 2..6")
     p_verify.add_argument("--seeds", type=int, default=5, help="random draws per case")
     p_verify.add_argument(

@@ -1,11 +1,11 @@
 """Dense linear-algebra primitives shared by every other module.
 
 Column-major vectorization, Gram matrices, SPD solves, and the left
-Moore-Penrose inverse, together with the package-wide tolerance record.
-Everything is dense float64 and numpy only. Tall frames are inverted through
-a reduced QR factorization, never through their Gram matrix; their condition
-comes from the singular values of the small factor R, and ill-conditioning
-is reported instead of regularized.
+Moore-Penrose inverse, together with the package-wide tolerance record and
+the names of the verification suites. Everything is dense float64 and numpy
+only. Tall frames are inverted through a reduced QR factorization, never
+through their Gram matrix; their condition comes from the singular values of
+the small factor R, and ill-conditioning is reported instead of regularized.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+# The verification suites, by the names ``verify`` takes; the command-line
+# parser reads them without importing the suites.
+SUITES = ("lemmas-sphere", "lemmas-on", "theorem-equivalence", "eigenfunctions", "oracle", "all")
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:

@@ -20,15 +20,7 @@ import numpy as np
 from . import constraint_core as core
 from . import numkit, oracles, orthogonal, sphere
 from .errors import ValidationError
-
-SUITES = (
-    "lemmas-sphere",
-    "lemmas-on",
-    "theorem-equivalence",
-    "eigenfunctions",
-    "oracle",
-    "all",
-)
+from .numkit import SUITES
 
 _RADII = (1.0, 2.5)
 

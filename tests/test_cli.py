@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import lapbel
 from lapbel import on_constraint_set, orthogonal, sphere_constraint_set
+from lapbel import cli
 from lapbel.cli import main
 
 
@@ -710,6 +712,73 @@ def test_package_exports_every_public_name_once():
     assert {"laplace_beltrami_general", "on_laplacian", "sphere_report", "ValidationError"} <= set(names)
 
 
+_SUBMODULES = ("constraint_core", "errors", "numkit", "oracles", "orthogonal", "sphere")
+
+
+def test_each_export_is_its_submodules_object():
+    modules = [importlib.import_module(f"lapbel.{name}") for name in _SUBMODULES]
+    for name in lapbel.__all__:
+        owners = [module for module in modules if name in vars(module)]
+        assert owners, name
+        for module in owners:
+            assert getattr(lapbel, name) is getattr(module, name), (name, module.__name__)
+    for name, module in zip(_SUBMODULES, modules):
+        assert getattr(lapbel, name) is module
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from lapbel import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(lapbel.__all__)
+    assert set(lapbel.__all__) <= set(dir(lapbel))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lapbel.no_such_name  # noqa: B018
+
+
+# Each child runs one command in a fresh interpreter and prints, last on
+# stderr, the lapbel modules it loaded.
+_LOADED = (
+    "import json, sys\n"
+    "{body}\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith('lapbel'))\n"
+    "print(json.dumps(loaded), file=sys.stderr)\n"
+)
+
+
+def _loaded_modules(body):
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED.format(body=body)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "job, absent",
+    [
+        ("clifford_torus.json", {"sphere", "orthogonal", "oracles", "verify"}),
+        ("sphere_wide.json", {"orthogonal", "oracles", "verify"}),
+        ("orthogonal_general.json", {"sphere", "oracles", "verify"}),
+    ],
+)
+def test_eval_loads_only_the_modules_its_job_uses(job, absent):
+    path = Path(__file__).parent / "eval_corpus" / job
+    loaded = _loaded_modules(
+        f"from lapbel import cli\nassert cli.main(['eval', '--job', {str(path)!r}]) in (0, 4)"
+    )
+    assert {"lapbel.cli", "lapbel.constraint_core"} <= loaded
+    assert not loaded & {f"lapbel.{name}" for name in absent}
+
+
+def test_import_lapbel_loads_no_submodule_until_a_name_is_used():
+    assert _loaded_modules("import lapbel") == {"lapbel"}
+    assert _loaded_modules("import lapbel; lapbel.ValidationError") == {
+        "lapbel",
+        "lapbel.errors",
+    }
+    assert "lapbel.sphere" in _loaded_modules("import lapbel; lapbel.sphere.sphere_report")
+
+
 # -- library errors and huge points -------------------------------------------------
 
 
@@ -944,3 +1013,102 @@ def test_every_numeric_list_entry_must_be_a_json_number(capsys, tmp_path, job, k
     code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
     assert (code, out) == (2, "")
     assert err == f"error: {key} is not a number\n"
+
+
+@pytest.mark.parametrize("path", ["closed-form", "general-frame"])
+def test_a_radius_whose_square_overflows_is_refused(capsys, tmp_path, path):
+    job = {
+        "manifold": {"type": "sphere", "n": 3, "radius": 1e200},
+        "function": {"type": "linear", "coefficients": [1, 0, 0]},
+        "points": [[1e200, 0, 0]],
+        "options": {"path": path},
+    }
+    code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
+    assert (code, out) == (2, "")
+    assert err == "error: job.manifold: radius must have a finite square, got 1e+200\n"
+
+
+# -- points resolved as one stack ------------------------------------------------------
+
+
+def _per_row(points, ambient, side):
+    rows = [cli._resolve_point(p, i, ambient, side) for i, p in enumerate(points)]
+    return [ref for ref, _ in rows], np.stack([u for _, u in rows])
+
+
+def _torus_points(count):
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(0, 2 * np.pi, (2, count))
+    points = (np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=1) / np.sqrt(2)).tolist()
+    points[::50] = [[1, 0, 0, 1]] * len(points[::50])  # exact ints
+    points[1] = [2**60 + 1, -(2**53) - 1, 0.1, 3]  # ints that round
+    return points
+
+
+@pytest.mark.parametrize(
+    "points, ambient, side",
+    [
+        ([orthogonal.random_orthogonal(8, s).to_vector().tolist() for s in range(200)], 64, 8),
+        (_torus_points(1000), 4, None),
+    ],
+    ids=["orthogonal-8", "torus"],
+)
+def test_inline_points_stack_equals_the_per_row_path_bit_for_bit(
+    monkeypatch, points, ambient, side
+):
+    expected_refs, expected = _per_row(points, ambient, side)
+    monkeypatch.setattr(cli, "_resolve_point", None)  # the stack alone must do it
+    refs, X = cli._resolve_points(points, ambient, side)
+    assert refs == expected_refs
+    assert X.shape == expected.shape and X.dtype == expected.dtype
+    assert X.tobytes() == expected.tobytes()
+
+
+# Raw JSON rows, so that 10**400 and NaN reach the parser as literals.
+_BAD_POINTS = [
+    ("[true, 0, 0]", "points[{i}][0] is not a number"),
+    ('["1", 0, 0]', "points[{i}][0] is not a number"),
+    ("[1.0, [0.0], 0.0]", "points[{i}][1] is not a number"),
+    ("[1.0, 0.0]", "points[{i}] has dimension 2, manifold ambient dimension is 3"),
+    (
+        "[1" + "0" * 400 + ", 0, 0]",
+        "points[{i}]: points[{i}] is not an array of numbers: int too large to convert to float",
+    ),
+    ("[0, NaN, 0]", "points[{i}]: points[{i}] contains non-finite entries"),
+    ('{"rows": 3, "cols": 1, "data": [0, "1", 0]}', "points[{i}].data[1] is not a number"),
+]
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+@pytest.mark.parametrize("row, message", _BAD_POINTS, ids=lambda v: str(v)[:12])
+def test_a_bad_point_entry_is_named_wherever_it_stands(capsys, tmp_path, row, message, last):
+    good = ["[1.0, 0.0, 0.0]", "[0, 1, 0]", "[0.6, 0.8, 0.0]"]
+    rows = good + [row] if last else [row] + good
+    path = tmp_path / "job.json"
+    path.write_text(
+        '{"manifold": {"type": "sphere", "n": 3}, "function": {"type": "linear", '
+        f'"coefficients": [1, 2, 3]}}, "points": [{", ".join(rows)}]}}',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, ["eval", "--job", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: " + message.format(i=3 if last else 0) + "\n"
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+def test_file_and_matrix_points_among_inline_ones_keep_their_refs(capsys, tmp_path, last):
+    inline = [[1.0, 0.0, 0.0], [0, 1, 0], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0], [0.0, 0.6, 0.8]]
+    point_file = write_json(tmp_path / "point.json", [0.0, 0.0, 1.0])
+    others = [{"file": point_file}, {"rows": 3, "cols": 1, "data": [0.0, 0.6, 0.8]}]
+    points = inline[:3] + others if last else others + inline[:3]
+    job = {**SPHERE_LINEAR_JOB, "points": points}
+    code, records, err = eval_records(capsys, tmp_path, job)
+    in_order = inline if last else inline[3:] + inline[:3]
+    _, expected, _ = eval_records(capsys, tmp_path, {**job, "points": in_order})
+    assert (code, err) == (0, "")
+    refs = [record.pop("ref") for record in records]
+    file_at = 3 if last else 0
+    assert refs == [
+        f"file:{point_file}" if i == file_at else f"inline[{i}]" for i in range(5)
+    ]
+    assert records == [{k: v for k, v in r.items() if k != "ref"} for r in expected]
