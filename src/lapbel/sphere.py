@@ -199,13 +199,13 @@ def homogeneous_sphere_laplacian(f: ScalarField, degree: int, point: SpherePoint
 
 def check_sphere_parameters(n: int, radius: float) -> None:
     """Refuse a dimension below 2, or a radius that is not positive or whose
-    square is not a finite double."""
+    square overflows or underflows to 0."""
     if n < 2:
         raise DimensionError("sphere constraint sets need n >= 2")
     if not radius > 0:
         raise DimensionError(f"radius must be positive, got {radius}")
-    if not math.isfinite(radius * radius):
-        raise DimensionError(f"radius must have a finite square, got {radius}")
+    if not 0.0 < radius * radius < math.inf:
+        raise DimensionError(f"radius must have a positive finite square, got {radius}")
 
 
 def sphere_constraint_set(n: int, radius: float) -> BlockProductSet:

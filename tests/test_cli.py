@@ -1016,16 +1016,19 @@ def test_every_numeric_list_entry_must_be_a_json_number(capsys, tmp_path, job, k
 
 
 @pytest.mark.parametrize("path", ["closed-form", "general-frame"])
-def test_a_radius_whose_square_overflows_is_refused(capsys, tmp_path, path):
+@pytest.mark.parametrize("radius", [1e200, 1e-200])
+def test_a_radius_whose_square_overflows_or_underflows_is_refused(
+    capsys, tmp_path, radius, path
+):
     job = {
-        "manifold": {"type": "sphere", "n": 3, "radius": 1e200},
+        "manifold": {"type": "sphere", "n": 3, "radius": radius},
         "function": {"type": "linear", "coefficients": [1, 0, 0]},
-        "points": [[1e200, 0, 0]],
+        "points": [[radius, 0, 0]],
         "options": {"path": path},
     }
     code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
     assert (code, out) == (2, "")
-    assert err == "error: job.manifold: radius must have a finite square, got 1e+200\n"
+    assert err == f"error: job.manifold: radius must have a positive finite square, got {radius}\n"
 
 
 # -- points resolved as one stack ------------------------------------------------------
