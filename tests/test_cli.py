@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import lapbel
-from lapbel import on_constraint_set, orthogonal, sphere_constraint_set
-from lapbel import cli
+from lapbel import cli, on_constraint_set, orthogonal, sphere_constraint_set
 from lapbel.cli import main
 
 
