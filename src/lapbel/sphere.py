@@ -58,11 +58,10 @@ def _admit_sphere(X: np.ndarray, radius: float, tol: float | None) -> list:
     """Per row of an (N, n) stack of finite points: None, or the DomainError
     carrying the residual |<x, x> - R^2| when it exceeds ``tol`` (default:
     the on-manifold tolerance). The whole stack is refused unless n >= 2 and
-    the radius is positive and finite."""
+    :func:`_check_radius` admits the radius."""
     if X.shape[1] < 2:
         raise DimensionError("sphere points need ambient dimension >= 2")
-    if not (radius > 0 and math.isfinite(radius)):
-        raise DimensionError(f"radius must be positive, got {radius}")
+    _check_radius(radius)
     tol = DEFAULT_TOLERANCES.on_manifold if tol is None else tol
     with np.errstate(over="ignore"):  # a huge point is refused, not warned about
         # stacked 1-by-n times n-by-1 products: the ddot of x @ x per row
@@ -197,15 +196,24 @@ def homogeneous_sphere_laplacian(f: ScalarField, degree: int, point: SpherePoint
     return ambient - k * (k + point.n - 2) / point.radius**2 * f0
 
 
-def check_sphere_parameters(n: int, radius: float) -> None:
-    """Refuse a dimension below 2, or a radius that is not positive or whose
-    square overflows or underflows to 0."""
-    if n < 2:
-        raise DimensionError("sphere constraint sets need n >= 2")
+def _check_radius(radius: float) -> None:
+    """Refuse a radius that is not positive, whose square overflows, or whose
+    chart margin squares to 0: the closed form divides by the square of a
+    chart's excluded coordinate, which is at least that margin."""
     if not radius > 0:
         raise DimensionError(f"radius must be positive, got {radius}")
-    if not 0.0 < radius * radius < math.inf:
-        raise DimensionError(f"radius must have a positive finite square, got {radius}")
+    if not (radius * radius < math.inf and (DEFAULT_TOLERANCES.chart_margin * radius) ** 2 > 0):
+        raise DimensionError(
+            f"radius {radius} is out of range: its square overflows or its chart "
+            "margin's square underflows to 0"
+        )
+
+
+def check_sphere_parameters(n: int, radius: float) -> None:
+    """Refuse a dimension below 2, or a radius :func:`_check_radius` refuses."""
+    if n < 2:
+        raise DimensionError("sphere constraint sets need n >= 2")
+    _check_radius(radius)
 
 
 def sphere_constraint_set(n: int, radius: float) -> BlockProductSet:

@@ -1015,19 +1015,24 @@ def test_every_numeric_list_entry_must_be_a_json_number(capsys, tmp_path, job, k
 
 
 @pytest.mark.parametrize("path", ["closed-form", "general-frame"])
-@pytest.mark.parametrize("radius", [1e200, 1e-200])
-def test_a_radius_whose_square_overflows_or_underflows_is_refused(
-    capsys, tmp_path, radius, path
-):
+@pytest.mark.parametrize(
+    "radius, point",
+    [(1e200, [1e200, 0, 0]), (1e-160, [1e-165, 0, 0]), (1e-200, [1e-200, 0, 0])],
+)
+def test_a_radius_out_of_range_is_refused(capsys, tmp_path, radius, point, path):
+    # At 1e-160 the point clears the chart margin but its x_j squares to 0.
     job = {
         "manifold": {"type": "sphere", "n": 3, "radius": radius},
         "function": {"type": "linear", "coefficients": [1, 0, 0]},
-        "points": [[radius, 0, 0]],
+        "points": [point],
         "options": {"path": path},
     }
     code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
     assert (code, out) == (2, "")
-    assert err == f"error: job.manifold: radius must have a positive finite square, got {radius}\n"
+    assert err == (
+        f"error: job.manifold: radius {radius} is out of range: its square overflows "
+        "or its chart margin's square underflows to 0\n"
+    )
 
 
 # -- points resolved as one stack ------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the sphere closed forms."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,6 +27,7 @@ from lapbel.sphere import (
     sphere_laplacian,
     sphere_projector,
     sphere_report,
+    sphere_reports,
     sphere_sigma,
 )
 
@@ -103,6 +106,22 @@ def test_point_validation():
     # A loose tolerance admits the same near-miss point.
     p = SpherePoint([1.1, 0.0, 0.0], 1.0, tol=0.3)
     assert p.radius == 1.0
+
+
+@pytest.mark.parametrize(
+    "radius, point",
+    [(1e200, [1e200, 0.0, 0.0]), (1e-160, [1e-165, 0.0, 0.0]), (1e-200, [1e-200, 0.0, 0.0])],
+)
+def test_a_radius_out_of_range_is_refused_by_every_entry(radius, point):
+    # 1e200 squares to inf; at 1e-160 the chart margin, the least |x_j| a
+    # chart admits, squares to 0, and the closed form divides by x_j^2.
+    match = re.escape(f"radius {radius} is out of range")
+    with pytest.raises(DimensionError, match=match):
+        SpherePoint(point, radius)
+    (record,) = sphere_reports(linear_field([1.0, 0.0, 0.0]), [point], radius)
+    assert isinstance(record, DimensionError) and re.match(match, str(record))
+    with pytest.raises(DimensionError, match=match):
+        sphere_constraint_set(3, radius)
 
 
 def test_default_chart_index():
