@@ -3,7 +3,8 @@
 Each ``tests/eval_corpus/<name>.json`` job has a golden ``<name>.out``
 holding the exact stdout of ``lapbel eval --job <name>.json``;
 ``verify_all_2_3.out`` holds the exact report of
-``lapbel verify all --n 2..3`` and ``verify_oracle_4_5.out`` that of
+``lapbel verify all --n 2..3``, ``verify_all_4_5.out`` that of
+``lapbel verify all --n 4..5`` and ``verify_oracle_4_5.out`` that of
 ``lapbel verify oracle --n 4..5``. The goldens were written by the code before
 the change they guard, so any change in a printed digit shows up here. A
 deliberate change of output regenerates them with
@@ -12,6 +13,8 @@ deliberate change of output regenerates them with
         > tests/eval_corpus/<name>.out
     PYTHONPATH=src python -m lapbel verify all --n 2..3 \\
         > tests/eval_corpus/verify_all_2_3.out
+    PYTHONPATH=src python -m lapbel verify all --n 4..5 \\
+        > tests/eval_corpus/verify_all_4_5.out
     PYTHONPATH=src python -m lapbel verify oracle --n 4..5 \\
         > tests/eval_corpus/verify_oracle_4_5.out
 
@@ -94,6 +97,15 @@ def test_verify_report_is_byte_identical_to_golden(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (CORPUS / "verify_all_2_3.out").read_text(encoding="utf-8")
+
+
+def test_verify_report_at_benchmark_sizes_is_byte_identical_to_golden(capsys):
+    # n = 4..5 is the upper half of the benchmark's verify-all range, so this
+    # pins lemmas-sphere, eigenfunctions and theorem-equivalence there too.
+    code = main(["verify", "all", "--n", "4..5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (CORPUS / "verify_all_4_5.out").read_text(encoding="utf-8")
 
 
 def test_oracle_report_at_largest_stencils_is_byte_identical_to_golden(capsys):
