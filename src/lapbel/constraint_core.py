@@ -501,21 +501,22 @@ def _stencil_values(values, u: np.ndarray, rows: int, moves) -> np.ndarray:
     """``values`` at ``rows`` copies of ``u``, where the (row, col, step)
     arrays ``moves``, sorted by row, add ``step`` to entry ``col`` of copy
     ``row``: each point has the bits the scalar ``p[col] += step`` gives on
-    ``p = u.copy()``."""
+    ``p = u.copy()``. ``values`` may give a column of values per field."""
     row, col, step = moves
-    out = np.empty(rows)
+    out = []
     for chunk in _chunks(rows, 8 * u.size):
         a, b = chunk.start, chunk.stop
         lo, hi = np.searchsorted(row, (a, b))
         X = np.tile(u, (b - a, 1))
         X[row[lo:hi] - a, col[lo:hi]] += step[lo:hi]
-        out[chunk] = values(X)
-    return out
+        out.append(values(X))
+    return np.concatenate(out)
 
 
 def _fd_gradient(values, u: np.ndarray, h: float) -> np.ndarray:
     """Central differences (f(u + h e_i) - f(u - h e_i)) / 2h from one
-    stencil: rows u + h e_i, then u - h e_i."""
+    stencil: rows u + h e_i, then u - h e_i; a column per field where
+    ``values`` gives one, each with the bits of that field alone."""
     m = u.size
     moves = (np.arange(2 * m), np.tile(np.arange(m), 2), np.repeat((h, -h), m))
     f = _stencil_values(values, u, 2 * m, moves)
@@ -524,7 +525,8 @@ def _fd_gradient(values, u: np.ndarray, h: float) -> np.ndarray:
 
 def _fd_hessian(values, u: np.ndarray, h: float) -> np.ndarray:
     """Central second differences from one stencil: row u, rows u + h e_i,
-    rows u - h e_i, then for each pair i < j the rows ++, +-, -+, --."""
+    rows u - h e_i, then for each pair i < j the rows ++, +-, -+, --; a
+    column per field as in :func:`_fd_gradient`."""
     m = u.size
     i = np.arange(m)
     pi, pj = np.triu_indices(m, 1)
@@ -535,9 +537,9 @@ def _fd_hessian(values, u: np.ndarray, h: float) -> np.ndarray:
         np.concatenate([np.repeat((h, -h), m), np.tile((h, h, h, -h, -h, h, -h, -h), pairs)]),
     )
     f = _stencil_values(values, u, 1 + 2 * m + 4 * pairs, moves)
-    H = np.zeros((m, m))
+    H = np.zeros((m, m) + f.shape[1:])
     H[i, i] = (f[1 : m + 1] - 2.0 * f[0] + f[m + 1 : 2 * m + 1]) / (h * h)
-    q = f[2 * m + 1 :].reshape(pairs, 4)
+    q = f[2 * m + 1 :].reshape((pairs, 4) + f.shape[1:])
     H[pi, pj] = H[pj, pi] = (q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3]) / (4.0 * h * h)
     return H
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraint_core import ScalarField, _fd_gradient, _fd_hessian
-from .errors import ContractError
+from .errors import ContractError, DomainError
 from .numkit import vec
-from .orthogonal import OrthogonalPoint, index_pairs, pair_sign
+from .orthogonal import OrthogonalPoint
 from .sphere import SpherePoint, _resolve_chart, sphere_projector
 
 
@@ -54,15 +54,19 @@ def _sphere_tangent_basis(point: SpherePoint, drop_index: int | None) -> np.ndar
     return Q
 
 
-def _second_difference_sum(evaluate, directions: int, f0: float, config: OracleConfig) -> float:
-    """The sum over the directions of the central second differences of the
-    values ``evaluate(idx, h)`` = (f(+h), f(-h)) at step ``config.step``,
-    Richardson-extrapolated as :class:`OracleConfig` says."""
+def _second_difference_sum(f: ScalarField, stack, f0: float, config: OracleConfig) -> float:
+    """The sum over the directions of the central second differences of
+    ``f`` at the points ``stack(h)`` (a row per direction at +h, then one per
+    direction at -h; one ``f.values`` call, refused as ``f.value`` refuses a
+    non-finite value) at step ``config.step``, Richardson-extrapolated as
+    :class:`OracleConfig` says."""
 
     def total(h: float) -> float:
+        values = f.values(stack(h))
+        if not np.isfinite(values).all():
+            raise DomainError("field value is not finite")
         out = 0.0
-        for idx in range(directions):
-            plus, minus = evaluate(idx, h)
+        for plus, minus in zip(*values.reshape(2, -1).tolist()):
             out += (plus - 2.0 * f0 + minus) / (h * h)
         return out
 
@@ -85,18 +89,17 @@ def geodesic_laplacian_sphere(
     tangent basis and sums central second differences of the field values.
     """
     config = OracleConfig() if config is None else config
-    basis = _sphere_tangent_basis(point, drop_index)
+    V = _sphere_tangent_basis(point, drop_index).T
     x = point.coords
     R = point.radius
     f0 = f.value(x)
 
-    def evaluate(idx: int, h: float):
-        v = basis[:, idx]
+    def stack(h: float) -> np.ndarray:
         ch = np.cos(h / R)
         sh = R * np.sin(h / R)
-        return f.value(ch * x + sh * v), f.value(ch * x - sh * v)
+        return np.concatenate([ch * x + sh * V, ch * x - sh * V])
 
-    return _second_difference_sum(evaluate, basis.shape[1], f0, config)
+    return _second_difference_sum(f, stack, f0, config)
 
 
 def geodesic_laplacian_on(
@@ -113,23 +116,22 @@ def geodesic_laplacian_on(
     """
     config = OracleConfig() if config is None else config
     n = point.n
-    U = point.matrix
-    pairs = index_pairs(n)
-    f0 = f.value(vec(U))
+    u = vec(point.matrix)
+    f0 = f.value(u)
+    a, b = (np.tile(index, 2) for index in np.triu_indices(n, 1))  # the pairs at +h, at -h
+    sign = np.where((a + b) % 2, -1.0, 1.0) * np.repeat((1.0, -1.0), len(a) // 2)
+    columns = u.reshape(n, n)  # row c is column c of the point
+    rows = np.arange(len(a))
 
-    def rotated(a: int, b: int, angle: float) -> np.ndarray:
-        W = U.copy()
-        ca, sa = np.cos(angle), np.sin(angle)
-        W[:, a] = ca * U[:, a] + sa * U[:, b]
-        W[:, b] = -sa * U[:, a] + ca * U[:, b]
-        return W
+    def stack(h: float) -> np.ndarray:
+        angle = sign * h / np.sqrt(2.0)
+        ca, sa = np.cos(angle)[:, None], np.sin(angle)[:, None]
+        W = np.tile(columns, (len(a), 1, 1))
+        W[rows, a] = ca * columns[a] + sa * columns[b]
+        W[rows, b] = -sa * columns[a] + ca * columns[b]
+        return W.reshape(len(a), n * n)
 
-    def evaluate(idx: int, h: float):
-        a, b = pairs[idx]
-        angle = pair_sign(a, b) * h / np.sqrt(2.0)
-        return f.value(vec(rotated(a, b, angle))), f.value(vec(rotated(a, b, -angle)))
-
-    return _second_difference_sum(evaluate, len(pairs), f0, config)
+    return _second_difference_sum(f, stack, f0, config)
 
 
 def _require_analytic(f: ScalarField, what: str) -> None:
@@ -140,23 +142,37 @@ def _require_analytic(f: ScalarField, what: str) -> None:
         )
 
 
+def _deviations(fields, u, config: OracleConfig | None, derivative: str, numeric) -> list:
+    """Per field, the max-abs deviation between its analytic ``derivative``
+    and the ``numeric`` differences of its value, every field on one stencil."""
+    config = OracleConfig() if config is None else config
+    for f in fields:
+        _require_analytic(f, f"check_{derivative}")
+    u = np.asarray(u, dtype=float)
+    analytic = [getattr(f, derivative)(u) for f in fields]
+    fd = numeric(lambda X: np.stack([f.values(X) for f in fields], axis=1), u, config.step)
+    return [float(np.max(np.abs(d - fd[..., k]))) for k, d in enumerate(analytic)]
+
+
+def check_gradients(fields, u, config: OracleConfig | None = None) -> list:
+    """Per field, the max-abs deviation between the analytic gradient and
+    central differences of the value at ``u``, all on one stencil."""
+    return _deviations(fields, u, config, "gradient", _fd_gradient)
+
+
+def check_hessians(fields, u, config: OracleConfig | None = None) -> list:
+    """Per field, the max-abs deviation between the analytic Hessian and
+    second differences of the value at ``u``, all on one stencil."""
+    return _deviations(fields, u, config, "hessian", _fd_hessian)
+
+
 def check_gradient(f: ScalarField, u, config: OracleConfig | None = None) -> float:
     """Max-abs deviation between the analytic gradient and central
     differences of the value at ``u``. Requires analytic provenance."""
-    config = OracleConfig() if config is None else config
-    _require_analytic(f, "check_gradient")
-    u = np.asarray(u, dtype=float)
-    analytic = f.gradient(u)
-    numeric = _fd_gradient(f.values, u, config.step)
-    return float(np.max(np.abs(analytic - numeric)))
+    return check_gradients([f], u, config)[0]
 
 
 def check_hessian(f: ScalarField, u, config: OracleConfig | None = None) -> float:
     """Max-abs deviation between the analytic Hessian and second differences
     of the value at ``u``. Requires analytic provenance."""
-    config = OracleConfig() if config is None else config
-    _require_analytic(f, "check_hessian")
-    u = np.asarray(u, dtype=float)
-    analytic = f.hessian(u)
-    numeric = _fd_hessian(f.values, u, config.step)
-    return float(np.max(np.abs(analytic - numeric)))
+    return check_hessians([f], u, config)[0]

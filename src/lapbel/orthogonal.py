@@ -340,8 +340,10 @@ def p11_field(A) -> ScalarField:
         return np.trace(A @ unvec_rows(X, n), axis1=1, axis2=2)
 
     def values(X):
-        # the scalar ** (libm pow), not t * t, which differs in the last bit
-        return np.array([float(t) ** 2 for t in traces(X)])
+        # float_power is libm pow, the bits of the scalar **, not of t * t;
+        # a trace whose square overflows gives inf, which value refuses
+        with np.errstate(over="ignore"):
+            return np.float_power(traces(X), 2)
 
     def gradients(X):
         return (2.0 * traces(X))[:, None] * w

@@ -26,7 +26,7 @@ from .constraint_core import (
     _Rows,
     block_product_set,
 )
-from .errors import ChartError, ContractError, DimensionError
+from .errors import ChartError, ContractError, DimensionError, DomainError
 from .numkit import DEFAULT_TOLERANCES, as_matrix, as_vector, off_manifold, raise_first, row_errors
 
 
@@ -183,10 +183,13 @@ def homogeneous_sphere_laplacian(f: ScalarField, degree: int, point: SpherePoint
     if k < 0:
         raise ContractError(f"homogeneity degree must be non-negative, got {k}")
     x = point.coords
-    f0 = f.value(x)
-    for t in (2.0, 3.0):
+    # f(x), f(2x) and f(3x) from one stack, each refused as f.value refuses it
+    f0, *scaled = f.values(np.stack([x, 2.0 * x, 3.0 * x])).tolist()
+    for t, value in ((1.0, f0), (2.0, scaled[0]), (3.0, scaled[1])):
+        if not math.isfinite(value):
+            raise DomainError("field value is not finite")
         expected = t**k * f0
-        deviation = abs(f.value(t * x) - expected)
+        deviation = abs(value - expected)
         if deviation > 1e-8 * max(1.0, abs(expected)):
             raise ContractError(
                 f"field is not homogeneous of degree {k}: "
@@ -276,9 +279,10 @@ def sphere_reports(
         trace_main = np.trace(H[:, 0], axis1=1, axis2=2) - quadratic / R**2
         X, j, g, trace_main = rows.refuse(errors, X, j, g, trace_main)
         # Frame Gram eigenvalues are R^4 (multiplicity n-2) and R^2 x_j^2;
-        # the scalar ** (libm pow), not x * x, which differs in the last bit
+        # float_power is libm pow, the bits of the scalar **, not of x * x
         N, n = X.shape
-        cond = [max(R**2 / float(x) ** 2, 1.0) if n > 2 else 1.0 for x in X[np.arange(N), j]]
+        xj = X[np.arange(N), j]
+        cond = np.maximum(R**2 / np.float_power(xj, 2), 1.0) if n > 2 else np.ones(N)
         sigma = _sphere_sigmas(X, g, R)[:, None]
         return rows.assemble(trace_main, sigma, np.full((N, 1), 2.0 * (n - 1)), cond)
 

@@ -138,16 +138,20 @@ def suite_lemmas_sphere(ns, seeds: int, tol: float | None = None) -> list:
                 idempotent.see_matrix(P @ P - P)
                 # Indices with enough margin that the 1e-10 identity is
                 # meaningful: the Gram condition is R^2/x_j^2.
-                valid = [j for j in range(n) if abs(x[j]) >= 1e-2 * radius]
+                valid = np.flatnonzero(np.abs(x) >= 1e-2 * radius)
+                # every valid chart's frame, and its left inverse, as one stack
+                frames = sphere._sphere_frames(np.tile(x, (valid.size, 1)), radius, valid)
+                limit = numkit.DEFAULT_TOLERANCES.condition_limit
+                inverses, _, refused = numkit.frame_pseudo_inverses(frames, limit)
+                numkit.raise_first(refused)
                 projectors = []
-                for j in valid:
-                    T = sphere.sphere_frame(point, j)
+                for j, T, T_plus in zip(valid, frames, inverses):
                     tangency.see_matrix(x @ T)
                     G = T.T @ T
                     gram_inv.see_matrix(
                         G @ sphere.sphere_frame_gram_inverse(point, j) - np.eye(n - 1)
                     )
-                    TT_plus = T @ numkit.left_moore_penrose(T)
+                    TT_plus = T @ T_plus
                     projector.see_matrix(TT_plus - P)
                     projectors.append(TT_plus)
                 for other in projectors[1:]:
@@ -269,13 +273,9 @@ def suite_eigenfunctions(ns, seeds: int, tol: float | None = None) -> list:
                 coeffs = rng.uniform(-1.0, 1.0, size=n)
                 lin = core.linear_field(coeffs)
                 lv = lin.value(point.coords)
-                linear_eigen.see(
-                    sphere.sphere_laplacian(lin, point) + (n - 1) / radius**2 * lv
-                )
-                homog.see(
-                    sphere.homogeneous_sphere_laplacian(lin, 1, point)
-                    - sphere.sphere_laplacian(lin, point)
-                )
+                laplacian = sphere.sphere_laplacian(lin, point)
+                linear_eigen.see(laplacian + (n - 1) / radius**2 * lv)
+                homog.see(sphere.homogeneous_sphere_laplacian(lin, 1, point) - laplacian)
                 a, b = 0, n - 1
                 e_ab = np.zeros(n, dtype=int)
                 e_ab[a] += 1
@@ -288,13 +288,9 @@ def suite_eigenfunctions(ns, seeds: int, tol: float | None = None) -> list:
                 diff = core.polynomial_field(n, [(1.0, two_a), (-1.0, two_b)])
                 for quad in (cross, diff):
                     qv = quad.value(point.coords)
-                    quad_eigen.see(
-                        sphere.sphere_laplacian(quad, point) + 2.0 * n / radius**2 * qv
-                    )
-                    homog.see(
-                        sphere.homogeneous_sphere_laplacian(quad, 2, point)
-                        - sphere.sphere_laplacian(quad, point)
-                    )
+                    laplacian = sphere.sphere_laplacian(quad, point)
+                    quad_eigen.see(laplacian + 2.0 * n / radius**2 * qv)
+                    homog.see(sphere.homogeneous_sphere_laplacian(quad, 2, point) - laplacian)
     return [
         t.record()
         for t in (p1_eigen, combo_eigen, linear_eigen, quad_eigen, homog)
@@ -362,7 +358,9 @@ def suite_oracle(
         err_f = abs(oracles.geodesic_laplacian_on(fld, U, fine) - exact)
         if err_f > 0:
             convergence.see(err_c / err_f - 4.0)
-        # Derivative hygiene for every registered analytic field family.
+        # Derivative hygiene for every registered analytic field family,
+        # each kind of check on one stencil per case.
+        constraint_fields = orthogonal.on_constraint_set(n).fields
         for s in range(seeds):
             rng = _rng(_SALT_HYGIENE, n, s)
             A = rng.standard_normal((n, n))
@@ -373,12 +371,13 @@ def suite_oracle(
                 orthogonal.p11_field(A),
                 orthogonal.p2_field(A),
                 orthogonal.brockett_field(S, mu),
+                *constraint_fields,
             ]
-            fields.extend(orthogonal.on_constraint_set(n).fields)
             u = rng.uniform(-1.0, 1.0, size=n * n)
-            for field in fields:
-                grad_hyg.see(oracles.check_gradient(field, u, grad_config))
-                hess_hyg.see(oracles.check_hessian(field, u, hess_config))
+            for deviation in oracles.check_gradients(fields, u, grad_config):
+                grad_hyg.see(deviation)
+            for deviation in oracles.check_hessians(fields, u, hess_config):
+                hess_hyg.see(deviation)
     return [
         t.record()
         for t in (sphere_geo, on_geo, convergence, grad_hyg, hess_hyg)

@@ -4,7 +4,8 @@
 ``owner.__dict__[attr]`` for each (``ConstraintSet.__post_init__``,
 ``ScalarField.hessian``, ``numkit.solve_spd``, ``numkit.sym_condition``, …),
 so renaming one or moving it to a base class breaks
-``perfbench/run.py --trace 1``. This runs one traced in-process eval.
+``perfbench/run.py --trace 1``. This runs one traced in-process eval and
+one traced in-process verify.
 """
 
 import json
@@ -55,3 +56,28 @@ def test_span_tracer_installs_traces_an_eval_and_uninstalls(tmp_path, monkeypatc
     assert summary["cli.main"]["calls"] == 1
     assert summary["constraint_core.frame"]["calls"] == 1  # one stacked build for the 3 points
     assert [owner.__dict__[attr] for owner, attr in wrapped] == originals
+
+
+def test_span_tracer_traces_a_verify_run_and_every_patched_attribute_exists(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    tracer = Tracer()
+    tracer.install("verify")  # reads owner.__dict__[attr] for every patch
+    patched = list(tracer._patches)
+    try:
+        code = cli.main(["verify", "oracle", "--n", "2..3"])
+    finally:
+        tracer.uninstall()
+
+    assert code == 0 and json.loads(capsys.readouterr().out)["pass"]
+    summary = tracer.summary("verify")
+    assert summary["verify.oracle"]["calls"] == 1
+    # per n: 5 seeds of one sphere and four O(n) estimates, then 4 for convergence
+    assert summary["oracles.geodesic"]["calls"] == 2 * (5 * 5 + 4)
+    names = {(getattr(owner, "__name__", None), attr) for owner, attr, _ in patched}
+    assert {("lapbel.oracles", "check_gradient"), ("lapbel.oracles", "check_hessian")} <= names
+    originals = {}  # an attribute patched twice keeps its first original
+    for owner, attr, original in patched:
+        originals.setdefault((owner, attr), original)
+    assert all(owner.__dict__[attr] is original for (owner, attr), original in originals.items())
