@@ -182,10 +182,11 @@ def homogeneous_sphere_laplacian(f: ScalarField, degree: int, point: SpherePoint
     k = int(degree)
     if k < 0:
         raise ContractError(f"homogeneity degree must be non-negative, got {k}")
-    x = point.coords
+    x = f._check_point(point.coords)
     # f(x), f(2x) and f(3x) from one stack, each refused as f.value refuses it
-    f0, *scaled = f.values(np.stack([x, 2.0 * x, 3.0 * x])).tolist()
-    for t, value in ((1.0, f0), (2.0, scaled[0]), (3.0, scaled[1])):
+    values = f.values(np.stack([x, 2.0 * x, 3.0 * x])).tolist()
+    f0 = values[0]
+    for t, value in zip((1.0, 2.0, 3.0), values):
         if not math.isfinite(value):
             raise DomainError("field value is not finite")
         expected = t**k * f0

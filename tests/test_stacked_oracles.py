@@ -305,6 +305,13 @@ def test_homogeneity_shortcut_refuses_where_the_per_point_checks_did(values):
         assert same_outcome(got, outcome(lambda: reference_homogeneous(f, degree, point)))
 
 
+def test_homogeneity_shortcut_refuses_a_field_of_another_dimension_as_before():
+    point = sphere.SpherePoint([0.6, 0.0, 0.8], 1.0)
+    f = linear_field([1.0, 2.0])
+    got = outcome(lambda: sphere.homogeneous_sphere_laplacian(f, 1, point))
+    assert same_outcome(got, outcome(lambda: reference_homogeneous(f, 1, point)))
+
+
 def test_homogeneity_shortcut_equals_the_per_point_form_on_polynomials():
     rng = np.random.default_rng(88)
     for n in (2, 3, 5):
