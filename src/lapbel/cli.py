@@ -14,6 +14,7 @@ tolerance override for ``verify`` when ``--tol`` is absent.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -54,6 +55,16 @@ def _load_json(path):
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
+def _rewrapped(key: str | None):
+    """Re-raise a library LapbelError as the ValidationError ``key: message``
+    (the bare message when ``key`` is None)."""
+    try:
+        yield
+    except LapbelError as exc:
+        raise ValidationError(str(exc) if key is None else f"{key}: {exc}") from exc
 
 
 def _require(mapping, key: str, where: str):
@@ -100,20 +111,16 @@ def _load_matrix_spec(spec, where: str) -> np.ndarray:
         )
     if isinstance(spec.get("data"), list):
         _numbers(spec["data"], f"{where}.data")
-    try:
+    with _rewrapped(where):
         return numkit.matrix_from_json(spec)
-    except LapbelError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def _as_float_list(values, where: str) -> np.ndarray:
     if not isinstance(values, list) or not values:
         raise ValidationError(f"{where} must be a non-empty list of numbers")
     _numbers(values, where)
-    try:
+    with _rewrapped(where):
         return numkit.as_vector(values, where)
-    except LapbelError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def _resolve_point(entry, index: int, ambient_dim: int, matrix_side: int | None):
@@ -222,10 +229,8 @@ def _build_function(spec, ambient_dim: int) -> core.ScalarField:
         )
     # The library's own checks (a short diagonal, a non-square matrix, a bad
     # exponent) name no job key, so they get the prefix.
-    try:
+    with _rewrapped("job.function"):
         return make(*args)
-    except LapbelError as exc:
-        raise ValidationError(f"job.function: {exc}") from exc
 
 
 def _sample_field(sample, index: int, ambient_dim: int) -> core.ScalarField:
@@ -266,19 +271,15 @@ def _generic_constraints(manifold) -> core.ConstraintSet:
             _require(one, "terms", f"manifold.constraints[{i}]"),
             f"manifold.constraints[{i}].terms",
         )
-        try:
+        with _rewrapped(f"manifold.constraints[{i}]"):
             fields.append(core.polynomial_field(ambient, rows))
-        except LapbelError as exc:
-            raise ValidationError(f"manifold.constraints[{i}]: {exc}") from exc
     values = _as_float_list(
         _require(spec, "regular_value", "job.manifold"), "manifold.regular_value"
     )
-    try:
+    with _rewrapped("job.manifold"):
         return core.ConstraintSet(
             ambient_dim=ambient, fields=tuple(fields), regular_value=values
         )
-    except LapbelError as exc:
-        raise ValidationError(f"job.manifold: {exc}") from exc
 
 
 def _evaluate_job(data) -> tuple[list, bool]:
@@ -290,55 +291,46 @@ def _evaluate_job(data) -> tuple[list, bool]:
     if not isinstance(options, dict):
         raise ValidationError("job.options must be an object")
 
-    tols = DEFAULT_TOLERANCES
     overrides = {}
     for key in ("on_manifold", "orthogonality"):
         if f"{key}_tol" in options:
             overrides[key] = _number(options[f"{key}_tol"], f"options.{key}_tol")
-    if overrides:
-        tols = dataclasses.replace(tols, **overrides)
+    tols = dataclasses.replace(DEFAULT_TOLERANCES, **overrides)
 
     matrix_side = None
     constraints = None  # sphere and O(n): built after the points, general path only
+    if kind in ("sphere", "orthogonal"):
+        n = _number(_require(manifold, "n", "job.manifold"), "manifold.n", integer=True)
     if kind == "sphere":
         from . import sphere
 
-        n = _number(_require(manifold, "n", "job.manifold"), "manifold.n", integer=True)
         radius = _number(manifold.get("radius", 1.0), "manifold.radius")
-        try:
+        with _rewrapped("job.manifold"):
             sphere.check_sphere_parameters(n, radius)
-        except LapbelError as exc:
-            raise ValidationError(f"job.manifold: {exc}") from exc
         build = functools.partial(sphere.sphere_constraint_set, n, radius)
         frame = sphere.sphere_adapted_frame(radius, tol=tols.on_manifold)
         closed = functools.partial(sphere.sphere_reports, radius=radius, tol=tols.on_manifold)
         ambient = n
-        default_path = "closed-form"
     elif kind == "orthogonal":
         from . import orthogonal
 
-        n = _number(_require(manifold, "n", "job.manifold"), "manifold.n", integer=True)
-        try:
+        with _rewrapped("job.manifold"):
             orthogonal.check_orthogonal_side(n)
-        except LapbelError as exc:
-            raise ValidationError(f"job.manifold: {exc}") from exc
         build = functools.partial(orthogonal.on_constraint_set, n)
         frame = orthogonal.on_adapted_frame(tols.orthogonality)
         closed = functools.partial(orthogonal.on_laplacians, tol=tols.orthogonality)
         ambient = n * n
         matrix_side = n
-        default_path = "closed-form"
     elif kind == "generic":
         constraints = _generic_constraints(manifold)
         frame = None  # the QR projector of the point's Jacobian
         ambient = constraints.ambient_dim
-        default_path = "general-frame"
     else:
         raise ValidationError(
             f"unknown manifold type '{kind}'; supported: sphere, orthogonal, generic"
         )
 
-    path = options.get("path", default_path)
+    path = options.get("path", "general-frame" if kind == "generic" else "closed-form")
     if path not in ("closed-form", "general-frame"):
         raise ValidationError(
             f"options.path must be 'closed-form' or 'general-frame', got '{path}'"
@@ -443,10 +435,8 @@ def cmd_verify(args) -> int:
             ) from exc
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"{source} must be a finite non-negative number, got {tol}")
-    try:
+    with _rewrapped(None):
         report = verify.run_suite(args.suite, ns, seeds=args.seeds, tol=tol, h=args.h)
-    except LapbelError as exc:
-        raise ValidationError(str(exc)) from exc
     document = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

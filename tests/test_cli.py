@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import subprocess
 import sys
 import types
@@ -14,6 +15,15 @@ import pytest
 import lapbel
 from lapbel import cli, on_constraint_set, orthogonal, sphere_constraint_set
 from lapbel.cli import main
+
+
+def child_env():
+    """The environment for a child interpreter: this one's, with the
+    checkout's ``src`` first on PYTHONPATH, so the child imports the same
+    lapbel whether or not it is installed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def write_json(path, obj):
@@ -565,7 +575,9 @@ def test_no_command_loads_scipy(tmp_path):
         "        code = main(argv)\n"
         "    print(code, 'scipy' in sys.modules)\n"
     )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["0 False", "4 False", "4 False", "0 False", "0 False"]
 
@@ -698,6 +710,7 @@ def test_python_dash_m_entry_point():
         [sys.executable, "-m", "lapbel", "describe", "sphere", "3"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dim"] == 2
@@ -746,7 +759,10 @@ _LOADED = (
 
 def _loaded_modules(body):
     result = subprocess.run(
-        [sys.executable, "-c", _LOADED.format(body=body)], capture_output=True, text=True
+        [sys.executable, "-c", _LOADED.format(body=body)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
     )
     assert result.returncode == 0, result.stderr
     return set(json.loads(result.stderr.splitlines()[-1]))
