@@ -138,9 +138,8 @@ class ScalarField:
         return _writable(_finite(g, "gradient")[0])
 
     def hessian(self, u) -> np.ndarray:
-        H, (error,) = _hessians_at((self,), self._check_point(u)[None])
-        if error is not None:
-            raise error
+        H, errors = _hessians_at((self,), self._check_point(u)[None])
+        numkit.raise_first(errors)
         return _writable(H[0, 0])
 
     # -- field arithmetic ---------------------------------------------------
@@ -658,9 +657,8 @@ class ConstraintSet:
 
     def hessians(self, u) -> np.ndarray:
         """The k-by-m-by-m stack of constraint Hessians at ``u``."""
-        H, (error,) = _hessians_at(self.fields, self._check_point(u)[None])
-        if error is not None:
-            raise error
+        H, errors = _hessians_at(self.fields, self._check_point(u)[None])
+        numkit.raise_first(errors)
         return _writable(H[0])
 
     def projected_traces(self, X: np.ndarray, basis: list) -> tuple:
@@ -705,6 +703,50 @@ def block_product_set(ambient_dim: int, block: int, products, regular_value) -> 
     blocks = [slice(b * block, (b + 1) * block) for b in range(ambient_dim // block)]
     fields = [block_product_field(ambient_dim, blocks[b], blocks[c], w) for b, c, w in products]
     return BlockProductSet(ambient_dim, tuple(fields), regular_value, block, tuple(products))
+
+
+# Rules for p orthonormal columns of s coordinates, (N, s, p) stacks U with U^t U = R^2 I
+# and norm constraints of weight w: the sphere (p = 1, w = 1) and O(n) (p = n, w = 1/2, R = 1).
+
+
+def _admit_blocks(U: np.ndarray, radius: float, tol: float, what: str) -> list:
+    """Per matrix of U (finite): None, or where r = max |U^t U - R^2 I| is not
+    within ``tol``, the DomainError "{what} r exceeds tolerance ..." with r."""
+    with np.errstate(over="ignore"):  # a huge point is refused, not warned about
+        # stacked p-by-s times s-by-p products, at p = 1 the ddot of x @ x per row
+        gram = np.swapaxes(U, 1, 2) @ U
+        residual = np.abs(gram - radius**2 * np.eye(U.shape[2])).max(axis=(1, 2))
+    return numkit.off_manifold(residual, tol, what)
+
+
+def _sigma_matrices(U: np.ndarray, G: np.ndarray, weight: float, radius: float) -> np.ndarray:
+    """The multiplier matrices sym(G^t U) / (2 w R^2), with the field's gradients
+    G shaped as U (:func:`_packed` orders them as the constraints). At p = 1 the
+    1-by-1 U^t G, the ddot of x @ g per row, is taken as it is: (a + a) / 2
+    would overflow where |a| >= 2^1023."""
+    S = np.swapaxes(U, 1, 2) @ G
+    S = S if S.shape[1] == 1 else 0.5 * (np.swapaxes(G, 1, 2) @ U + S)
+    return S / (2.0 * weight * radius**2)
+
+
+def _packed(S: np.ndarray) -> np.ndarray:
+    """The p-by-p matrices of S in constraint order (the diagonal, then the
+    lexicographic pairs), as the rows of a C-ordered array."""
+    p = S.shape[1]
+    a, b = np.triu_indices(p, 1)  # the index pairs, lexicographic
+    diagonal = np.arange(p)
+    # fancy indexing leaves the rows strided, and the ddot of the assembly
+    # rounds a strided row differently from a contiguous one
+    return np.ascontiguousarray(S[:, np.concatenate([diagonal, a]), np.concatenate([diagonal, b])])
+
+
+def _multipliers_and_traces(U: np.ndarray, G: np.ndarray, weight: float, radius: float) -> tuple:
+    """Per matrix of U, the multipliers in constraint order and the projected
+    constraint traces, which are the same at every point: 2w (s - (p+1)/2) on
+    each norm constraint and 0 on each pair."""
+    s, p = U.shape[1:]
+    traces = np.repeat([2.0 * weight * (s - (p + 1) / 2.0), 0.0], [p, p * (p - 1) // 2])
+    return _packed(_sigma_matrices(U, G, weight, radius)), np.tile(traces, (len(U), 1))
 
 
 @dataclass(frozen=True)
@@ -989,13 +1031,13 @@ _RANK_DEFICIENT = "constraint gradients are rank deficient at this point"
 
 def _gradient_qrs(J: np.ndarray, mode: str = "reduced") -> tuple:
     """QR of the gradient columns J^t of one k-by-m Jacobian or of each in a
-    stack (``mode`` as for np.linalg.qr), and whether R has a diagonal entry
-    below 1e-12 times max(1, max |J|): the rank test."""
+    stack (``mode`` as for np.linalg.qr), and the scale-free rank test: whether
+    R has a diagonal entry of at most 1e-12 max |J| (all-zero J is deficient)."""
     k = J.shape[-2]
     Q, R = np.linalg.qr(np.swapaxes(J, -1, -2), mode=mode)
     diag = np.abs(np.diagonal(R[..., :k, :k], axis1=-2, axis2=-1))
-    scale = np.maximum(1.0, np.abs(J).max(axis=(-2, -1)))
-    return Q, R, (diag < 1e-12 * scale[..., None]).any(axis=-1)
+    scale = np.abs(J).max(axis=(-2, -1))
+    return Q, R, (diag <= 1e-12 * scale[..., None]).any(axis=-1)
 
 
 def qr_nullspace_frame(constraints: ConstraintSet) -> AdaptedFrame:
@@ -1008,9 +1050,7 @@ def qr_nullspace_frame(constraints: ConstraintSet) -> AdaptedFrame:
     """
 
     def provider(U):
-        J = constraints.jacobians_at(U)
-        if _nonfinite(J).any():
-            raise DimensionError("gradient contains non-finite entries")
+        J = _finite(constraints.jacobians_at(U), "gradient")
         Q, _, deficient = _gradient_qrs(J, "complete")
         if deficient.any():
             raise RegularityError(_RANK_DEFICIENT)

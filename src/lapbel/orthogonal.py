@@ -24,11 +24,15 @@ from .constraint_core import (
     BlockProductSet,
     LaplacianReport,
     ScalarField,
+    _admit_blocks,
     _hessians_at,
     _in_chunks,
+    _multipliers_and_traces,
     _only,
+    _packed,
     _repeated,
     _Rows,
+    _sigma_matrices,
     block_product_set,
 )
 from .errors import DimensionError
@@ -36,7 +40,6 @@ from .numkit import (
     DEFAULT_TOLERANCES,
     as_matrix,
     as_vector,
-    off_manifold,
     raise_first,
     require_symmetric,
     unvec_rows,
@@ -77,13 +80,10 @@ def _admit_orthogonal(Us: np.ndarray, tol: float | None) -> list:
     DomainError carrying the residual max |U^t U - I| when it is not within
     ``tol`` (default: the orthogonality tolerance). The whole stack is
     refused unless n >= 2."""
-    n = Us.shape[1]
-    if n < 2:
+    if Us.shape[1] < 2:
         raise DimensionError("orthogonal points need n >= 2")
     tol = DEFAULT_TOLERANCES.orthogonality if tol is None else tol
-    with np.errstate(over="ignore"):  # a huge point is refused, not warned about
-        residual = np.abs(np.swapaxes(Us, 1, 2) @ Us - np.eye(n)).max(axis=(1, 2))
-    return off_manifold(residual, tol, "matrix is not orthogonal: max |U^t U - I| =")
+    return _admit_blocks(Us, 1.0, tol, "matrix is not orthogonal: max |U^t U - I| =")
 
 
 def index_pairs(n: int) -> tuple:
@@ -195,12 +195,14 @@ def lambda_of(point: OrthogonalPoint) -> np.ndarray:
         raise DimensionError(
             f"lambda_of materializes an n^2 x n^2 matrix; refusing n = {n} > {_LAMBDA_MAX_N}"
         )
-    U = point.matrix
-    L = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            L[i * n : (i + 1) * n, j * n : (j + 1) * n] = np.outer(U[:, j], U[:, i])
-    return L
+    return _block_reflection(point.matrix)
+
+
+def _block_reflection(M: np.ndarray) -> np.ndarray:
+    """The n^2-by-n^2 matrix whose block (i, j) is outer(m_j, m_i) for the
+    columns m_i of the n-by-n M: entry (i n + a, j n + b) is M[a, j] M[b, i]."""
+    n = M.shape[0]
+    return (M[None, :, :, None] * M.T[:, None, None, :]).reshape(n * n, n * n)
 
 
 def trace_lambda_product(point: OrthogonalPoint, H) -> float:
@@ -208,12 +210,7 @@ def trace_lambda_product(point: OrthogonalPoint, H) -> float:
 
     Sums u_i^t H[block j, block i] u_j over all block index pairs.
     """
-    n = point.n
-    H = as_matrix(H, "hessian")
-    if H.shape != (n * n, n * n):
-        raise DimensionError(
-            f"hessian has shape {H.shape}, expected {(n * n, n * n)}"
-        )
+    H = _check_square(H, point.n**2, "hessian")
     return float(_lambda_traces(point.matrix[None], H[None])[0])
 
 
@@ -229,33 +226,14 @@ def sigma_matrix(f: ScalarField, point: OrthogonalPoint) -> np.ndarray:
     form; diagonal entries are the column-constraint multipliers,
     off-diagonal entries the pair-constraint multipliers."""
     G = unvec_rows(f.gradient(point.to_vector())[None], point.n)
-    return _sigma_matrices(point.matrix[None], G)[0]
-
-
-def _sigma_matrices(U: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """:func:`sigma_matrix` for each matrix of an (N, n, n) stack U, with
-    the gradients in matrix form G."""
-    return 0.5 * (np.swapaxes(G, 1, 2) @ U + np.swapaxes(U, 1, 2) @ G)
+    return _sigma_matrices(point.matrix[None], G, 0.5, 1.0)[0]
 
 
 def pack_sigma(S, n: int) -> np.ndarray:
     """Flatten a multiplier matrix in constraint order: diagonal entries,
     then off-diagonal entries per lexicographic pair."""
-    S = as_matrix(S, "sigma matrix")
-    if S.shape != (n, n):
-        raise DimensionError(f"sigma matrix has shape {S.shape}, expected {(n, n)}")
+    S = _check_square(S, n, "sigma matrix")
     return _packed(S[None])[0]
-
-
-def _packed(S: np.ndarray) -> np.ndarray:
-    """:func:`pack_sigma` of each matrix of an (N, n, n) stack, as the rows
-    of a C-ordered array."""
-    n = S.shape[1]
-    a, b = np.triu_indices(n, 1)  # the index pairs, lexicographic
-    diagonal = np.arange(n)
-    # fancy indexing leaves the rows strided, and the ddot of the assembly
-    # rounds a strided row differently from a contiguous one
-    return np.ascontiguousarray(S[:, np.concatenate([diagonal, a]), np.concatenate([diagonal, b])])
 
 
 def on_laplacian(f: ScalarField, point: OrthogonalPoint) -> LaplacianReport:
@@ -281,7 +259,6 @@ def on_laplacians(f: ScalarField, X, tol: float | None = None) -> list:
     """
     X = as_matrix(X, "orthogonal points")
     n = _side(X)
-    trace_constraint = np.repeat([(n - 1) / 2.0, 0.0], [n, n * (n - 1) // 2])
 
     def stack(X):
         rows = _Rows(len(X))
@@ -292,10 +269,9 @@ def on_laplacians(f: ScalarField, X, tol: float | None = None) -> list:
         X, U, trace_main = rows.refuse(errors, X, U, trace_main)
         g = f.gradients(X)
         U, g, trace_main = rows.finite(g, "gradient", U, g, trace_main)
-        S = _sigma_matrices(U, unvec_rows(g, n))
-        S, trace_main = rows.finite(S, "sigma matrix", S, trace_main)
-        N = len(S)
-        return rows.assemble(trace_main, _packed(S), np.tile(trace_constraint, (N, 1)), np.ones(N))
+        sigma, traces = _multipliers_and_traces(U, unvec_rows(g, n), 0.5, 1.0)
+        sigma, traces, trace_main = rows.finite(sigma, "sigma matrix", sigma, traces, trace_main)
+        return rows.assemble(trace_main, sigma, traces, np.ones(len(sigma)))
 
     return _in_chunks(stack, X, 8 * f.dim**2)
 
@@ -358,10 +334,7 @@ def p2_field(A) -> ScalarField:
     n = A.shape[0]
     dim = n * n
     B = A.T
-    H = np.zeros((dim, dim))
-    for i in range(n):
-        for j in range(n):
-            H[i * n : (i + 1) * n, j * n : (j + 1) * n] = 2.0 * np.outer(B[:, j], B[:, i])
+    H = 2.0 * _block_reflection(B)
 
     def values(X):
         AU = A @ unvec_rows(X, n)
@@ -407,22 +380,23 @@ def p1_laplacian(A, point: OrthogonalPoint) -> float:
     return -(point.n - 1) / 2.0 * float(np.trace(A @ point.matrix))
 
 
-def p11_laplacian(A, point: OrthogonalPoint) -> float:
-    """Closed form: tr(A A^t) - (n-1) tr(A U)^2 - tr((A U)^2)."""
+def _trace_powers(A, point: OrthogonalPoint) -> tuple:
+    """tr(A A^t), tr(A U)^2 and tr((A U)^2) at the point."""
     A = _check_square(A, point.n, "coefficient matrix")
     AU = A @ point.matrix
-    p11 = float(np.trace(AU)) ** 2
-    p2 = float(np.trace(AU @ AU))
-    return float(np.trace(A @ A.T)) - (point.n - 1) * p11 - p2
+    return float(np.trace(A @ A.T)), float(np.trace(AU)) ** 2, float(np.trace(AU @ AU))
+
+
+def p11_laplacian(A, point: OrthogonalPoint) -> float:
+    """Closed form: tr(A A^t) - (n-1) tr(A U)^2 - tr((A U)^2)."""
+    t, p11, p2 = _trace_powers(A, point)
+    return t - (point.n - 1) * p11 - p2
 
 
 def p2_laplacian(A, point: OrthogonalPoint) -> float:
     """Closed form: tr(A A^t) - (n-1) tr((A U)^2) - tr(A U)^2."""
-    A = _check_square(A, point.n, "coefficient matrix")
-    AU = A @ point.matrix
-    p11 = float(np.trace(AU)) ** 2
-    p2 = float(np.trace(AU @ AU))
-    return float(np.trace(A @ A.T)) - (point.n - 1) * p2 - p11
+    t, p11, p2 = _trace_powers(A, point)
+    return t - (point.n - 1) * p2 - p11
 
 
 def brockett_laplacian(A, diagonal, point: OrthogonalPoint) -> float:

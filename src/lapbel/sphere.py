@@ -20,14 +20,16 @@ from .constraint_core import (
     BlockProductSet,
     LaplacianReport,
     ScalarField,
+    _admit_blocks,
     _hessians_at,
     _in_chunks,
+    _multipliers_and_traces,
     _only,
     _Rows,
     block_product_set,
 )
 from .errors import ChartError, ContractError, DimensionError, DomainError
-from .numkit import DEFAULT_TOLERANCES, as_matrix, as_vector, off_manifold, raise_first, row_errors
+from .numkit import DEFAULT_TOLERANCES, as_matrix, as_vector, raise_first, row_errors
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,7 @@ def _admit_sphere(X: np.ndarray, radius: float, tol: float | None) -> list:
         raise DimensionError("sphere points need ambient dimension >= 2")
     _check_radius(radius)
     tol = DEFAULT_TOLERANCES.on_manifold if tol is None else tol
-    with np.errstate(over="ignore"):  # a huge point is refused, not warned about
-        # stacked 1-by-n times n-by-1 products: the ddot of x @ x per row
-        residual = np.abs(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0] - radius**2)
-    return off_manifold(residual, tol, "point is off the sphere: |<x,x> - R^2| =")
+    return _admit_blocks(X[:, :, None], radius, tol, "point is off the sphere: |<x,x> - R^2| =")
 
 
 def default_chart_index(point: SpherePoint) -> int:
@@ -147,14 +146,9 @@ def sphere_projector(point: SpherePoint) -> np.ndarray:
 
 def sphere_sigma(f: ScalarField, point: SpherePoint) -> float:
     """The sphere's single Lagrange multiplier: <x, grad f(x)> / (2 R^2)."""
-    x = point.coords
-    return float(_sphere_sigmas(x[None], f.gradient(x)[None], point.radius)[0])
-
-
-def _sphere_sigmas(X: np.ndarray, G: np.ndarray, radius: float) -> np.ndarray:
-    """:func:`sphere_sigma` at the rows of X, with gradients G."""
-    # stacked 1-by-n times n-by-1 products: the ddot of x @ g per row
-    return np.matmul(X[:, None, :], G[:, :, None])[:, 0, 0] / (2.0 * radius**2)
+    x, g = point.coords, f.gradient(point.coords)
+    sigma, _ = _multipliers_and_traces(x[None, :, None], g[None, :, None], 1.0, point.radius)
+    return float(sigma[0, 0])
 
 
 def sphere_laplacian(f: ScalarField, point: SpherePoint) -> float:
@@ -284,8 +278,8 @@ def sphere_reports(
         N, n = X.shape
         xj = X[np.arange(N), j]
         cond = np.maximum(R**2 / np.float_power(xj, 2), 1.0) if n > 2 else np.ones(N)
-        sigma = _sphere_sigmas(X, g, R)[:, None]
-        return rows.assemble(trace_main, sigma, np.full((N, 1), 2.0 * (n - 1)), cond)
+        sigma, traces = _multipliers_and_traces(X[:, :, None], g[:, :, None], 1.0, R)
+        return rows.assemble(trace_main, sigma, traces, cond)
 
     return _in_chunks(stack, as_matrix(X, "sphere points"), 8 * f.dim**2)
 
