@@ -4,10 +4,11 @@ Each ``tests/eval_corpus/<name>.json`` job has a golden ``<name>.out``
 holding the exact stdout of ``lapbel eval --job <name>.json``;
 ``verify_all_2_3.out`` holds the exact report of
 ``lapbel verify all --n 2..3``, ``verify_all_4_5.out`` that of
-``lapbel verify all --n 4..5`` and ``verify_oracle_4_5.out`` that of
-``lapbel verify oracle --n 4..5``. The goldens were written by the code before
-the change they guard, so any change in a printed digit shows up here. A
-deliberate change of output regenerates them with
+``lapbel verify all --n 4..5``, ``verify_oracle_4_5.out`` that of
+``lapbel verify oracle --n 4..5`` and ``verify_all_3_failing.out`` that of
+``lapbel verify all --n 3 --seeds 2 --tol 1e-30``. The goldens were written
+by the code before the change they guard, so any change in a printed digit
+shows up here. A deliberate change of output regenerates them with
 
     PYTHONPATH=src python -m lapbel eval --job tests/eval_corpus/<name>.json \\
         > tests/eval_corpus/<name>.out
@@ -17,6 +18,8 @@ deliberate change of output regenerates them with
         > tests/eval_corpus/verify_all_4_5.out
     PYTHONPATH=src python -m lapbel verify oracle --n 4..5 \\
         > tests/eval_corpus/verify_oracle_4_5.out
+    PYTHONPATH=src python -m lapbel verify all --n 3 --seeds 2 --tol 1e-30 \\
+        > tests/eval_corpus/verify_all_3_failing.out
 
 and names the changed digits and their cause in CHANGES.md.
 """
@@ -115,3 +118,13 @@ def test_oracle_report_at_largest_stencils_is_byte_identical_to_golden(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (CORPUS / "verify_oracle_4_5.out").read_text(encoding="utf-8")
+
+
+def test_failing_report_is_byte_identical_to_golden(capsys):
+    # 18 of the 25 checks miss a tolerance of 1e-30, so this pins
+    # "pass": false entries, the tolerance override and the exit code of a
+    # failed verify.
+    code = main(["verify", "all", "--n", "3", "--seeds", "2", "--tol", "1e-30"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out == (CORPUS / "verify_all_3_failing.out").read_text(encoding="utf-8")
