@@ -721,11 +721,10 @@ def _admit_blocks(U: np.ndarray, radius: float, tol: float, what: str) -> list:
 
 def _sigma_matrices(U: np.ndarray, G: np.ndarray, weight: float, radius: float) -> np.ndarray:
     """The multiplier matrices sym(G^t U) / (2 w R^2), with the field's gradients
-    G shaped as U (:func:`_packed` orders them as the constraints). At p = 1 the
-    1-by-1 U^t G, the ddot of x @ g per row, is taken as it is: (a + a) / 2
-    would overflow where |a| >= 2^1023."""
-    S = np.swapaxes(U, 1, 2) @ G
-    S = S if S.shape[1] == 1 else 0.5 * (np.swapaxes(G, 1, 2) @ U + S)
+    G shaped as U (:func:`_packed` orders them as the constraints). Each product
+    is halved before the sum, so a sum of two entries near the float limit
+    does not overflow where their mean is finite."""
+    S = 0.5 * (np.swapaxes(G, 1, 2) @ U) + 0.5 * (np.swapaxes(U, 1, 2) @ G)
     return S / (2.0 * weight * radius**2)
 
 

@@ -171,11 +171,25 @@ def test_on_laplacians_read_the_hessian_before_the_gradient():
 
 
 def test_on_laplacians_refuse_a_row_whose_multipliers_overflow():
-    x = np.eye(2).reshape(-1)
-    f = linear_field([1e308, 0.0, 0.0, 1e308])
+    # At the 45-degree rotation every entry of G^t U is 1.7e308 sqrt(2), which
+    # overflows however the sum is split.
+    c = np.sqrt(0.5)
+    x = np.array([c, c, -c, c])
+    f = linear_field([1.7e308] * 4)
     (record,) = orthogonal.on_laplacians(f, x[None])
     assert isinstance(record, DimensionError)
     assert str(record) == "sigma matrix contains non-finite entries"
+
+
+def test_on_laplacians_evaluate_a_row_whose_multiplier_sum_alone_overflows():
+    # sym(G^t U) at U = I is 1e308 in its corner, though G^t U + U^t G is not
+    # finite; the general path gives the same value.
+    x = np.eye(2).reshape(-1)
+    f = linear_field([1e308, 0.0, 0.0, 0.0])
+    (record,) = orthogonal.on_laplacians(f, x[None])
+    (general,) = constraint_core.evaluate_points(f, orthogonal.on_constraint_set(2), None, x[None])
+    assert record.value == general.value == -5e307
+    assert record.sigma.tolist() == [1e308, 0.0, 0.0]
 
 
 # -- one-row cases do not admit again --------------------------------------------
