@@ -135,7 +135,9 @@ def _resolve_point(entry, index: int, ambient_dim: int, matrix_side: int | None)
         M = _load_matrix_spec(data, where)
         if M.shape[1] == 1:
             u = M[:, 0]
-        elif matrix_side is not None and M.shape == (matrix_side, matrix_side):
+        elif matrix_side is None:
+            raise ValidationError(f"{where}: matrix shape {M.shape} is not a column vector")
+        elif M.shape == (matrix_side, matrix_side):
             u = numkit.vec(M)
         else:
             raise ValidationError(
@@ -294,7 +296,10 @@ def _evaluate_job(data) -> tuple[list, bool]:
     overrides = {}
     for key in ("on_manifold", "orthogonality"):
         if f"{key}_tol" in options:
-            overrides[key] = _number(options[f"{key}_tol"], f"options.{key}_tol")
+            value = _number(options[f"{key}_tol"], f"options.{key}_tol")
+            if value < 0:
+                raise ValidationError(f"options.{key}_tol must be non-negative, got {value}")
+            overrides[key] = value
     tols = dataclasses.replace(DEFAULT_TOLERANCES, **overrides)
 
     matrix_side = None

@@ -504,6 +504,17 @@ def _sample_job(value):
     }
 
 
+def _p1_job(matrix):
+    return {
+        "manifold": {"type": "orthogonal", "n": 2},
+        "function": {"type": "p1", "matrix": matrix},
+        "points": [[1.0, 0.0, 0.0, 1.0]],
+    }
+
+
+I2 = {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0]}
+
+
 @pytest.mark.parametrize(
     "job, exit_code, message",
     [
@@ -541,12 +552,95 @@ def _sample_job(value):
         ),
         (_sample_job("abc"), 2, "function.samples[0].value must be a number"),
         (_sample_job(10**400), 2, "function.samples[0].value must be finite"),
+        (
+            _sphere_job(options__on_manifold_tol=-1),
+            2,
+            "options.on_manifold_tol must be non-negative, got -1.0",
+        ),
+        (
+            {**_p1_job(I2), "options": {"orthogonality_tol": -1e-3}},
+            2,
+            "options.orthogonality_tol must be non-negative, got -0.001",
+        ),
     ],
 )
 def test_eval_bad_scalar_values_exit_with_one_line(capsys, tmp_path, job, exit_code, message):
     code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
     assert code == exit_code
     assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_eval_admission_tolerances_accept_zero(capsys, tmp_path):
+    for tol in (0, -0.0):
+        job = _sphere_job(options__on_manifold_tol=tol)
+        code, records, _ = eval_records(capsys, tmp_path, job)
+        assert code == 0 and len(records) == 2
+        job = {**_p1_job(I2), "options": {"orthogonality_tol": tol}}
+        code, records, _ = eval_records(capsys, tmp_path, job)
+        assert code == 0 and len(records) == 1
+
+
+def _sample_changed(**changes):
+    job = _sample_job(0.0)
+    job["function"]["samples"][0].update(changes)
+    return job
+
+
+@pytest.mark.parametrize(
+    "job, message",
+    [
+        ({**_sphere_job(), "function": "linear"}, "job.function must contain 'type'"),
+        (
+            _p1_job([1.0, 0.0, 0.0, 1.0]),
+            "function.matrix must be a matrix object {rows, cols, data} or a file reference",
+        ),
+        (
+            _sphere_job(function__coefficients=[]),
+            "function.coefficients must be a non-empty list of numbers",
+        ),
+        (
+            {
+                "manifold": {"type": "orthogonal", "n": 3},
+                "function": {"type": "linear", "coefficients": [1.0] * 9},
+                "points": [I2],
+            },
+            "points[0]: matrix shape (2, 2) fits neither a column vector "
+            "nor the manifold's square side 3",
+        ),
+        ({**_sphere_job(), "points": [I2]}, "points[0]: matrix shape (2, 2) is not a column vector"),
+        ({**_sphere_job(), "points": [5]}, "points[0] must be a list, matrix object, or file reference"),
+        (
+            {**_sphere_job(), "function": {"type": "polynomial", "terms": []}},
+            "function.terms must be a non-empty list of terms",
+        ),
+        (
+            _p1_job({"rows": 3, "cols": 3, "data": [0.0] * 9}),
+            "function.matrix is 3x3; the manifold's ambient dimension 4 needs side 2",
+        ),
+        (
+            _sample_changed(gradient=[1.0, 0.0]),
+            "function.samples[0].gradient has length 2, expected 3",
+        ),
+        (
+            _sample_changed(hessian=I2),
+            "function.samples[0].hessian has shape (2, 2), expected (3, 3)",
+        ),
+        (
+            {**_sphere_job(), "manifold": {**GENERIC_CIRCLE, "ambient_dim": 2, "constraints": []}},
+            "job.manifold.constraints must be a non-empty list",
+        ),
+        ([1], "job must be a JSON object"),
+        ({**_sphere_job(), "options": [1]}, "job.options must be an object"),
+        (
+            _sphere_job(options__finite_difference=1e-5),
+            "options.finite_difference must be an object",
+        ),
+    ],
+)
+def test_eval_malformed_job_parts_exit_2_with_one_line(capsys, tmp_path, job, message):
+    code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
+    assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
 
 
@@ -649,14 +743,6 @@ def test_verify_report_is_strict_json(capsys):
     code, out, _ = run_cli(capsys, ["verify", "lemmas-sphere", "--n", "3", "--seeds", "1", "--tol", "0"])
     assert code == 3
     assert _strict_json(out)["environment"]["tolerance_override"] == 0.0
-
-
-def _p1_job(matrix):
-    return {
-        "manifold": {"type": "orthogonal", "n": 2},
-        "function": {"type": "p1", "matrix": matrix},
-        "points": [[1.0, 0.0, 0.0, 1.0]],
-    }
 
 
 @pytest.mark.parametrize(
