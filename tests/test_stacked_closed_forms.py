@@ -171,8 +171,8 @@ def test_on_laplacians_read_the_hessian_before_the_gradient():
 
 
 def test_on_laplacians_refuse_a_row_whose_multipliers_overflow():
-    # At the 45-degree rotation every entry of G^t U is 1.7e308 sqrt(2), which
-    # overflows however the sum is split.
+    # At the 45-degree rotation the multiplier sigma_11 = (G^t U)_11 is
+    # 1.7e308 sqrt(2), beyond the double range however the sum is split.
     c = np.sqrt(0.5)
     x = np.array([c, c, -c, c])
     f = linear_field([1.7e308] * 4)
