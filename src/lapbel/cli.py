@@ -350,16 +350,15 @@ def _evaluate_job(data) -> tuple[list, bool]:
 
     fspec = _require(data, "function", "job")
     ftype = _require(fspec, "type", "job.function")
-    shared = None
-    if ftype == "external-samples":
+    if ftype == "external-samples":  # one field per point
         samples = _require(fspec, "samples", "job.function")
         if not isinstance(samples, list) or len(samples) != len(refs):
             raise ValidationError(
                 "function.samples must be a list aligned with job.points"
             )
-        fields = [_sample_field(sample, i, ambient) for i, sample in enumerate(samples)]
+        f = [_sample_field(sample, i, ambient) for i, sample in enumerate(samples)]
     else:
-        shared = _build_function(fspec, ambient)
+        f = _build_function(fspec, ambient)
         fd_options = options.get("finite_difference")
         if fd_options is not None:
             if not isinstance(fd_options, dict):
@@ -368,23 +367,13 @@ def _evaluate_job(data) -> tuple[list, bool]:
                 _number(fd_options.get(key, default), f"options.finite_difference.{key}")
                 for key, default in (("gradient_step", 1e-5), ("hessian_step", 1e-4))
             )
-            shared = core.finite_difference_field(
-                shared, ambient, grad_step=grad_step, hess_step=hess_step
-            )
+            f = core.finite_difference_field(f, ambient, grad_step=grad_step, hess_step=hess_step)
     if path == "general-frame":
         if constraints is None:
             constraints = build()
-
-        def evaluate(field, X):
-            return core.evaluate_points(field, constraints, frame, X, tols)
-
+        outcomes = core.evaluate_points(f, constraints, frame, X, tols)
     else:
-        evaluate = closed
-
-    if shared is not None:
-        outcomes = evaluate(shared, X)
-    else:  # one field per point
-        outcomes = [evaluate(field, u[None])[0] for field, u in zip(fields, X)]
+        outcomes = closed(f, X)
 
     records = []
     for i, (ref, outcome) in enumerate(zip(refs, outcomes)):
@@ -442,7 +431,7 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"{source} must be a finite non-negative number, got {tol}")
     with _rewrapped(None):
         report = verify.run_suite(args.suite, ns, seeds=args.seeds, tol=tol, h=args.h)
-    document = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    document = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(document)

@@ -16,6 +16,7 @@ estimate, and nothing is projected or regularized behind the caller's back.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -278,12 +279,17 @@ def _hessians_at(fields, X: np.ndarray) -> tuple:
         H = np.empty((len(X), len(fields)) + X.shape[1:] * 2)
         for a, field in enumerate(fields):
             H[:, a] = field.hessians(X)
+    return H, _hessian_errors(H)
+
+
+def _hessian_errors(H: np.ndarray) -> list:
+    """Per row of the (N, k, m, m) Hessians H, as :func:`_hessians_at` says."""
     # a broadcast stack (stride 0 across rows) repeats one matrix: check it once
     checked = H[:1] if H.strides[0] == 0 else H
     errors = numkit.symmetry_errors(checked, "hessian", "H")
     for i in np.flatnonzero(_nonfinite(checked)):
         errors[i] = DimensionError("hessian contains non-finite entries")
-    return H, errors if checked is H else errors * len(H)
+    return errors if checked is H else errors * len(H)
 
 
 def _repeated(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -862,7 +868,7 @@ def _only(records: list) -> LaplacianReport:
 
 
 def evaluate_points(
-    f: ScalarField,
+    f,
     constraints: ConstraintSet,
     frame: AdaptedFrame | None,
     X,
@@ -870,7 +876,9 @@ def evaluate_points(
 ) -> list:
     """Laplace-Beltrami reports of ``f`` on the constraint manifold at the
     rows of the (N, m) stack ``X``: per row, in row order, a LaplacianReport
-    or the LapbelError that refuses the row.
+    or the LapbelError that refuses the row. ``f`` is one ScalarField for
+    every row or a sequence of N, one per row (see :func:`_per_row`); each
+    row's record has the bits of its one-row evaluation with its own field.
 
     The value is the projected Hessian trace minus the multiplier-weighted
     projected constraint Hessian traces. Each stage runs on the whole stack
@@ -880,7 +888,8 @@ def evaluate_points(
       ``tols.on_manifold`` (DomainError with the residual);
     - the Jacobian J, checked finite, and its reduced QR J^t = QR with the
       rank test on diag R (RegularityError);
-    - the field gradient, checked finite, and the multipliers R^{-1} Q^t ∇f;
+    - the field gradient (see :meth:`_Rows.gradients`), checked finite, and
+      the multipliers R^{-1} Q^t ∇f;
     - the frame: with ``frame`` None every trace is tr H - <Q, H Q>_F and
       the frame Gram condition is 1; explicit frames T, one ``frame.at``
       call on the rows still standing, give tr(T+ H T), with T+ the left
@@ -899,43 +908,84 @@ def evaluate_points(
     tols = DEFAULT_TOLERANCES if tols is None else tols
     X = np.asarray(X, dtype=float)
     m, k = constraints.ambient_dim, constraints.count
-    if X.ndim != 2 or X.shape[1] != m or f.dim != m:
-        raise DimensionError(
-            "field, constraints, and point must share one ambient dimension"
-        )
+    if X.ndim != 2 or X.shape[1] != m:
+        raise DimensionError("field, constraints, and point must share one ambient dimension")
+    fields = _per_row(f, len(X))
+    if any(field.dim != m for field in fields):
+        raise DimensionError("field, constraints, and point must share one ambient dimension")
     stacks = 1 if isinstance(constraints, BlockProductSet) else 1 + k
-    return _in_chunks(
-        lambda U: _evaluate_stack(f, constraints, frame, U, tols), X, 8 * stacks * m * m
-    )
+    evaluate = functools.partial(_evaluate_stack, constraints, frame, tols)
+    return _in_chunks(evaluate, fields, X, 8 * stacks * m * m)
 
 
-def _in_chunks(evaluate, X: np.ndarray, row_bytes: int) -> list:
-    """``evaluate`` (an (N, m) stack -> N records) on the rows of X in chunks
-    of at most ``_CHUNK_BYTES // row_bytes`` rows, the records in row order.
-    A LapbelError raised for a chunk as a whole (by a field or frame
-    callable, say) is put on its row by evaluating the chunk one row at a
-    time. Overflow gives non-finite numbers that the checks refuse, not
-    warnings."""
+def _per_row(f, rows: int) -> tuple:
+    """The evaluators' field argument as one ScalarField per row: ``f``
+    repeated when it is one ScalarField, else the sequence ``f``."""
+    fields = (f,) * rows if isinstance(f, ScalarField) else tuple(f)
+    if len(fields) != rows:
+        raise DimensionError(f"{len(fields)} fields for {rows} points")
+    for i, field in enumerate(fields):
+        if not isinstance(field, ScalarField):
+            raise ContractError(f"field {i} is not a ScalarField")
+    return fields
 
-    def rows(U):
+
+def _in_chunks(evaluate, f, X: np.ndarray, row_bytes: int) -> list:
+    """``evaluate`` (a tuple of one field per row and an (N, m) stack -> N
+    records) on the rows of X in chunks of at most ``_CHUNK_BYTES //
+    row_bytes`` rows, each with its rows' fields of ``f`` (see
+    :func:`_per_row`), the records in row order. A LapbelError raised for a
+    chunk as a whole (by a field or frame callable, say) is put on its row
+    by evaluating the chunk one row at a time, each row with its own field.
+    Overflow gives non-finite numbers that the checks refuse, not warnings."""
+    f = _per_row(f, len(X))
+
+    def rows(fields, U):
         try:
-            return evaluate(U)
+            return evaluate(fields, U)
         except LapbelError as exc:
             if len(U) == 1:
                 return [exc]
-        return [rows(U[i : i + 1])[0] for i in range(len(U))]
+        return [rows(fields[i : i + 1], U[i : i + 1])[0] for i in range(len(U))]
 
     with np.errstate(all="ignore"):
-        return [record for chunk in _chunks(len(X), row_bytes) for record in rows(X[chunk])]
+        return [
+            record
+            for chunk in _chunks(len(X), row_bytes)
+            for record in rows(f[chunk], X[chunk])
+        ]
 
 
 class _Rows:
-    """The records of one chunk's rows: the rows a stage refuses leave the
-    live rows and the per-row arrays, each with its error as its record."""
+    """The records of one chunk's rows, whose fields are ``fields`` (one per
+    row): the rows a stage refuses leave the live rows and the per-row
+    arrays, each with its error as its record."""
 
-    def __init__(self, count: int):
-        self.records = [None] * count
-        self.live = np.arange(count)  # the rows still standing
+    def __init__(self, fields: tuple):
+        self.fields = fields
+        self.records = [None] * len(fields)
+        self.live = np.arange(len(fields))  # the rows still standing
+
+    def _stacked(self, derivative, U: np.ndarray) -> np.ndarray:
+        """``derivative(field, V)`` at the live rows U: one call for each run
+        V of consecutive live rows that share one field object (so one call
+        for a shared field), the results stacked in row order."""
+        # with no row left, one call on the empty stack gives the shape
+        fields = [self.fields[i] for i in self.live] or [self.fields[0]]
+        cuts = [j for j in range(1, len(fields)) if fields[j] is not fields[j - 1]]
+        parts = [derivative(fields[a], U[a:b]) for a, b in zip([0, *cuts], [*cuts, len(fields)])]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def gradients(self, U: np.ndarray) -> np.ndarray:
+        """The field gradients at the live rows U, not checked finite."""
+        return self._stacked(ScalarField.gradients, U)
+
+    def hessians(self, U: np.ndarray) -> tuple:
+        """The (N, 1, m, m) field Hessians at the live rows U and, per row,
+        None or the error refusing them, as :func:`_hessians_at` gives them:
+        one check of the whole stack."""
+        H = self._stacked(ScalarField.hessians, U)[:, None]
+        return H, _hessian_errors(H)
 
     def refuse(self, errors: list, *arrays):
         """Live row j leaves with its record ``errors[j]`` unless that is None;
@@ -973,10 +1023,10 @@ class _Rows:
         return self.records
 
 
-def _evaluate_stack(f, constraints, frame, X, tols) -> list:
+def _evaluate_stack(constraints, frame, tols, fields, X) -> list:
     """The stages of :func:`evaluate_points` on one chunk."""
     m, k = X.shape[1], constraints.count
-    rows = _Rows(len(X))
+    rows = _Rows(fields)
     U = rows.finite(X, "point", X)
     residual = np.abs(constraints.residuals_at(U)).max(axis=1)
     off = numkit.off_manifold(residual, tols.on_manifold, "point is off the manifold: residual")
@@ -986,7 +1036,7 @@ def _evaluate_stack(f, constraints, frame, X, tols) -> list:
     Q, R, deficient = _gradient_qrs(J)
     rank = numkit.row_errors(deficient, lambda j: RegularityError(_RANK_DEFICIENT))
     U, Q, R = rows.refuse(rank, U, Q, R)
-    g = f.gradients(U)
+    g = rows.gradients(U)
     U, Q, R, g = rows.finite(g, "gradient", U, Q, R, g)
     sigma = np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ g[:, :, None])[:, :, 0]
     if not len(U):
@@ -1006,7 +1056,7 @@ def _evaluate_stack(f, constraints, frame, X, tols) -> list:
         U, sigma, cond, T = rows.refuse(refused, U, sigma, cond, T)
         basis = [T_plus, T]
 
-    H, errors = _hessians_at((f,), U)
+    H, errors = rows.hessians(U)
     trace_main = _projected_traces(H, basis)[:, 0]
     U, sigma, cond, trace_main, *basis = rows.refuse(errors, U, sigma, cond, trace_main, *basis)
     trace_constraint, errors = constraints.projected_traces(U, basis)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint_core import ScalarField, _fd_gradient, _fd_hessian
-from .errors import ContractError, DomainError
-from .numkit import vec
+from .constraint_core import ScalarField, _fd_gradient, _fd_hessian, _finite, _hessians_at
+from .errors import ContractError, DomainError, LapbelError
+from .numkit import raise_first, vec
 from .orthogonal import OrthogonalPoint
 from .sphere import SpherePoint, _resolve_chart, sphere_projector
 
@@ -142,6 +142,22 @@ def _require_analytic(f: ScalarField, what: str) -> None:
         )
 
 
+def _analytic(fields, u: np.ndarray, derivative: str) -> np.ndarray:
+    """The analytic ``derivative`` ("gradient" or "hessian") of every field
+    at ``u``, stacked and checked at once; where one is refused, the first
+    refused field raises, as ``getattr(f, derivative)(u)`` does."""
+    try:
+        if derivative == "gradient":
+            return _finite(np.stack([f.gradients(u[None])[0] for f in fields]), "gradient")
+        H, errors = _hessians_at(fields, u[None])
+        raise_first(errors)
+        return H[0]
+    except LapbelError:
+        for f in fields:
+            getattr(f, derivative)(u)
+        raise
+
+
 def _deviations(fields, u, config: OracleConfig | None, derivative: str, numeric) -> list:
     """Per field, the max-abs deviation between its analytic ``derivative``
     and the ``numeric`` differences of its value, every field on one stencil."""
@@ -149,7 +165,7 @@ def _deviations(fields, u, config: OracleConfig | None, derivative: str, numeric
     for f in fields:
         _require_analytic(f, f"check_{derivative}")
     u = np.asarray(u, dtype=float)
-    analytic = [getattr(f, derivative)(u) for f in fields]
+    analytic = _analytic(fields, u, derivative)
     fd = numeric(lambda X: np.stack([f.values(X) for f in fields], axis=1), u, config.step)
     return [float(np.max(np.abs(d - fd[..., k]))) for k, d in enumerate(analytic)]
 

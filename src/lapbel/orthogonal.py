@@ -25,7 +25,6 @@ from .constraint_core import (
     LaplacianReport,
     ScalarField,
     _admit_blocks,
-    _hessians_at,
     _in_chunks,
     _multipliers_and_traces,
     _only,
@@ -243,14 +242,15 @@ def on_laplacian(f: ScalarField, point: OrthogonalPoint) -> LaplacianReport:
     return _only(on_laplacians(f, point.to_vector()[None], math.inf))
 
 
-def on_laplacians(f: ScalarField, X, tol: float | None = None) -> list:
-    """Closed-form reports of ``f`` on the orthogonal group at the rows
-    vec(U) of the (N, n*n) stack ``X`` of finite points: per row, in row
-    order, a LaplacianReport or the LapbelError that refuses the row, the
-    first one it meets of admission at ``tol`` (see :class:`OrthogonalPoint`),
-    the field Hessian (as in :meth:`ScalarField.hessian`), a non-finite field
-    gradient, a non-finite multiplier matrix and assembly. The rows go in
-    chunks, as in :func:`~lapbel.constraint_core.evaluate_points`.
+def on_laplacians(f, X, tol: float | None = None) -> list:
+    """Closed-form reports of ``f`` (one ScalarField, or one per row) on the
+    orthogonal group at the rows vec(U) of the (N, n*n) stack ``X`` of finite
+    points: per row, in row order, a LaplacianReport or the LapbelError that
+    refuses the row, the first one it meets of admission at ``tol`` (see
+    :class:`OrthogonalPoint`), the field Hessian (as in
+    :meth:`ScalarField.hessian`), a non-finite field gradient, a non-finite
+    multiplier matrix and assembly. The rows go in chunks, as in
+    :func:`~lapbel.constraint_core.evaluate_points`.
 
     The value is half the ambient Laplacian, minus (n-1)/2 times the trace
     of U^t times the gradient in matrix form, minus half the blockwise
@@ -260,20 +260,20 @@ def on_laplacians(f: ScalarField, X, tol: float | None = None) -> list:
     X = as_matrix(X, "orthogonal points")
     n = _side(X)
 
-    def stack(X):
-        rows = _Rows(len(X))
+    def stack(fields, X):
+        rows = _Rows(fields)
         X = rows.refuse(_admit_orthogonal(unvec_rows(X, n), tol), X)
         U = unvec_rows(X, n)
-        H, errors = _hessians_at((f,), X)
+        H, errors = rows.hessians(X)
         trace_main = 0.5 * (np.trace(H[:, 0], axis1=1, axis2=2) - _lambda_traces(U, H[:, 0]))
         X, U, trace_main = rows.refuse(errors, X, U, trace_main)
-        g = f.gradients(X)
+        g = rows.gradients(X)
         U, g, trace_main = rows.finite(g, "gradient", U, g, trace_main)
         sigma, traces = _multipliers_and_traces(U, unvec_rows(g, n), 0.5, 1.0)
         sigma, traces, trace_main = rows.finite(sigma, "sigma matrix", sigma, traces, trace_main)
         return rows.assemble(trace_main, sigma, traces, np.ones(len(sigma)))
 
-    return _in_chunks(stack, X, 8 * f.dim**2)
+    return _in_chunks(stack, f, X, 8 * X.shape[1] ** 2)
 
 
 def _check_square(A, n: int | None = None, name: str = "matrix") -> np.ndarray:

@@ -21,7 +21,6 @@ from .constraint_core import (
     LaplacianReport,
     ScalarField,
     _admit_blocks,
-    _hessians_at,
     _in_chunks,
     _multipliers_and_traces,
     _only,
@@ -251,25 +250,26 @@ def sphere_report(
 
 
 def sphere_reports(
-    f: ScalarField, X, radius: float, excluded_index: int | None = None, tol: float | None = None
+    f, X, radius: float, excluded_index: int | None = None, tol: float | None = None
 ) -> list:
-    """Closed-form reports of ``f`` on the radius-``radius`` sphere at the
-    rows of the (N, n) stack ``X`` of finite points: per row, in row order,
-    a LaplacianReport or the LapbelError that refuses the row, the first one
-    it meets of admission at ``tol`` (see :class:`SpherePoint`), the chart
-    (see :func:`sphere_frame`), a non-finite field gradient, the field
-    Hessian (as in :meth:`ScalarField.hessian`) and assembly. The rows go in
-    chunks, as in :func:`~lapbel.constraint_core.evaluate_points`."""
+    """Closed-form reports of ``f`` (one ScalarField, or one per row) on the
+    radius-``radius`` sphere at the rows of the (N, n) stack ``X`` of finite
+    points: per row, in row order, a LaplacianReport or the LapbelError that
+    refuses the row, the first one it meets of admission at ``tol`` (see
+    :class:`SpherePoint`), the chart (see :func:`sphere_frame`), a non-finite
+    field gradient, the field Hessian (as in :meth:`ScalarField.hessian`)
+    and assembly. The rows go in chunks, as in
+    :func:`~lapbel.constraint_core.evaluate_points`."""
     R = float(radius)
 
-    def stack(X):
-        rows = _Rows(len(X))
+    def stack(fields, X):
+        rows = _Rows(fields)
         X = rows.refuse(_admit_sphere(X, R, tol), X)
         j, errors = _charts(X, R, excluded_index)
         X, j = rows.refuse(errors, X, j)
-        g = f.gradients(X)
+        g = rows.gradients(X)
         X, j, g = rows.finite(g, "gradient", X, j, g)
-        H, errors = _hessians_at((f,), X)
+        H, errors = rows.hessians(X)
         quadratic = (X[:, None, :] @ H[:, 0] @ X[:, :, None])[:, 0, 0]
         trace_main = np.trace(H[:, 0], axis1=1, axis2=2) - quadratic / R**2
         X, j, g, trace_main = rows.refuse(errors, X, j, g, trace_main)
@@ -281,7 +281,8 @@ def sphere_reports(
         sigma, traces = _multipliers_and_traces(X[:, :, None], g[:, :, None], 1.0, R)
         return rows.assemble(trace_main, sigma, traces, cond)
 
-    return _in_chunks(stack, as_matrix(X, "sphere points"), 8 * f.dim**2)
+    X = as_matrix(X, "sphere points")
+    return _in_chunks(stack, f, X, 8 * X.shape[1] ** 2)
 
 
 def random_sphere_point(n: int, radius: float, rng) -> SpherePoint:

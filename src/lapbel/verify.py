@@ -13,6 +13,7 @@ finite-difference estimates and derivative hygiene), and ``all``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,17 +48,20 @@ class CheckRecord:
         return self.max_deviation <= self.tolerance
 
     def see(self, deviation: float) -> None:
+        """Keep the deviation if it is the worst yet; a NaN is kept for good
+        and fails the check."""
         deviation = abs(float(deviation))
-        if deviation > self.max_deviation:
+        if deviation > self.max_deviation or math.isnan(deviation):
             self.max_deviation = deviation
 
     def see_matrix(self, delta) -> None:
-        self.see(float(np.max(np.abs(delta))))
+        self.see(float(np.max(np.abs(delta))))  # NaN where any entry is
 
     def to_dict(self) -> dict:
+        deviation = self.max_deviation
         return {
             "name": self.name,
-            "max_deviation": self.max_deviation,
+            "max_deviation": deviation if math.isfinite(deviation) else None,
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
@@ -210,29 +214,29 @@ def suite_theorem_equivalence(ns, seeds: int, tol: float | None = None) -> list:
     sphere_eq = CheckRecord("sphere-general-vs-closed", _identity_tol(1e-8, tol))
     on_eq = CheckRecord("on-general-vs-closed", _identity_tol(1e-8, tol))
     for n in ns:
+        # each (n, radius) group's seeds take one general-path call, one field
+        # per row; sphere_laplacian, the independent reference, stays per point
         for radius in _RADII:
-            constraints = sphere.sphere_constraint_set(n, radius)
-            frame = sphere.sphere_adapted_frame(radius)
+            fields, points = [], []
             for s in range(seeds):
                 rng = _rng(_SALT_SPHERE_FIELDS, n, s)
-                f = random_polynomial_field(rng, n, degree=4)
-                point = sphere.random_sphere_point(n, radius, rng)
+                fields.append(random_polynomial_field(rng, n, degree=4))
+                points.append(sphere.random_sphere_point(n, radius, rng))
+            X = np.stack([point.coords for point in points])
+            frame = sphere.sphere_adapted_frame(radius)
+            general = core.evaluate_points(fields, sphere.sphere_constraint_set(n, radius), frame, X)
+            for f, point, report in zip(fields, points, general):
                 closed = sphere.sphere_laplacian(f, point)
-                report = core.laplace_beltrami_general(
-                    f, constraints, frame, point.coords
-                )
-                sphere_eq.see(report.value - closed)
-        constraints = orthogonal.on_constraint_set(n)
+                sphere_eq.see(core._only([report]).value - closed)
+        fields = [random_polynomial_field(_rng(_SALT_ON_FIELDS, n, s), n * n) for s in range(seeds)]
+        points = [orthogonal.random_orthogonal(n, _rng(_SALT_ON_POINTS, n, s)) for s in range(seeds)]
+        X = np.stack([point.to_vector() for point in points])
+        closed = orthogonal.on_laplacians(fields, X, math.inf)  # admitted on construction
         frame = orthogonal.on_adapted_frame()
-        for s in range(seeds):
-            rng = _rng(_SALT_ON_FIELDS, n, s)
-            f = random_polynomial_field(rng, n * n, degree=4)
-            point = orthogonal.random_orthogonal(n, _rng(_SALT_ON_POINTS, n, s))
-            closed = orthogonal.on_laplacian(f, point)
-            report = core.laplace_beltrami_general(
-                f, constraints, frame, point.to_vector()
-            )
-            on_eq.see(report.value - closed.value)
+        general = core.evaluate_points(fields, orthogonal.on_constraint_set(n), frame, X)
+        for closed_report, report in zip(closed, general):
+            closed_value = core._only([closed_report]).value
+            on_eq.see(core._only([report]).value - closed_value)
     return [sphere_eq, on_eq]
 
 
@@ -247,16 +251,18 @@ def suite_eigenfunctions(ns, seeds: int, tol: float | None = None) -> list:
     quad_eigen = CheckRecord("sphere-quadratic-harmonic-eigen", _identity_tol(1e-10, tol))
     homog = CheckRecord("sphere-homogeneous-consistency", _identity_tol(1e-10, tol))
     for n in ns:
+        # eigenvalues -(n - 1)/2 for p1 and -(n - 2) for p11 - p2, every seed in one call
+        cases = []
         for s in range(seeds):
             A = _rng(_SALT_ON_FIELDS, n, s).standard_normal((n, n))
-            point = orthogonal.random_orthogonal(n, _rng(_SALT_ON_POINTS, n, s))
-            # eigenvalues -(n - 1)/2 for p1 and -(n - 2) for p11 - p2
-            for field, eigenvalue, check in (
-                (orthogonal.p1_field(A), (n - 1) / 2.0, p1_eigen),
-                (orthogonal.p11_field(A) - orthogonal.p2_field(A), n - 2, combo_eigen),
-            ):
-                value = orthogonal.on_laplacian(field, point).value
-                check.see(value + eigenvalue * field.value(point.to_vector()))
+            u = orthogonal.random_orthogonal(n, _rng(_SALT_ON_POINTS, n, s)).to_vector()
+            cases.append((orthogonal.p1_field(A), u, (n - 1) / 2.0, p1_eigen))
+            combo = orthogonal.p11_field(A) - orthogonal.p2_field(A)
+            cases.append((combo, u, n - 2, combo_eigen))
+        fields, X = [case[0] for case in cases], np.stack([case[1] for case in cases])
+        reports = orthogonal.on_laplacians(fields, X, math.inf)  # admitted on construction
+        for (field, u, eigenvalue, check), report in zip(cases, reports):
+            check.see(core._only([report]).value + eigenvalue * field.value(u))
         # The harmonic quadratics x_a x_b and x_a^2 - x_b^2, for a = 0 and
         # b = n - 1; a harmonic of degree l has eigenvalue -l (l + n - 2)/R^2.
         a, b = np.eye(n, dtype=int)[[0, -1]]
@@ -353,7 +359,8 @@ def run_suite(
     h: float = 1e-3,
 ) -> VerifyReport:
     """Run one named suite (or ``all``) over dimensions ``ns`` with
-    ``seeds`` random draws per configuration."""
+    ``seeds`` random draws per configuration. The oracle step ``h`` must lie
+    in [1e-6, 1e-1] (ContractError otherwise) whichever suite runs."""
     if suite not in SUITES:
         raise ValidationError(
             f"unknown suite '{suite}'; choose one of {', '.join(SUITES)}"
@@ -363,6 +370,7 @@ def run_suite(
         raise ValidationError("suite dimensions must be integers >= 2")
     if seeds < 1:
         raise ValidationError("seeds must be a positive count")
+    oracles.OracleConfig(step=h)  # every report records h
     # Built per call, so a suite function wrapped after import is the one run.
     table = {
         "lemmas-sphere": suite_lemmas_sphere,

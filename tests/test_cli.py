@@ -739,6 +739,15 @@ def test_verify_rejects_non_finite_or_negative_tol(capsys, monkeypatch, value):
     assert err.startswith("error: LAPBEL_TOL must be a finite non-negative number")
 
 
+@pytest.mark.parametrize("suite", ["lemmas-on", "all"])
+@pytest.mark.parametrize("value", ["nan", "-5", "0.2"])
+def test_verify_refuses_a_step_outside_the_oracle_range_for_every_suite(capsys, suite, value):
+    argv = ["verify", suite, "--n", "2", "--seeds", "1", f"--h={value}"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: oracle step must lie in [1e-6, 1e-1], got {float(value)}\n"
+
+
 def test_verify_report_is_strict_json(capsys):
     code, out, _ = run_cli(capsys, ["verify", "lemmas-sphere", "--n", "3", "--seeds", "1", "--tol", "0"])
     assert code == 3

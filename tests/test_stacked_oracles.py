@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from lapbel import oracles, orthogonal, sphere
+from lapbel import numkit, oracles, orthogonal, sphere
 from lapbel.constraint_core import ScalarField, linear_field, polynomial_field
 from lapbel.errors import ContractError, DomainError, LapbelError
 from lapbel.numkit import vec
@@ -251,6 +251,76 @@ def test_one_stencil_serves_every_field():
     oracles.check_gradients(fields, u)
     oracles.check_hessians(fields, u)
     assert calls == [2 * m] * len(fields) + [1 + 2 * m * m] * len(fields)
+
+
+def faulty(f, fault):
+    """``f`` with an asymmetric or NaN Hessian, an infinite gradient, or
+    derivative stacks that refuse every stack."""
+
+    def gradients(X):
+        if fault == "raising":
+            raise DomainError("no derivative here")
+        return f.gradients(X) + (np.inf if fault == "gradient" else 0.0)
+
+    def hessians(X):
+        if fault == "raising":
+            raise DomainError("no derivative here")
+        H = np.array(f.hessians(X))
+        H[:, 0, -1] += {"asymmetric": 1.0, "nan": np.nan}.get(fault, 0.0)
+        return H
+
+    return ScalarField(f.dim, values_fn=f.values, gradients_fn=gradients, hessians_fn=hessians)
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        ["asymmetric", "nan"],
+        ["nan", "asymmetric"],
+        ["asymmetric", "raising"],
+        ["raising", "asymmetric"],
+        ["gradient", "raising"],
+        ["raising", "gradient"],
+        ["gradient"],
+    ],
+)
+@pytest.mark.parametrize("derivative", ["gradient", "hessian"])
+def test_the_first_refused_field_raises_what_its_own_derivative_raises(faults, derivative):
+    rng = np.random.default_rng(88)
+    fields = hygiene_fields(2, rng)
+    for k, fault in enumerate(faults):
+        fields[1 + 2 * k] = faulty(fields[1 + 2 * k], fault)
+    u = rng.uniform(-1.0, 1.0, size=4)
+    check = getattr(oracles, f"check_{derivative}s")
+
+    def one_by_one():
+        for f in fields:
+            getattr(f, derivative)(u)
+
+    expected = outcome(one_by_one)
+    got = outcome(lambda: check(fields, u))
+    if expected is None:  # no field refuses this derivative
+        assert not isinstance(got, LapbelError)
+    else:
+        assert same_outcome(got, expected)
+    for bad_point in (u[:3], u[None], np.full(4, np.nan)):
+        expected = outcome(lambda: getattr(fields[0], derivative)(bad_point))
+        assert same_outcome(outcome(lambda: check(fields, bad_point)), expected)
+
+
+def test_the_analytic_hessians_of_a_case_take_one_symmetry_check(monkeypatch):
+    rng = np.random.default_rng(89)
+    fields = hygiene_fields(3, rng)
+    calls = []
+    original = numkit.symmetry_errors
+
+    def spy(M, *args):
+        calls.append(M.shape)
+        return original(M, *args)
+
+    monkeypatch.setattr(numkit, "symmetry_errors", spy)
+    oracles.check_hessians(fields, rng.uniform(-1.0, 1.0, size=9))
+    assert calls == [(1, len(fields), 9, 9)]
 
 
 def test_multi_field_checks_refuse_any_field_without_analytic_provenance():

@@ -1,11 +1,12 @@
 """Tests for the verification suites."""
 
 import json
+import math
 
 import pytest
 
-from lapbel.errors import ValidationError
-from lapbel.verify import SUITES, run_suite
+from lapbel.errors import ContractError, ValidationError
+from lapbel.verify import SUITES, CheckRecord, run_suite
 
 
 def test_suite_names():
@@ -78,3 +79,45 @@ def test_validation():
         run_suite("all", ns=[1, 2])
     with pytest.raises(ValidationError):
         run_suite("all", ns=[2], seeds=0)
+
+
+@pytest.mark.parametrize("h", [math.nan, -5.0, math.inf, 5e-7, 0.2])
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_suite_refuses_a_step_outside_the_oracle_range(suite, h):
+    with pytest.raises(ContractError, match=r"oracle step must lie in \[1e-6, 1e-1\]"):
+        run_suite(suite, ns=[2], seeds=1, h=h)
+
+
+@pytest.mark.parametrize(
+    "see",
+    [
+        lambda c: c.see(math.nan),
+        lambda c: c.see_matrix([math.nan, 5.0]),
+        lambda c: c.see_matrix([[0.0, math.nan]]),
+        lambda c: (c.see(math.nan), c.see(5.0), c.see(0.0)),
+        lambda c: (c.see(5.0), c.see_matrix([math.nan])),
+    ],
+)
+def test_a_nan_deviation_fails_the_check_and_is_written_as_null(see):
+    check = CheckRecord("x", 1e-10)
+    see(check)
+    assert math.isnan(check.max_deviation)
+    assert not check.passed
+    d = check.to_dict()
+    assert d["max_deviation"] is None and d["pass"] is False
+    json.dumps(d, allow_nan=False)
+
+
+def test_an_infinite_deviation_fails_the_check_and_is_written_as_null():
+    check = CheckRecord("x", 1e-10)
+    check.see(-math.inf)
+    assert check.max_deviation == math.inf and not check.passed
+    assert check.to_dict()["max_deviation"] is None
+
+
+def test_finite_deviations_keep_the_worst_absolute_value():
+    check = CheckRecord("x", 1.0)
+    check.see(-0.5)
+    check.see_matrix([[0.25, -0.75]])
+    check.see(0.1)
+    assert check.to_dict() == {"name": "x", "max_deviation": 0.75, "tolerance": 1.0, "pass": True}
