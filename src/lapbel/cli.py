@@ -111,8 +111,12 @@ def _load_matrix_spec(spec, where: str) -> np.ndarray:
         )
     if isinstance(spec.get("data"), list):
         _numbers(spec["data"], f"{where}.data")
+    # the job's integer rule; numkit.matrix_from_json keeps its strict one
+    sides = {
+        key: _number(spec[key], f"{where}.{key}", integer=True) for key in ("rows", "cols") if key in spec
+    }
     with _rewrapped(where):
-        return numkit.matrix_from_json(spec)
+        return numkit.matrix_from_json({**spec, **sides})
 
 
 def _as_float_list(values, where: str) -> np.ndarray:

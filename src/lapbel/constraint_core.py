@@ -667,11 +667,11 @@ class ConstraintSet:
         numkit.raise_first(errors)
         return _writable(H[0])
 
-    def projected_traces(self, X: np.ndarray, basis: list) -> tuple:
+    def projected_traces(self, X: np.ndarray, Q: np.ndarray, normal: bool) -> tuple:
         """Per row of X, the k traces :func:`_projected_traces` gives on the
         constraint Hessians, and None or the error refusing them."""
         H, errors = _hessians_at(self.fields, X)
-        return _projected_traces(H, basis), errors
+        return _projected_traces(H, Q, normal), errors
 
 
 @dataclass(frozen=True)
@@ -685,22 +685,50 @@ class BlockProductSet(ConstraintSet):
     block: int
     products: tuple
 
-    def projected_traces(self, X: np.ndarray, basis: list) -> tuple:
-        """The traces from the blocks, nothing refused: tr(T+ H T) =
-        w (<L_b, T_c>_F + <L_c, T_b>_F) with L = T+^t for ``basis`` [T+, T];
-        for [Q], L = T = Q and the trace is 2 s w [b = c] minus that."""
+    @functools.cached_property
+    def _arrays(self) -> tuple:
+        """b, c, w as arrays, and per entry of the Jacobian scatter its
+        constraint, target block, source block and factor: w u_c into block
+        b and w u_b into block c, or 2w u_b into block b when b = c."""
         b, c, w = (np.array(v) for v in zip(*self.products))
-        N, s, cols = len(X), self.block, basis[-1].shape[2]
-        left = basis[0] if len(basis) == 1 else np.swapaxes(basis[0], 1, 2)
+        pair = np.flatnonzero(b != c)
+        factor = np.concatenate([np.where(b == c, 2.0 * w, w), w[pair]])[:, None]
+        return b, c, w, (np.r_[np.arange(len(b)), pair], np.r_[b, c[pair]], np.r_[c, b[pair]], factor)
+
+    def _blocks(self, X) -> np.ndarray:
+        """The (N, m / s, s) stack whose row b is block b of a row of X."""
+        return np.asarray(X, dtype=float).reshape(len(X), self.ambient_dim // self.block, self.block)
+
+    def residuals_at(self, X) -> np.ndarray:
+        """The residuals in one stacked 1-by-s times s-by-1 product per row
+        and constraint, with the bits of each field's ddot u_b . u_c."""
+        b, c, w, _ = self._arrays
+        B = self._blocks(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return w * np.matmul(B[:, b, None, :], B[:, c, :, None])[:, :, 0, 0] - self.regular_value
+
+    def jacobians_at(self, X) -> np.ndarray:
+        """The Jacobians in one scatter, with the bits of each field's gradients."""
+        constraint, target, source, factor = self._arrays[3]
+        B = self._blocks(X)
+        J = np.zeros((len(B), self.count) + B.shape[1:])
+        J[:, constraint, target] = factor * B[:, source]
+        return J.reshape(len(B), self.count, self.ambient_dim)
+
+    def projected_traces(self, X: np.ndarray, Q: np.ndarray, normal: bool) -> tuple:
+        """The traces from the blocks, nothing refused: with Q spanning the
+        tangent space, tr(Q^t H Q) = w (<Q_b, Q_c>_F + <Q_c, Q_b>_F); with Q
+        spanning the normal space, 2 s w [b = c] minus that."""
+        b, c, w, _ = self._arrays
         # row b of each (N, m / s, s * cols) view holds block b
-        L, T = (A.reshape(N, self.ambient_dim // s, s * cols) for A in (left, basis[-1]))
-        G = L @ np.swapaxes(T, 1, 2)
+        B = Q.reshape(len(X), self.ambient_dim // self.block, self.block * Q.shape[2])
+        G = B @ np.swapaxes(B, 1, 2)
         traces = w * (G[:, b, c] + G[:, c, b])
-        if len(basis) == 1:
-            traces = 2.0 * s * w * (b == c) - traces
+        if normal:
+            traces = 2.0 * self.block * w * (b == c) - traces
         # G[:, b, c] leaves the rows strided, and the ddot of the assembly
         # rounds a strided row differently from a contiguous one
-        return np.ascontiguousarray(traces), [None] * N
+        return np.ascontiguousarray(traces), [None] * len(X)
 
 
 def block_product_set(ambient_dim: int, block: int, products, regular_value) -> BlockProductSet:
@@ -838,9 +866,9 @@ class LaplacianReport:
     def to_dict(self) -> dict:
         return {
             "value": self.value,
-            "sigma": [float(s) for s in self.sigma],
+            "sigma": self.sigma.tolist(),
             "trace_main": self.trace_main,
-            "trace_constraint": [float(t) for t in self.trace_constraint],
+            "trace_constraint": self.trace_constraint.tolist(),
             "frame_gram_condition": self.frame_gram_condition,
         }
 
@@ -891,10 +919,13 @@ def evaluate_points(
     - the field gradient (see :meth:`_Rows.gradients`), checked finite, and
       the multipliers R^{-1} Q^t ∇f;
     - the frame: with ``frame`` None every trace is tr H - <Q, H Q>_F and
-      the frame Gram condition is 1; explicit frames T, one ``frame.at``
-      call on the rows still standing, give tr(T+ H T), with T+ the left
-      Moore-Penrose inverse, refused above ``tols.condition_limit``
-      (SingularityError);
+      the frame Gram condition is 1; explicit frames T, from one
+      ``frame.at`` call on the rows still standing (where it raises a
+      LapbelError, each row asks alone, and a row whose own call raises
+      is refused with that error), give tr(Q_T^t H Q_T) from their reduced
+      QR T = Q_T R_T, which equals tr(T+ H T) with nothing inverted; the
+      Gram condition cond(R_T)^2 refuses a frame above
+      ``tols.condition_limit`` (SingularityError);
     - the field Hessian, checked finite and symmetric, and its trace; then
       :meth:`ConstraintSet.projected_traces` (no Hessian for block products);
     - assembly, one array step per chunk (NumericalError on overflow).
@@ -902,8 +933,7 @@ def evaluate_points(
     The rows go in chunks whose Hessian stacks (m^2 doubles per row, k m^2
     more unless the set is a BlockProductSet) stay within ``_CHUNK_BYTES``,
     through :func:`_in_chunks`: a LapbelError raised for a chunk as a whole
-    (by a field or frame callable, or for a frame of the wrong width) is put
-    on its row.
+    (by a field callable, say) is put on its row.
     """
     tols = DEFAULT_TOLERANCES if tols is None else tols
     X = np.asarray(X, dtype=float)
@@ -935,7 +965,7 @@ def _in_chunks(evaluate, f, X: np.ndarray, row_bytes: int) -> list:
     records) on the rows of X in chunks of at most ``_CHUNK_BYTES //
     row_bytes`` rows, each with its rows' fields of ``f`` (see
     :func:`_per_row`), the records in row order. A LapbelError raised for a
-    chunk as a whole (by a field or frame callable, say) is put on its row
+    chunk as a whole (by a field callable, say) is put on its row
     by evaluating the chunk one row at a time, each row with its own field.
     Overflow gives non-finite numbers that the checks refuse, not warnings."""
     f = _per_row(f, len(X))
@@ -1042,37 +1072,55 @@ def _evaluate_stack(constraints, frame, tols, fields, X) -> list:
     if not len(U):
         return rows.records
 
-    if frame is None:
+    normal = frame is None  # Q spans the normal space, else the frame's
+    if normal:
         cond = np.ones(len(U))
-        basis = [Q]
     else:
-        T = frame.at(U)
-        if T.shape[2] != m - k:
-            raise DimensionError(
-                f"frame supplies {T.shape[2]} tangent directions, expected "
-                f"{m - k} (ambient {m} minus {k} constraints)"
-            )
-        T_plus, cond, refused = numkit.frame_pseudo_inverses(T, tols.condition_limit)
-        U, sigma, cond, T = rows.refuse(refused, U, sigma, cond, T)
-        basis = [T_plus, T]
+        frames, errors = _frames(frame, U, m - k)
+        U, sigma = rows.refuse(errors, U, sigma)
+        if not frames:
+            return rows.records
+        T = frames[0] if len(frames) == 1 else np.concatenate(frames)
+        Q, _, cond, refused = numkit.frame_qrs(T, tols.condition_limit)
+        U, sigma, cond, Q = rows.refuse(refused, U, sigma, cond, Q)
 
     H, errors = rows.hessians(U)
-    trace_main = _projected_traces(H, basis)[:, 0]
-    U, sigma, cond, trace_main, *basis = rows.refuse(errors, U, sigma, cond, trace_main, *basis)
-    trace_constraint, errors = constraints.projected_traces(U, basis)
+    trace_main = _projected_traces(H, Q, normal)[:, 0]
+    U, sigma, cond, trace_main, Q = rows.refuse(errors, U, sigma, cond, trace_main, Q)
+    trace_constraint, errors = constraints.projected_traces(U, Q, normal)
     parts = rows.refuse(errors, trace_main, sigma, trace_constraint, cond)
     return rows.assemble(*parts)
 
 
-def _projected_traces(H: np.ndarray, basis: list) -> np.ndarray:
-    """Per row and Hessian, tr(P H) for Hessians H of shape (N, k, m, m):
-    tr H - <Q, H Q>_F for ``basis`` [Q], or tr(T+ H T) for ``basis``
-    [T+, T] (each with one row per point)."""
-    if len(basis) == 1:
-        Q = basis[0][:, None]
-        return np.trace(H, axis1=-2, axis2=-1) - np.sum(Q * (H @ Q), axis=(-2, -1))
-    T_plus, T = basis
-    return np.trace(T_plus[:, None] @ H @ T[:, None], axis1=-2, axis2=-1)
+def _frames(frame: AdaptedFrame, U: np.ndarray, width: int) -> tuple:
+    """The frames at the rows of U, as a list of stacks in row order, and
+    per row None or the error refusing its frame: one ``frame.at`` call, its
+    frames checked to have ``width`` columns; where that raises a
+    LapbelError for a stack, each row asked alone."""
+    try:
+        T = frame.at(U)
+        if T.shape[2] != width:
+            m = U.shape[1]
+            raise DimensionError(
+                f"frame supplies {T.shape[2]} tangent directions, expected "
+                f"{width} (ambient {m} minus {m - width} constraints)"
+            )
+        return [T], [None] * len(U)
+    except LapbelError as exc:
+        if len(U) == 1:
+            return [], [exc]
+    parts = [_frames(frame, U[i : i + 1], width) for i in range(len(U))]
+    return [T for frames, _ in parts for T in frames], [errors[0] for _, errors in parts]
+
+
+def _projected_traces(H: np.ndarray, Q: np.ndarray, normal: bool) -> np.ndarray:
+    """Per row and Hessian, tr(P H) for Hessians H of shape (N, k, m, m), with
+    P the tangent projector and Q orthonormal columns, one (m, c) matrix per
+    row: <Q, H Q>_F = tr(Q^t H Q) where Q spans the tangent space, and
+    tr H - <Q, H Q>_F where Q spans the normal space."""
+    Q = Q[:, None]
+    inner = np.sum(Q * (H @ Q), axis=(-2, -1))
+    return np.trace(H, axis1=-2, axis2=-1) - inner if normal else inner
 
 
 _RANK_DEFICIENT = "constraint gradients are rank deficient at this point"

@@ -3,7 +3,7 @@
 Column-major vectorization, Gram matrices, SPD solves, and the left
 Moore-Penrose inverse, together with the package-wide tolerance record and
 the names of the verification suites. Everything is dense float64 and numpy
-only. Tall frames are inverted through a reduced QR factorization, never
+only. Tall frames are factored by a reduced QR factorization, never
 through their Gram matrix; their condition comes from the singular values of
 the small factor R, and ill-conditioning is reported instead of regularized.
 """
@@ -33,7 +33,7 @@ class Tolerances:
     on_manifold     max-abs constraint residual admitted as "on the
                     manifold" (default 1e-8)
     condition_limit largest acceptable condition number for a frame Gram
-                    matrix before the solve is refused (default 1e12)
+                    matrix before the frame is refused (default 1e12)
     chart_margin    |x_j| >= chart_margin * R is required of a sphere
                     chart's excluded coordinate (default 1e-8)
     """
@@ -233,8 +233,9 @@ def left_moore_penrose(T, condition_limit: float | None = None) -> np.ndarray:
 
     The r-by-r Gram matrix T^t T is required to be well conditioned
     (condition estimate at most ``condition_limit``, default 1e12); the
-    inverse itself is R^{-1} Q^t from the reduced QR T = QR. Rank-deficient
-    or ill-conditioned input raises SingularityError carrying the estimate.
+    inverse itself is R^{-1} Q^t from the reduced QR T = QR of
+    :func:`frame_qrs`. Rank-deficient or ill-conditioned input raises
+    SingularityError carrying the estimate.
     """
     T = as_matrix(T, "left_moore_penrose input")
     m, r = T.shape
@@ -243,30 +244,30 @@ def left_moore_penrose(T, condition_limit: float | None = None) -> np.ndarray:
             f"left_moore_penrose expects at least as many rows as columns, got {m}x{r}"
         )
     limit = DEFAULT_TOLERANCES.condition_limit if condition_limit is None else condition_limit
-    T_plus, _, refused = frame_pseudo_inverses(T[None], limit)
+    Q, R, _, refused = frame_qrs(T[None], limit)
     raise_first(refused)
-    return T_plus[0]
+    return np.linalg.solve(R[0], Q[0].T)
 
 
-def frame_pseudo_inverses(T: np.ndarray, condition_limit: float) -> tuple:
-    """For an (N, m, r) stack of finite tall frames: T+ = R^{-1} Q^t from the
-    reduced QR T = QR of each accepted frame, the condition of every Gram
-    T^t T as cond(R)^2 (the Gram is never formed), and per frame None or the
-    SingularityError carrying the estimate that refuses it, when the estimate
-    is not finite or exceeds ``condition_limit``."""
+def frame_qrs(T: np.ndarray, condition_limit: float) -> tuple:
+    """For an (N, m, r) stack of finite tall frames: the reduced QR T = QR of
+    each frame, the condition of every Gram T^t T as cond(R)^2 (the Gram is
+    never formed), and per frame None or the SingularityError carrying the
+    estimate that refuses it, when the estimate is not finite or exceeds
+    ``condition_limit``. The orthonormal Q spans what T spans, so a caller
+    that needs only the tangent projector T T+ = Q Q^t inverts nothing."""
     Q, R = np.linalg.qr(T)
     s = np.linalg.svd(R, compute_uv=False)
     cond = np.full(len(T), np.inf)
     np.divide(s[:, 0], s[:, -1], out=cond, where=s[:, -1] > 0.0)
     with np.errstate(over="ignore"):
         cond *= cond
-    accepted = cond <= condition_limit
     message = f"frame Gram condition {{:.3e}} exceeds limit {condition_limit:.3e}"
     refused = row_errors(
-        ~accepted, lambda i: SingularityError(message.format(cond[i]), condition=float(cond[i]))
+        ~(cond <= condition_limit),
+        lambda i: SingularityError(message.format(cond[i]), condition=float(cond[i])),
     )
-    Q, R = Q[accepted], R[accepted]
-    return np.linalg.solve(R, np.swapaxes(Q, -1, -2)), cond, refused
+    return Q, R, cond, refused
 
 
 def matrix_to_json(M) -> dict:

@@ -152,8 +152,9 @@ def suite_lemmas_sphere(ns, seeds: int, tol: float | None = None) -> list:
                 # every valid chart's frame, and its left inverse, as one stack
                 frames = sphere._sphere_frames(np.tile(x, (valid.size, 1)), radius, valid)
                 limit = numkit.DEFAULT_TOLERANCES.condition_limit
-                inverses, _, refused = numkit.frame_pseudo_inverses(frames, limit)
+                Q, R, _, refused = numkit.frame_qrs(frames, limit)
                 numkit.raise_first(refused)
+                inverses = np.linalg.solve(R, np.swapaxes(Q, 1, 2))
                 projectors = []
                 for j, T, T_plus in zip(valid, frames, inverses):
                     tangency.see_matrix(x @ T)

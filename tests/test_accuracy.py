@@ -2,8 +2,9 @@
 
 A 50-digit mpmath evaluation of the same formula, from the same inputs J,
 ∇f, H, the constraint Hessians and T, bounds the rounding of the float64
-route; a sweep of sphere chart frames toward their condition limit bounds
-how fast accuracy is lost with the frame's conditioning.
+route; sweeps of sphere chart frames and of mixed O(4) frames toward their
+condition limit bound how fast accuracy is lost with the frame's
+conditioning.
 """
 
 import mpmath
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from lapbel import (
+    AdaptedFrame,
     ConstraintSet,
     SpherePoint,
     brockett_field,
@@ -109,8 +111,7 @@ def test_general_evaluator_matches_a_50_digit_reference(case):
     assert report_distance(report, reference) <= 1e-14
 
 
-@pytest.mark.parametrize("condition", [1e2, 1e4, 1e6, 1e8, 1e10])
-def test_sphere_chart_accuracy_follows_the_frame_condition(condition):
+def _sphere_chart_at(condition):
     # Pushing the excluded coordinate x_j toward 0 sets the chart frame's
     # Gram condition R^2 / x_j^2; the normal equations square it.
     radius, j = 1.5, 4
@@ -121,8 +122,36 @@ def test_sphere_chart_accuracy_follows_the_frame_condition(condition):
     f = polynomial_field(
         5, [(1.0, (2, 1, 0, 0, 1)), (0.8, (0, 0, 3, 1, 0)), (-1.2, (1, 0, 0, 2, 0)), (0.5, (0, 2, 0, 0, 0))]
     )
-    frame = sphere_adapted_frame(radius, excluded_index=j)
-    report = laplace_beltrami_general(f, sphere_constraint_set(5, radius), frame, x)
+    return f, sphere_constraint_set(5, radius), sphere_adapted_frame(radius, excluded_index=j), x
+
+
+def _mixed_orthogonal_at(condition):
+    # The O(4) frame times a fixed 6-by-6 mixing M = Q1 D Q2 with cond(M)^2 =
+    # condition: the tangent spaces stay, the frame Gram takes that condition.
+    f, cons, frame, u = _orthogonal_case()
+    rng = np.random.default_rng(11)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((6, 6)))[0] for _ in range(2))
+    M = Q1 * np.logspace(0.0, -0.5 * np.log10(condition), 6) @ Q2
+    return f, cons, AdaptedFrame(lambda X: frame.at(X) @ M), u
+
+
+@pytest.mark.parametrize("condition", [1e2, 1e4, 1e6, 1e8, 1e10])
+def test_sphere_chart_accuracy_follows_the_frame_condition(condition):
+    f, cons, frame, x = _sphere_chart_at(condition)
+    report = laplace_beltrami_general(f, cons, frame, x)
     assert report.frame_gram_condition == pytest.approx(condition, rel=1e-12)
-    closed = sphere_laplacian(f, SpherePoint(x, radius))
+    closed = sphere_laplacian(f, SpherePoint(x, cons.regular_value[0] ** 0.5))
     assert abs(report.value - closed) <= 1e-10 * abs(closed)
+
+
+@pytest.mark.parametrize("condition", [10.0**e for e in range(2, 12)])
+@pytest.mark.parametrize("case", [_sphere_chart_at, _mixed_orthogonal_at], ids=["sphere-chart", "O(4)"])
+def test_explicit_frame_accuracy_per_condition_decade(case, condition):
+    # The frame's span is only fixed to about eps cond(T) by its rounding,
+    # with cond(T) the square root of the Gram condition; the traces through
+    # the frame's orthonormal QR factor lose no more than a few times that.
+    f, cons, frame, u = case(condition)
+    report = laplace_beltrami_general(f, cons, frame, u)
+    assert report.frame_gram_condition == pytest.approx(condition, rel=1e-9)
+    reference = reference_report(cons.jacobian(u), f.gradient(u), f.hessian(u), cons.hessians(u), frame.at(u))
+    assert report_distance(report, reference) <= 8 * np.finfo(float).eps * np.sqrt(condition)

@@ -676,16 +676,86 @@ def test_block_traces_equal_the_dense_hessian_traces(cons, frame, U):
     assert isinstance(cons, BlockProductSet)
     Q, _, deficient = _gradient_qrs(np.stack([cons.jacobian(u) for u in U]))
     T = np.stack([frame.at(u) for u in U])
-    T_plus, _, refused = numkit.frame_pseudo_inverses(T, 1e12)
+    Q_T, _, _, refused = numkit.frame_qrs(T, 1e12)
     assert not deficient.any() and refused == [None] * len(U)
-    for basis in ([Q], [T_plus, T]):
-        block, errors = cons.projected_traces(U, basis)
+    for basis, normal in ((Q, True), (Q_T, False)):
+        block, errors = cons.projected_traces(U, basis, normal)
         assert errors == [None] * len(U) and block.flags.c_contiguous
         dense = np.concatenate(
-            [_projected_traces(cons.hessians(u)[None], [b[i : i + 1] for b in basis]) for i, u in enumerate(U)]
+            [_projected_traces(cons.hessians(u)[None], basis[i : i + 1], normal) for i, u in enumerate(U)]
         )
         assert block.shape == dense.shape == (len(U), cons.count)
         assert np.all(np.abs(block - dense) <= 1e-13 * np.maximum(1.0, np.abs(dense)))
+
+
+def block_sets():
+    """(block product set, points): the sphere n = 2, 3, 50 at radius 1 and 2,
+    rows 2 and 9 off it and row 4 huge, and O(2..8), rows 2 and 7 off the
+    group and row 4 huge, so that its residual overflows."""
+    for n in (2, 3, 50):
+        for radius in (1.0, 2.0):
+            X = sphere_stack(np.random.default_rng([n, int(radius)]), n, radius, 14)
+            yield pytest.param(sphere.sphere_constraint_set(n, radius), X, id=f"sphere-n{n}-R{radius}")
+    for n in range(2, 9):
+        X = np.stack([orthogonal.random_orthogonal(n, [n, s]).to_vector() for s in range(10)])
+        X[[2, 7]] *= 1.001
+        X[4] = 0.0
+        X[4, 0] = 1e200
+        yield pytest.param(orthogonal.on_constraint_set(n), X, id=f"O({n})")
+
+
+@pytest.mark.parametrize("cons, X", block_sets())
+def test_block_residuals_and_jacobians_are_the_per_field_bits(cons, X):
+    assert isinstance(cons, BlockProductSet)
+    for method in ("residuals_at", "jacobians_at"):
+        assert same_bits(getattr(cons, method)(X), getattr(ConstraintSet, method)(cons, X)), method
+    assert np.isinf(cons.residuals_at(X)[4]).any()
+
+
+@pytest.mark.parametrize("cons, X", block_sets())
+def test_block_sets_admit_as_the_per_field_route_across_chunks(monkeypatch, cons, X):
+    # chunks of 3 rows for the block set (the field's m^2 doubles a row)
+    m = cons.ambient_dim
+    monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", 3 * 8 * m * m)
+    f = random_polynomial_field(np.random.default_rng(m), m, degree=3)
+    per_field = ConstraintSet(m, cons.fields, cons.regular_value)
+    blocks = evaluate_points(f, cons, None, X)
+    for a, b in zip(blocks, evaluate_points(f, per_field, None, X)):
+        if isinstance(b, LapbelError):
+            assert same_outcome(a, b)
+        else:  # the multipliers come from the same Jacobians
+            assert same_bits(a.sigma, b.sigma) and a.frame_gram_condition == b.frame_gram_condition
+    assert isinstance(blocks[4], DomainError) and "residual inf " in str(blocks[4])
+    assert sum(isinstance(r, DomainError) for r in blocks) == 3
+
+
+def test_a_frame_refusal_stays_on_its_rows():
+    # rows 2 and 5 are admitted by the constraints, but the frame refuses
+    # them as not orthogonal: each row is asked alone, and the other rows
+    # stay stacked, with one gradient and one Hessian call for the chunk
+    n, calls = 3, []
+    X = np.stack([orthogonal.random_orthogonal(n, [7, s]).to_vector() for s in range(8)])
+    X[[2, 5], :n] *= np.sqrt(1.0 + np.array([[1.5e-8], [1.2e-8]]))
+    inner = orthogonal.on_adapted_frame()
+    brockett = orthogonal.brockett_field(random_symmetric(np.random.default_rng(4), n), [0.3, -0.5, 0.9])
+
+    def counted(name, derivative):
+        return lambda U: (calls.append((name, len(U))), derivative(U))[1]
+
+    frame = AdaptedFrame(counted("frame", inner.at))
+    f = ScalarField(
+        n * n,
+        values_fn=brockett.values,
+        gradients_fn=counted("gradients", brockett.gradients),
+        hessians_fn=counted("hessians", brockett.hessians),
+    )
+    records = evaluate_points(f, orthogonal.on_constraint_set(n), frame, X)
+    assert calls == [("gradients", 8), ("frame", 8)] + [("frame", 1)] * 8 + [("hessians", 6)]
+    single = [outcome(lambda: laplace_beltrami_general(f, orthogonal.on_constraint_set(n), frame, x)) for x in X]
+    assert all(map(same_outcome, records, single))
+    assert [i for i, r in enumerate(records) if isinstance(r, DomainError)] == [2, 5]
+    assert str(records[2]) != str(records[5])
+    assert str(records[2]).startswith("matrix is not orthogonal: max |U^t U - I| =")
 
 
 def test_an_o20_general_point_builds_no_dense_constraint_hessians():

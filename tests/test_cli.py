@@ -762,7 +762,7 @@ def test_verify_report_is_strict_json(capsys):
         ({"file": 0}, "file reference must be a path string, got 0"),
         ({"file": "LATIN1"}, "is not UTF-8 text"),
         ({"rows": 3, "cols": 1, "data": 5}, "matrix JSON data must be a list of numbers"),
-        ({"rows": True, "cols": 1, "data": [1.0]}, "rows/cols must be positive integers"),
+        ({"rows": 0, "cols": 1, "data": [1.0]}, "rows/cols must be positive integers"),
         ({"rows": 2, "cols": 3, "data": [1.0] * 6}, "coefficient matrix must be square, got 2x3"),
     ],
 )
@@ -777,6 +777,47 @@ def test_eval_bad_file_or_matrix_spec_exits_2_with_one_line(capsys, tmp_path, ma
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def _matrix_object_jobs(key, side):
+    """A point, a function.matrix and a sample Hessian whose matrix object has
+    ``side`` as its ``key`` ("rows" or "cols"), each with its place in the job."""
+    point = {**_p1_job(I2), "points": [{**I2, key: side}]}
+    sample = _sample_job(1.0)
+    sample["function"]["samples"][0]["hessian"][key] = side
+    return [
+        (point, "points[0]"),
+        (_p1_job({**I2, key: side}), "function.matrix"),
+        (sample, "function.samples[0].hessian"),
+    ]
+
+
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_eval_takes_integer_valued_matrix_sides(capsys, tmp_path, key):
+    # the job's one integer rule, as for manifold.n: 2.0 is the integer 2
+    for job, _ in _matrix_object_jobs(key, 2.0):
+        if "samples" in job["function"]:
+            job["function"]["samples"][0]["hessian"][key] = 3.0
+        code, records, _ = eval_records(capsys, tmp_path, job)
+        assert code == 0 and "value" in records[0]
+
+
+@pytest.mark.parametrize("key", ["rows", "cols"])
+@pytest.mark.parametrize(
+    "side, message",
+    [
+        (2.5, "{where}.{key} must be an integer"),
+        (True, "{where}.{key} must be a number"),
+        ("2", "{where}.{key} must be a number"),
+        (0, "{where}: matrix JSON rows/cols must be positive integers"),
+    ],
+)
+def test_eval_refuses_a_bad_matrix_side_with_one_line(capsys, tmp_path, key, side, message):
+    for job, where in _matrix_object_jobs(key, side):
+        path = write_json(tmp_path / "job.json", job)
+        code, out, err = run_cli(capsys, ["eval", "--job", path])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(where=where, key=key)}\n"
 
 
 def test_describe_matches_the_constraint_sets(capsys):

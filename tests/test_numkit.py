@@ -216,15 +216,18 @@ def test_require_symmetric_on_a_matrix_and_a_stack():
     numkit.require_symmetric(1e12 * S + np.array([[0.0, 1.0], [0.0, 0.0]]), "matrix", "M")
 
 
-def test_frame_pseudo_inverses_take_the_gram_condition_from_r():
+def test_frame_qrs_take_the_gram_condition_from_r():
     # cond(T^t T) = cond(R)^2 exactly; the old eigenvalue ratio of the formed
     # Gram lost about half the digits at condition 1e10 (1.5e-6 relative).
     rng = np.random.default_rng(14)
     frames = np.stack([_matrix_with_condition(rng, 8, 3, condition=c) for c in (1e3, 1e5)])
-    T_plus, cond, refused = numkit.frame_pseudo_inverses(frames, 1e8)
+    Q, R, cond, refused = numkit.frame_qrs(frames, 1e8)
     assert_allclose(cond, [1e6, 1e10], rtol=1e-9)
-    assert refused[0] is None and T_plus.shape == (1, 3, 8)
-    assert np.array_equal(T_plus[0], numkit.left_moore_penrose(frames[0]))
+    assert refused[0] is None and Q.shape == (2, 8, 3) and R.shape == (2, 3, 3)
+    # every frame is factored, refused or not; Q is orthonormal and spans T
+    assert_allclose(Q @ R, frames, atol=1e-12)
+    assert_allclose(np.swapaxes(Q, 1, 2) @ Q, np.broadcast_to(np.eye(3), (2, 3, 3)), atol=1e-14)
+    assert np.array_equal(np.linalg.solve(R[0], Q[0].T), numkit.left_moore_penrose(frames[0]))
     assert refused[1].condition == cond[1]
     assert str(refused[1]) == f"frame Gram condition {cond[1]:.3e} exceeds limit 1.000e+08"
     with pytest.raises(SingularityError, match=r"^frame Gram condition 1\.000e\+06 exceeds limit 1\.000e\+05$") as info:
