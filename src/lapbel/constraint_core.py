@@ -696,8 +696,12 @@ class BlockProductSet(ConstraintSet):
         return b, c, w, (np.r_[np.arange(len(b)), pair], np.r_[b, c[pair]], np.r_[c, b[pair]], factor)
 
     def _blocks(self, X) -> np.ndarray:
-        """The (N, m / s, s) stack whose row b is block b of a row of X."""
-        return np.asarray(X, dtype=float).reshape(len(X), self.ambient_dim // self.block, self.block)
+        """The (N, m / s, s) stack whose row b is block b of a row of the
+        (N, m) stack X, refused as each field refuses a stack of another shape."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.ambient_dim:
+            raise DimensionError(f"point stack has shape {X.shape}, field expects (N, {self.ambient_dim})")
+        return X.reshape(len(X), self.ambient_dim // self.block, self.block)
 
     def residuals_at(self, X) -> np.ndarray:
         """The residuals in one stacked 1-by-s times s-by-1 product per row

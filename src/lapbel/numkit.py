@@ -3,7 +3,7 @@
 Column-major vectorization, Gram matrices, SPD solves, and the left
 Moore-Penrose inverse, together with the package-wide tolerance record and
 the names of the verification suites. Everything is dense float64 and numpy
-only. Tall frames are factored by a reduced QR factorization, never
+only. Tall frames go through a reduced QR factorization, never
 through their Gram matrix; their condition comes from the singular values of
 the small factor R, and ill-conditioning is reported instead of regularized.
 """

@@ -710,6 +710,11 @@ def test_block_residuals_and_jacobians_are_the_per_field_bits(cons, X):
     for method in ("residuals_at", "jacobians_at"):
         assert same_bits(getattr(cons, method)(X), getattr(ConstraintSet, method)(cons, X)), method
     assert np.isinf(cons.residuals_at(X)[4]).any()
+    per_field = ConstraintSet(cons.ambient_dim, cons.fields, cons.regular_value)
+    for bad in (X[:, 1:], X[0]):  # stacks of another shape are refused alike
+        for method in ("residuals_at", "jacobians_at"):
+            a, b = (outcome(lambda: getattr(s, method)(bad)) for s in (cons, per_field))
+            assert isinstance(a, DimensionError) and same_outcome(a, b)
 
 
 @pytest.mark.parametrize("cons, X", block_sets())
