@@ -337,27 +337,17 @@ def _exponent_row(p, idx: int) -> np.ndarray:
     return (raw if raw.dtype.kind in "iu" else values).astype(np.int64)
 
 
-def _shifted(p: np.ndarray, *indices) -> np.ndarray:
-    """A copy of exponent row ``p`` with one power taken off per index."""
-    expo = p.copy()
-    for i in indices:
-        expo[i] -= 1
-    return expo
-
-
-def _stack_entries(entries: dict, dim: int):
-    """Flatten ``{key: [(coef, expo_row), ...]}`` into one exponent table and
-    per-key (key, start, stop, coefficients) slices into it."""
-    rows, coefs, slices = [], [], []
-    for key, contributions in entries.items():
-        start = len(rows)
-        for coef, expo in contributions:
-            coefs.append(coef)
-            rows.append(expo)
-        slices.append((key, start, len(rows)))
-    table = np.stack(rows) if rows else np.zeros((0, dim), dtype=np.int64)
-    coef = np.asarray(coefs, dtype=float)
-    return table, [(key, a, b, coef[a:b]) for key, a, b in slices]
+def _entry_table(keys: np.ndarray, coefs: np.ndarray, P: np.ndarray, terms, *taken) -> tuple:
+    """Contributions sorted by entry key, in term order within each entry:
+    the distinct keys, the exponent table (row k is P[terms[k]] less one
+    power at each taken[.][k]) and per key a (start, stop, coefs) slice."""
+    order = np.argsort(keys, kind="stable")
+    keys, coefs, table = keys[order], coefs[order], P[terms[order]]
+    for cols in taken:
+        table[np.arange(len(table)), cols[order]] -= 1
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    bounds = np.append(starts, len(keys)).tolist()
+    return keys[starts], table, [(a, b, coefs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
@@ -366,15 +356,14 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
     ``terms`` is a sequence of (coeff, powers) pairs; each ``powers`` entry
     is a length-``dim`` sequence of non-negative integers.
 
-    The derivative tables are built once here by walking each term's
-    support: every gradient entry i and Hessian entry (i <= j) that some term
-    reaches gets its contributing terms in term order, with coefficients
-    C*p_i, C*p_i*(p_i - 1) or C*p_i*p_j and the shifted exponent rows; a
-    coefficient that overflows refuses the term. At a point, one monomial
-    pass over the stacked rows feeds one dot per nonzero entry, so the cost
-    scales with the sum of squared term supports, not with dim**2. The
-    derivatives come in stacked form only: one monomial pass per chunk of
-    points and one stacked dot per entry.
+    The derivative tables are built once here, as arrays over each term's
+    support entries and their pairs within the term: every gradient entry i
+    and Hessian entry (i <= j) that some term reaches gets its contributing
+    terms in term order, with coefficients C*p_i and C*p_i*(p_j - [i = j])
+    and the shifted exponent rows; a coefficient that overflows refuses the
+    earliest term it comes from. The derivatives come in stacked form only:
+    one monomial pass over a chunk of rows feeds one dot per nonzero entry,
+    so the cost scales with the sum of squared term supports, not dim**2.
     """
     if dim <= 0:
         raise DimensionError("polynomial dim must be positive")
@@ -399,30 +388,33 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
     C = np.asarray(coeffs)
     P = np.stack(powers)  # (t, dim) exponent rows
 
-    def add(entries, key, idx, coef, expo):
-        if not math.isfinite(coef):
-            raise ContractError(
-                f"term {idx} (coeff {C[idx]:g}, powers {P[idx].tolist()}) has a "
-                "derivative coefficient that overflows"
-            )
-        entries.setdefault(key, []).append((coef, expo))
-
-    grad_entries: dict = {}
-    hess_entries: dict = {}
-    with np.errstate(over="ignore"):
-        for idx, (c, p) in enumerate(zip(C, P)):
-            support = np.flatnonzero(p)
-            for a, i in enumerate(support):
-                ci = c * p[i]
-                add(grad_entries, i, idx, ci, _shifted(p, i))
-                if p[i] >= 2:
-                    add(hess_entries, (i, i), idx, ci * (p[i] - 1), _shifted(p, i, i))
-                for j in support[a + 1:]:
-                    add(hess_entries, (i, j), idx, ci * p[j], _shifted(p, i, j))
-    grad_table, grad_slices = _stack_entries(grad_entries, dim)
-    hess_table, hess_slices = _stack_entries(hess_entries, dim)
-    grad_keys = np.array([i for i, *_ in grad_slices], dtype=np.intp)
-    hess_i, hess_j = np.array([key for key, *_ in hess_slices], dtype=np.intp).reshape(-1, 2).T
+    # support entries e = (term t, variable i, power p_i) in term order, and the
+    # pairs e <= f within a term: pair (i, j) adds C p_i (p_j - [i = j]) to H_ij
+    t, i = np.nonzero(P)
+    p = P[t, i]
+    later = np.searchsorted(t, t, "right") - np.arange(len(t))
+    first = np.repeat(np.arange(len(t)), later)
+    second = first + np.arange(len(first)) - np.searchsorted(first, first)
+    factor = p[second] - (first == second)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_coef = C[t] * p
+        hess_coef = grad_coef[first] * factor
+    # each gradient coefficient C p_i is the first factor of its own pair
+    # (e, e), so one mask over the pairs finds the earliest term that overflows
+    bad = ~np.isfinite(hess_coef)
+    if bad.any():
+        idx = int(t[first[bad.argmax()]])
+        raise ContractError(
+            f"term {idx} (coeff {C[idx]:g}, powers {P[idx].tolist()}) has a "
+            "derivative coefficient that overflows"
+        )
+    # a pair i = j with p_i = 1 contributes nothing
+    first, second, hess_coef = (a[factor > 0] for a in (first, second, hess_coef))
+    grad_keys, grad_table, grad_slices = _entry_table(i, grad_coef, P, t, i)
+    hess_keys, hess_table, hess_slices = _entry_table(
+        i[first] * dim + i[second], hess_coef, P, t[first], i[first], i[second]
+    )
+    hess_i, hess_j = np.divmod(hess_keys, dim)
 
     def _monomials(X, expo):
         # numpy evaluates 0.0 ** 0 as 1.0, which is the convention needed here
@@ -435,12 +427,12 @@ def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
         out = np.empty((len(X), len(slices)))
         for rows in _chunks(len(X), 8 * table.size):
             M = _monomials(X[rows], table)
-            for e, (_, a, b, coef) in enumerate(slices):
+            for e, (a, b, coef) in enumerate(slices):
                 out[rows, e] = np.matmul(M[:, None, a:b], coef[:, None])[:, 0, 0]
         return out
 
     def values(X):
-        return _stacked_dots(X, P, [(None, 0, len(C), C)])[:, 0]
+        return _stacked_dots(X, P, [(0, len(C), C)])[:, 0]
 
     def gradients(X):
         G = np.zeros(X.shape)

@@ -868,3 +868,35 @@ def test_polynomial_field_refuses_each_overflowing_table_entry():
         polynomial_field(2, [(1e308, (1, 2))])  # 2e308 on the gradient
     f = polynomial_field(2, [(1e308, (1, 0)), (2e307, (2, 0))])  # 4e307 is finite
     assert np.isfinite(f.gradient([1.0, 0.0])).all()
+    # an earlier term that overflows only on the Hessian (diagonal, then
+    # off-diagonal) is named before a later term whose gradient overflows
+    for terms, idx in (
+        ([(5e307, (3, 0)), (1e308, (0, 2))], 0),  # 1.5e308 on g, 3e308 on H[0, 0]
+        ([(1.0, (1, 1)), (5e307, (2, 2)), (1e308, (2, 0))], 1),  # 2e308 on H[0, 1] only
+    ):
+        with pytest.raises(ContractError) as info:
+            polynomial_field(2, terms)
+        c, powers = terms[idx]
+        assert str(info.value) == (
+            f"term {idx} (coeff {c:g}, powers {list(powers)}) has a derivative "
+            "coefficient that overflows"
+        )
+
+
+def test_a_large_polynomial_builds_its_tables_in_memory_linear_in_the_pairs():
+    # 3000 terms of 4 variables each on R^20: 10 Hessian pairs per term. An
+    # all-entries pair mask would take about 290 MB here.
+    rng = np.random.default_rng(3000)
+    terms = []
+    for _ in range(3000):
+        powers = np.zeros(20, dtype=np.int64)
+        powers[rng.choice(20, size=4, replace=False)] = rng.integers(1, 4, size=4)
+        terms.append((float(rng.uniform(-1.0, 1.0)), powers))
+    tracemalloc.start()
+    try:
+        f = polynomial_field(20, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    assert np.isfinite(f.hessians(rng.uniform(-1.0, 1.0, (2, 20)))).all()

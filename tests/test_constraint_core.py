@@ -264,17 +264,34 @@ def random_sparse_terms(rng, dim, count=12, degree=5):
     return terms
 
 
-@pytest.mark.parametrize("dim", [1, 3, 25, 200])
+def repeated_and_zero_terms(rng, dim, count=10, degree=6):
+    """Terms of degree up to ``degree`` over any of the variables; every
+    third term repeats an earlier exponent row and every fourth has a zero
+    coefficient."""
+    terms = []
+    for t in range(count):
+        if t % 3 == 2:
+            powers = terms[int(rng.integers(0, t))][1].copy()
+        else:
+            powers = np.zeros(dim, dtype=int)
+            for v in rng.integers(0, dim, size=int(rng.integers(0, degree + 1))):
+                powers[v] += 1
+        terms.append((0.0 if t % 4 == 3 else float(rng.uniform(-1.0, 1.0)), powers))
+    return terms
+
+
+@pytest.mark.parametrize("dim", [*range(1, 31), 200])
 def test_polynomial_derivatives_match_reference_loops_exactly(dim):
     rng = np.random.default_rng([2206, dim])
     terms = random_sparse_terms(rng, dim)
-    f = polynomial_field(dim, terms)
     points = [rng.standard_normal(dim), rng.uniform(-2.0, 2.0, size=dim)]
     points[1][: dim // 2] = 0.0
-    for u in points:
-        g, H = reference_polynomial_derivatives(dim, terms, u)
-        assert_bitwise_equal(f.gradient(u), g)
-        assert_bitwise_equal(f.hessian(u), H)
+    for terms in (terms, repeated_and_zero_terms(rng, dim)):
+        f = polynomial_field(dim, terms)
+        for u in points:
+            g, H = reference_polynomial_derivatives(dim, terms, u)
+            assert_bitwise_equal(f.gradient(u), g)
+            assert_bitwise_equal(f.hessian(u), H)
 
 
 def test_polynomial_special_terms_match_reference_loops_exactly():
