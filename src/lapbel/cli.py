@@ -354,7 +354,12 @@ def _evaluate_job(data) -> tuple[list, bool]:
 
     fspec = _require(data, "function", "job")
     ftype = _require(fspec, "type", "job.function")
+    fd_options = options.get("finite_difference")
     if ftype == "external-samples":  # one field per point
+        if fd_options is not None:
+            raise ValidationError(
+                "options.finite_difference does not apply to external-samples functions"
+            )
         samples = _require(fspec, "samples", "job.function")
         if not isinstance(samples, list) or len(samples) != len(refs):
             raise ValidationError(
@@ -363,7 +368,6 @@ def _evaluate_job(data) -> tuple[list, bool]:
         f = [_sample_field(sample, i, ambient) for i, sample in enumerate(samples)]
     else:
         f = _build_function(fspec, ambient)
-        fd_options = options.get("finite_difference")
         if fd_options is not None:
             if not isinstance(fd_options, dict):
                 raise ValidationError("options.finite_difference must be an object")
@@ -437,8 +441,11 @@ def cmd_verify(args) -> int:
         report = verify.run_suite(args.suite, ns, seeds=args.seeds, tol=tol, h=args.h)
     document = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(document)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(document)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(document)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL

@@ -315,6 +315,25 @@ def test_eval_external_samples_must_align(capsys, tmp_path):
     assert "samples" in err
 
 
+@pytest.mark.parametrize("steps", [{"gradient_step": -1}, {"gradient_step": 1e-5}, {}])
+def test_eval_external_samples_refuse_finite_difference_options(capsys, tmp_path, steps):
+    # the samples carry their own derivatives: any step, valid or not, is refused
+    hessian = {"rows": 3, "cols": 3, "data": [0.0] * 9}
+    sample = {"value": 1.0, "gradient": [1.0, 0.0, 0.0], "hessian": hessian}
+    job = {
+        "manifold": {"type": "sphere", "n": 3, "radius": 1.0},
+        "function": {"type": "external-samples", "samples": [sample]},
+        "points": [[1.0, 0.0, 0.0]],
+        "options": {"finite_difference": steps},
+    }
+    path = write_json(tmp_path / "job.json", job)
+    code, out, err = run_cli(capsys, ["eval", "--job", path])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: options.finite_difference does not apply to external-samples functions\n"
+    )
+
+
 # -- eval: plumbing ---------------------------------------------------------------
 
 
@@ -442,6 +461,22 @@ def test_verify_out_file_is_deterministic(capsys, tmp_path):
     assert stdout1 == stdout2 == ""
     assert out1.read_bytes() == out2.read_bytes()
     assert json.loads(out1.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/r.json", "No such file or directory"), (".", "Is a directory")],
+)
+def test_verify_out_to_an_unwritable_path_exits_2_with_one_line(tmp_path, target, reason):
+    out = tmp_path / target
+    result = subprocess.run(
+        [sys.executable, "-m", "lapbel", "verify", "lemmas-on", "--n", "2", "--seeds", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: cannot write {out}: {reason}\n"
+    assert "Traceback" not in result.stderr
 
 
 def test_verify_fail_exit_code(capsys):
