@@ -341,13 +341,13 @@ def _entry_table(keys: np.ndarray, coefs: np.ndarray, P: np.ndarray, terms, *tak
     """Contributions sorted by entry key, in term order within each entry:
     the distinct keys, the exponent table (row k is P[terms[k]] less one
     power at each taken[.][k]) and per key a (start, stop, coefs) slice."""
-    order = np.argsort(keys, kind="stable")
+    # Python's stable sort: numpy's stable argsort pages in code nothing else runs
+    order = np.array(sorted(range(len(keys)), key=keys.tolist().__getitem__), dtype=np.intp)
     keys, coefs, table = keys[order], coefs[order], P[terms[order]]
     for cols in taken:
         table[np.arange(len(table)), cols[order]] -= 1
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    bounds = np.append(starts, len(keys)).tolist()
-    return keys[starts], table, [(a, b, coefs[a:b]) for a, b in zip(bounds, bounds[1:])]
+    bounds = np.flatnonzero(np.append(-1, keys) != np.append(keys, -1)).tolist()
+    return keys[bounds[:-1]], table, [(a, b, coefs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def polynomial_field(dim: int, terms: Sequence) -> ScalarField:
