@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import itertools
 import json
@@ -123,7 +122,7 @@ def _as_float_list(values, where: str) -> np.ndarray:
     if not isinstance(values, list) or not values:
         raise ValidationError(f"{where} must be a non-empty list of numbers")
     _numbers(values, where)
-    with _rewrapped(where):
+    with _rewrapped(None):  # the message names ``where`` already
         return numkit.as_vector(values, where)
 
 
@@ -304,7 +303,7 @@ def _evaluate_job(data) -> tuple[list, bool]:
             if value < 0:
                 raise ValidationError(f"options.{key}_tol must be non-negative, got {value}")
             overrides[key] = value
-    tols = dataclasses.replace(DEFAULT_TOLERANCES, **overrides)
+    tols = DEFAULT_TOLERANCES._replace(**overrides)
 
     matrix_side = None
     constraints = None  # sphere and O(n): built after the points, general path only
@@ -477,8 +476,15 @@ def cmd_describe(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lapbel",
         description=(
             "Evaluate Laplace-Beltrami operators on constraint manifolds "

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -32,11 +31,10 @@ from .errors import (
     NumericalError,
     RegularityError,
 )
-from .numkit import DEFAULT_TOLERANCES, Tolerances, as_matrix, as_vector
+from .numkit import DEFAULT_TOLERANCES, Frozen, Tolerances, as_matrix, as_vector
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Frozen):
     """A scalar function on R^m with first and second derivatives.
 
     ``provenance`` records where the derivatives come from: "analytic" for
@@ -60,24 +58,29 @@ class ScalarField:
     :meth:`hessians`.
     """
 
-    dim: int
-    value_fn: Callable[[np.ndarray], float] | None = None
-    gradient_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    hessian_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    provenance: str = "analytic"
-    values_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    gradients_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    hessians_fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.dim <= 0:
-            raise DimensionError(f"ScalarField dim must be positive, got {self.dim}")
-        for form in ("value", "gradient", "hessian"):
-            one, stacked = f"{form}_fn", f"{form}s_fn"
-            if getattr(self, one) is None:
-                if getattr(self, stacked) is None:
-                    raise ContractError(f"ScalarField needs {one} or {stacked}")
-                object.__setattr__(self, one, _one_row(getattr(self, stacked)))
+    def __init__(
+        self,
+        dim: int,
+        value_fn: Callable[[np.ndarray], float] | None = None,
+        gradient_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+        hessian_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+        provenance: str = "analytic",
+        values_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+        gradients_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+        hessians_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
+        if dim <= 0:
+            raise DimensionError(f"ScalarField dim must be positive, got {dim}")
+        vars(self).update(
+            dim=dim,
+            value_fn=_per_point(value_fn, values_fn, "value"),
+            gradient_fn=_per_point(gradient_fn, gradients_fn, "gradient"),
+            hessian_fn=_per_point(hessian_fn, hessians_fn, "hessian"),
+            provenance=provenance,
+            values_fn=values_fn,
+            gradients_fn=gradients_fn,
+            hessians_fn=hessians_fn,
+        )
 
     @property
     def is_analytic(self) -> bool:
@@ -229,9 +232,14 @@ class ScalarField:
     __rmul__ = __mul__
 
 
-def _one_row(stacked: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """The per-point form of a stacked derivative: its one-row case, on the
-    point made C-ordered as :meth:`ScalarField._check_stack` makes a stack."""
+def _per_point(one, stacked, form: str) -> Callable[[np.ndarray], np.ndarray]:
+    """A derivative's per-point form: ``one``, else the stacked form's one-row
+    case, on the point made C-ordered as :meth:`ScalarField._check_stack`
+    makes a stack; refused with ContractError when the field has neither."""
+    if one is not None:
+        return one
+    if stacked is None:
+        raise ContractError(f"ScalarField needs {form}_fn or {form}s_fn")
     return lambda u: stacked(np.ascontiguousarray(u, dtype=float)[None])[0]
 
 
@@ -328,6 +336,8 @@ def _exponent_row(p, idx: int) -> np.ndarray:
     try:
         raw = np.asarray(p)
         values = raw.astype(float)
+    except OverflowError:  # an integer beyond the double range: too large below
+        values = np.array([math.inf])
     except (TypeError, ValueError) as exc:
         raise ContractError(f"term {idx} has an exponent that is not a number") from exc
     if np.any(np.isnan(values) | (values != np.trunc(values))):
@@ -580,8 +590,7 @@ def finite_difference_field(
     return field
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(Frozen):
     """Finitely many scalar constraints and the regular value cutting out
     the manifold ``{u : fields[a](u) = regular_value[a] for all a}``.
 
@@ -589,14 +598,16 @@ class ConstraintSet:
     and checked once per call.
     """
 
-    ambient_dim: int
-    fields: tuple
-    regular_value: np.ndarray
+    def __init__(self, ambient_dim: int, fields: tuple, regular_value: np.ndarray):
+        vars(self).update(ambient_dim=ambient_dim, fields=fields, regular_value=regular_value)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "fields", tuple(self.fields))
-        object.__setattr__(
-            self, "regular_value", as_vector(self.regular_value, "regular_value")
+        """Normalize and check the stored fields; a method of its own, so
+        the benchmark's span tracer sees every constraint set built."""
+        vars(self).update(
+            fields=tuple(self.fields),
+            regular_value=as_vector(self.regular_value, "regular_value"),
         )
         k = len(self.fields)
         if k == 0:
@@ -666,7 +677,6 @@ class ConstraintSet:
         return _projected_traces(H, Q, normal), errors
 
 
-@dataclass(frozen=True)
 class BlockProductSet(ConstraintSet):
     """Constraints w <u[b], u[c]>, one per (b, c, w) in ``products``, on
     blocks u[b*s : (b+1)*s] of s = ``block`` coordinates, as
@@ -674,8 +684,9 @@ class BlockProductSet(ConstraintSet):
     Hessians w (E_bc + E_cb) kron I_s give every projected trace from inner
     products of frame blocks, with no Hessian built."""
 
-    block: int
-    products: tuple
+    def __init__(self, ambient_dim: int, fields: tuple, regular_value, block: int, products: tuple):
+        vars(self).update(block=block, products=products)
+        super().__init__(ambient_dim, fields, regular_value)
 
     @functools.cached_property
     def _arrays(self) -> tuple:
@@ -778,14 +789,14 @@ def _multipliers_and_traces(U: np.ndarray, G: np.ndarray, weight: float, radius:
     return _packed(_sigma_matrices(U, G, weight, radius)), np.tile(traces, (len(U), 1))
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
+class AdaptedFrame(Frozen):
     """A tangent-frame provider: an (N, m) stack of points -> the (N, m, r)
     stack of matrices whose columns span the tangent space of the constraint
     manifold at each point. A provider refuses a stack by raising the
     LapbelError of its first bad row."""
 
-    provider: Callable[[np.ndarray], np.ndarray]
+    def __init__(self, provider: Callable[[np.ndarray], np.ndarray]):
+        vars(self).update(provider=provider)
 
     def at(self, U) -> np.ndarray:
         """The checked frames at the rows of the (N, m) stack ``U``, or the
@@ -844,8 +855,7 @@ def lagrange_multipliers(
     return np.linalg.solve(R, Q.T @ f.gradient(u))
 
 
-@dataclass(frozen=True)
-class LaplacianReport:
+class LaplacianReport(NamedTuple):
     """Assembled Laplace-Beltrami evaluation with its diagnostics.
 
     ``value`` always equals ``trace_main - sigma @ trace_constraint`` as

@@ -11,8 +11,7 @@ the small factor R, and ill-conditioning is reported instead of regularized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,8 +19,7 @@ from .errors import ContractError, DimensionError, DomainError, FactorizationErr
 from .errors import SingularityError
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Numeric thresholds used across the package.
 
     equality        max-abs tolerance for identities that hold exactly in
@@ -47,6 +45,20 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+class Frozen:
+    """Base of the package's immutable records. Each ``__init__`` stores the
+    fields straight into the instance ``__dict__`` (``vars(self).update``);
+    assigning or deleting an attribute afterwards raises AttributeError.
+    Equality, hashing and repr stay the default identity forms."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 # The verification suites, by the names ``verify`` takes; the command-line
 # parser reads them without importing the suites.

@@ -11,33 +11,26 @@ value function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constraint_core import ScalarField, _fd_gradient, _fd_hessian, _finite, _hessians_at
 from .errors import ContractError, DomainError, LapbelError
-from .numkit import raise_first, vec
+from .numkit import Frozen, raise_first, vec
 from .orthogonal import OrthogonalPoint
 from .sphere import SpherePoint, _resolve_chart, sphere_projector
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(Frozen):
     """Step size and extrapolation switch for the oracles.
 
     ``step`` must lie in [1e-6, 1e-1]. With ``richardson`` True the
     estimate is (4 D(step/2) - D(step)) / 3.
     """
 
-    step: float = 1e-3
-    richardson: bool = False
-
-    def __post_init__(self):
-        if not (1e-6 <= self.step <= 1e-1):
-            raise ContractError(
-                f"oracle step must lie in [1e-6, 1e-1], got {self.step}"
-            )
+    def __init__(self, step: float = 1e-3, richardson: bool = False):
+        if not (1e-6 <= step <= 1e-1):
+            raise ContractError(f"oracle step must lie in [1e-6, 1e-1], got {step}")
+        vars(self).update(step=step, richardson=richardson)
 
 
 def _sphere_tangent_basis(point: SpherePoint, drop_index: int | None) -> np.ndarray:

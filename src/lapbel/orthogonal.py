@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -34,9 +33,10 @@ from .constraint_core import (
     _sigma_matrices,
     block_product_set,
 )
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 from .numkit import (
     DEFAULT_TOLERANCES,
+    Frozen,
     as_matrix,
     as_vector,
     raise_first,
@@ -47,20 +47,22 @@ from .numkit import (
 )
 
 
-@dataclass(frozen=True)
-class OrthogonalPoint:
+class OrthogonalPoint(Frozen):
     """An n-by-n matrix with orthonormal columns, validated on construction.
 
     ``max |U^t U - I|`` must not exceed ``tol`` (default: the orthogonality
     tolerance). Near-orthogonal input is rejected, never re-orthonormalized.
     """
 
-    matrix: np.ndarray
-    tol: InitVar[float | None] = None
+    def __init__(self, matrix: np.ndarray, tol: float | None = None):
+        vars(self).update(matrix=matrix)
+        self.__post_init__(tol)
 
     def __post_init__(self, tol):
+        """Convert and admit the stored matrix (the admission stage the
+        benchmark's span tracer times)."""
         matrix = _check_square(self.matrix, name="orthogonal point")
-        object.__setattr__(self, "matrix", matrix)
+        vars(self).update(matrix=matrix)
         raise_first(_admit_orthogonal(matrix[None], tol))
 
     @property
@@ -286,6 +288,17 @@ def _check_square(A, n: int | None = None, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def _constant_hessian(build) -> np.ndarray:
+    """The constant Hessian ``build()`` gives, refused with ContractError
+    where it overflows, as polynomial_field refuses an overflowing
+    coefficient: no field is built whose every Hessian is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = build()
+    if not np.isfinite(H).all():
+        raise ContractError("the field's constant Hessian overflows: the coefficients are too large")
+    return H
+
+
 def p1_field(A) -> ScalarField:
     """tr(A U) as a field on matrix space: gradient A^t, Hessian zero."""
     A = _check_square(A, name="coefficient matrix")
@@ -310,7 +323,7 @@ def p11_field(A) -> ScalarField:
     n = A.shape[0]
     dim = n * n
     w = vec(A.T)
-    H = 2.0 * np.outer(w, w)
+    H = _constant_hessian(lambda: 2.0 * np.outer(w, w))
 
     def traces(X):
         return np.trace(A @ unvec_rows(X, n), axis1=1, axis2=2)
@@ -334,7 +347,7 @@ def p2_field(A) -> ScalarField:
     n = A.shape[0]
     dim = n * n
     B = A.T
-    H = 2.0 * _block_reflection(B)
+    H = _constant_hessian(lambda: 2.0 * _block_reflection(B))
 
     def values(X):
         AU = A @ unvec_rows(X, n)
@@ -362,7 +375,7 @@ def brockett_field(A, diagonal) -> ScalarField:
     A, mu = _brockett_coefficients(A, diagonal)
     n = A.shape[0]
     dim = n * n
-    H = 2.0 * np.kron(np.diag(mu), A)
+    H = _constant_hessian(lambda: 2.0 * np.kron(np.diag(mu), A))
 
     def values(X):
         U = unvec_rows(X, n)

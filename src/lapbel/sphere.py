@@ -11,7 +11,6 @@ Laplacian minus radial first- and second-order corrections.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -28,11 +27,10 @@ from .constraint_core import (
     block_product_set,
 )
 from .errors import ChartError, ContractError, DimensionError, DomainError
-from .numkit import DEFAULT_TOLERANCES, as_matrix, as_vector, raise_first, row_errors
+from .numkit import DEFAULT_TOLERANCES, Frozen, as_matrix, as_vector, raise_first, row_errors
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(Frozen):
     """A point of the radius-``radius`` sphere, validated on construction.
 
     The squared-norm residual |<x, x> - R^2| must not exceed ``tol``
@@ -40,14 +38,15 @@ class SpherePoint:
     never projected.
     """
 
-    coords: np.ndarray
-    radius: float
-    tol: InitVar[float | None] = None
+    def __init__(self, coords: np.ndarray, radius: float, tol: float | None = None):
+        vars(self).update(coords=coords, radius=radius)
+        self.__post_init__(tol)
 
     def __post_init__(self, tol):
+        """Convert and admit the stored fields (the admission stage the
+        benchmark's span tracer times)."""
         coords = as_vector(self.coords, "sphere point")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "radius", float(self.radius))
+        vars(self).update(coords=coords, radius=float(self.radius))
         raise_first(_admit_sphere(coords[None], self.radius, tol))
 
     @property

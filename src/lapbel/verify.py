@@ -14,7 +14,6 @@ finite-difference estimates and derivative hygiene), and ``all``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,13 +34,13 @@ _SALT_ORACLE = 31
 _SALT_HYGIENE = 32
 
 
-@dataclass
 class CheckRecord:
     """The worst deviation seen for one named check, against its tolerance."""
 
-    name: str
-    tolerance: float
-    max_deviation: float = 0.0
+    def __init__(self, name: str, tolerance: float, max_deviation: float = 0.0):
+        self.name = name
+        self.tolerance = tolerance
+        self.max_deviation = max_deviation
 
     @property
     def passed(self) -> bool:
@@ -67,11 +66,11 @@ class CheckRecord:
         }
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    checks: list
-    environment: dict
+    def __init__(self, suite: str, checks: list, environment: dict):
+        self.suite = suite
+        self.checks = checks
+        self.environment = environment
 
     @property
     def passed(self) -> bool:
@@ -389,6 +388,6 @@ def run_suite(
         "seeds": seeds,
         "h": h,
         "tolerance_override": tol,
-        "tolerances": asdict(numkit.DEFAULT_TOLERANCES),
+        "tolerances": numkit.DEFAULT_TOLERANCES._asdict(),
     }
     return VerifyReport(suite=suite, checks=checks, environment=environment)
