@@ -183,11 +183,11 @@ def test_orthogonal_field_gradients_match_the_per_point_form(n):
 
 def test_orthogonal_field_gradients_refuse_a_non_finite_row_as_vec_does():
     # the per-point gradients raise in ``vec``; the stacked ones raise the same
-    # error, so a chunk's one-row re-run gives each row its per-point record
-    big = np.full((2, 2), 1e308)
-    X = np.stack([orthogonal.random_orthogonal(2, s).to_vector() for s in range(3)])
+    # error, so a chunk's one-row re-run gives each row its per-point record.
+    # Every row has an entry of magnitude >= 1.7e308 / sqrt(2), so 2 U overflows.
+    X = 1.7e308 * np.stack([orthogonal.random_orthogonal(2, s).to_vector() for s in range(3)])
     with np.errstate(over="ignore", invalid="ignore"):
-        for f in (orthogonal.brockett_field(big, [1.0, 1.0]), orthogonal.p2_field(big)):
+        for f in (orthogonal.brockett_field(np.eye(2), [1.0, 1.0]), orthogonal.p2_field(np.eye(2))):
             with pytest.raises(DimensionError, match="vec input contains non-finite entries"):
                 f.gradient_fn(X[0])
             with pytest.raises(DimensionError, match="vec input contains non-finite entries"):

@@ -424,6 +424,25 @@ def test_eval_malformed_constraint_term_exits_2(capsys, tmp_path):
     assert "manifold.constraints[0]" in err and "not an integer" in err
 
 
+@pytest.mark.parametrize(
+    "corpus, where",
+    [("sphere_general.json", "job.function"), ("clifford_torus.json", "manifold.constraints[0]")],
+)
+def test_eval_huge_exponent_exits_2_with_one_line_and_no_traceback(tmp_path, corpus, where):
+    # 10**400 is beyond the double range: it must not reach float conversion unguarded
+    job = json.loads((Path(__file__).parent / "eval_corpus" / corpus).read_text(encoding="utf-8"))
+    spec = job["function"] if where == "job.function" else job["manifold"]["constraints"][0]
+    spec["terms"][0]["powers"][0] = 10**400
+    result = subprocess.run(
+        [sys.executable, "-m", "lapbel", "eval", "--job", write_json(tmp_path / "job.json", job)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {where}: term 0 has an exponent too large for int64\n"
+
+
 def test_eval_brockett_requires_symmetric_matrix(capsys, tmp_path):
     job = {
         "manifold": {"type": "orthogonal", "n": 2},
@@ -662,6 +681,10 @@ def _sample_changed(**changes):
             "function.samples[0].hessian has shape (2, 2), expected (3, 3)",
         ),
         (
+            _sample_changed(gradient=[float("inf"), 0.0, 0.0]),
+            "function.samples[0].gradient contains non-finite entries",
+        ),
+        (
             {**_sphere_job(), "manifold": {**GENERIC_CIRCLE, "ambient_dim": 2, "constraints": []}},
             "job.manifold.constraints must be a non-empty list",
         ),
@@ -687,7 +710,8 @@ def test_eval_scalar_values_accept_integral_numbers(capsys, tmp_path):
 
 def test_no_command_loads_scipy(tmp_path):
     # The package depends on numpy only; each command runs in one fresh
-    # interpreter and must leave SciPy unimported.
+    # interpreter and must leave SciPy unimported, and dataclasses too:
+    # the records are built without generated code, which costs start-up.
     corpus = Path(__file__).parent / "eval_corpus"
     commands = [
         ["eval", "--job", write_json(tmp_path / "closed.json", SPHERE_LINEAR_JOB)],
@@ -702,13 +726,13 @@ def test_no_command_loads_scipy(tmp_path):
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv)\n"
-        "    print(code, 'scipy' in sys.modules)\n"
+        "    print(code, 'scipy' in sys.modules, 'dataclasses' in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["0 False", "4 False", "4 False", "0 False", "0 False"]
+    assert result.stdout.splitlines() == [f"{code} False False" for code in (0, 4, 4, 0, 0)]
 
 
 # -- tolerances per path, strict JSON, file and matrix specs ---------------------------
@@ -871,6 +895,20 @@ def test_describe_large_orthogonal_builds_no_constraints(capsys):
     code, out, _ = run_cli(capsys, ["describe", "orthogonal", "100000"])
     assert code == 0
     assert json.loads(out)["k"] == 100000 * 100001 // 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["describe", "sphere", "1e3"], "lapbel describe: error: argument n: invalid int value: '1e3'"),
+        (["describe", "sphere", "3", "--bogus"], "lapbel: error: unrecognized arguments: --bogus"),
+    ],
+)
+def test_usage_errors_are_one_line_with_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 # -- module entry point --------------------------------------------------------------
@@ -1060,6 +1098,31 @@ def test_eval_overflowing_result_is_a_strict_json_error_record(capsys, tmp_path,
     (record,) = [_strict_json(line) for line in out.splitlines()]
     assert record["error"]["type"] == "NumericalError"
     assert "not finite" in record["error"]["message"]
+
+
+_HUGE = {"rows": 2, "cols": 2, "data": [1e308, 0.0, 0.0, 1e308]}
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        {"type": "p11", "matrix": _HUGE},
+        {"type": "p2", "matrix": _HUGE},
+        {"type": "brockett", "matrix": I2, "diagonal": [1e308, 1.0]},
+    ],
+    ids=["p11", "p2", "brockett"],
+)
+def test_eval_overflowing_constant_hessian_is_refused_when_the_field_is_built(
+    capsys, tmp_path, function
+):
+    # a numpy RuntimeWarning fails the test run, so none may be printed either
+    job = {**_p1_job(I2), "function": function}
+    code, out, err = run_cli(capsys, ["eval", "--job", write_json(tmp_path / "job.json", job)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: job.function: the field's constant Hessian overflows: "
+        "the coefficients are too large\n"
+    )
 
 
 def test_eval_builds_the_orthogonal_constraint_set_only_for_the_general_path(
@@ -1266,9 +1329,10 @@ _BAD_POINTS = [
     ("[1.0, 0.0]", "points[{i}] has dimension 2, manifold ambient dimension is 3"),
     (
         "[1" + "0" * 400 + ", 0, 0]",
-        "points[{i}]: points[{i}] is not an array of numbers: int too large to convert to float",
+        "points[{i}] is not an array of numbers: int too large to convert to float",
     ),
-    ("[0, NaN, 0]", "points[{i}]: points[{i}] contains non-finite entries"),
+    ("[0, NaN, 0]", "points[{i}] contains non-finite entries"),
+    ("[0, 1e400, 0]", "points[{i}] contains non-finite entries"),
     ('{"rows": 3, "cols": 1, "data": [0, "1", 0]}', "points[{i}].data[1] is not a number"),
 ]
 

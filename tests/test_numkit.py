@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lapbel
 from lapbel import numkit
 from lapbel.errors import ContractError, DimensionError, FactorizationError, SingularityError
 
@@ -16,6 +17,39 @@ def test_tolerance_defaults():
     assert tols.on_manifold == 1e-8
     assert tols.condition_limit == 1e12
     assert tols.chart_margin == 1e-8
+
+
+# Each immutable record, a way to build one, and one of its fields.
+RECORDS = {
+    "ScalarField": (lambda: lapbel.linear_field([1.0, 0.0, 0.0]), "dim"),
+    "ConstraintSet": (
+        lambda: lapbel.ConstraintSet(3, (lapbel.linear_field([1.0, 0.0, 0.0]),), [0.0]),
+        "fields",
+    ),
+    "BlockProductSet": (lambda: lapbel.sphere_constraint_set(3, 1.0), "products"),
+    "AdaptedFrame": (lambda: lapbel.sphere_adapted_frame(1.0), "provider"),
+    "LaplacianReport": (
+        lambda: lapbel.LaplacianReport(1.0, np.zeros(1), 1.0, np.zeros(1), 1.0),
+        "value",
+    ),
+    "Tolerances": (lambda: numkit.DEFAULT_TOLERANCES, "equality"),
+    "SpherePoint": (lambda: lapbel.SpherePoint([1.0, 0.0, 0.0], 1.0), "coords"),
+    "OrthogonalPoint": (lambda: lapbel.OrthogonalPoint(np.eye(2)), "matrix"),
+    "OracleConfig": (lambda: lapbel.OracleConfig(), "step"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_cannot_be_assigned_or_deleted(name):
+    make, field = RECORDS[name]
+    record = make()
+    assert type(record).__name__ == name
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
 
 
 def test_vec_identity_and_column_order():
