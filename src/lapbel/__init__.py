@@ -26,8 +26,8 @@ _EXPORTS = {
         "ValidationError",
     ),
     "numkit": (
-        "DEFAULT_TOLERANCES", "Tolerances", "gram", "left_moore_penrose", "matrix_from_json",
-        "matrix_to_json", "solve_spd", "sym_condition", "unvec", "vec",
+        "DEFAULT_TOLERANCES", "Tolerances", "matrix_from_json", "solve_spd", "sym_condition",
+        "unvec", "vec",
     ),
     "oracles": (
         "OracleConfig", "check_gradient", "check_hessian", "geodesic_laplacian_on",
@@ -37,13 +37,12 @@ _EXPORTS = {
         "OrthogonalPoint", "brockett_field", "brockett_laplacian", "index_pairs", "lambda_of",
         "on_adapted_frame", "on_constraint_set", "on_frame", "on_laplacian", "p1_field",
         "p1_laplacian", "p2_field", "p2_laplacian", "p11_field", "p11_laplacian",
-        "random_orthogonal", "sigma_matrix", "theta_basis", "trace_lambda_product",
+        "random_orthogonal", "theta_basis", "trace_lambda_product",
     ),
     "sphere": (
-        "SpherePoint", "default_chart_index", "homogeneous_sphere_laplacian",
-        "random_sphere_point", "sphere_adapted_frame", "sphere_constraint_set", "sphere_frame",
-        "sphere_frame_gram_inverse", "sphere_laplacian", "sphere_projector", "sphere_report",
-        "sphere_sigma",
+        "SpherePoint", "homogeneous_sphere_laplacian", "random_sphere_point",
+        "sphere_adapted_frame", "sphere_constraint_set", "sphere_frame", "sphere_frame_gram_inverse",
+        "sphere_laplacian", "sphere_projector", "sphere_report",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

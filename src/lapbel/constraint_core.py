@@ -661,9 +661,6 @@ class ConstraintSet(Frozen):
         field's :meth:`ScalarField.gradients`, not checked finite."""
         return np.stack([f.gradients(X) for f in self.fields], axis=1)
 
-    def gradients(self, u) -> list:
-        return list(self.jacobian(u))
-
     def hessians(self, u) -> np.ndarray:
         """The k-by-m-by-m stack of constraint Hessians at ``u``."""
         H, errors = _hessians_at(self.fields, self._check_point(u)[None])

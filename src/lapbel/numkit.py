@@ -1,8 +1,8 @@
 """Dense linear-algebra primitives shared by every other module.
 
-Column-major vectorization, Gram matrices, SPD solves, and the left
-Moore-Penrose inverse, together with the package-wide tolerance record and
-the names of the verification suites. Everything is dense float64 and numpy
+Column-major vectorization, SPD solves, QR factorization of tall frames and
+the JSON form of a matrix, together with the package-wide tolerance record
+and the names of the verification suites. Everything is dense float64 and numpy
 only. Tall frames go through a reduced QR factorization, never
 through their Gram matrix; their condition comes from the singular values of
 the small factor R, and ill-conditioning is reported instead of regularized.
@@ -11,7 +11,7 @@ the small factor R, and ill-conditioning is reported instead of regularized.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,24 +129,6 @@ def unvec_rows(X: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(X.reshape(-1, n, n).transpose(0, 2, 1))
 
 
-def gram(rows: Sequence, cols: Sequence) -> np.ndarray:
-    """Matrix of inner products: entry (i, j) is <rows[i], cols[j]>."""
-    row_list = [as_vector(r, f"gram rows[{i}]") for i, r in enumerate(rows)]
-    col_list = [as_vector(c, f"gram cols[{j}]") for j, c in enumerate(cols)]
-    if not row_list or not col_list:
-        raise DimensionError("gram needs at least one row and one column vector")
-    dim = row_list[0].size
-    for i, r in enumerate(row_list):
-        if r.size != dim:
-            raise DimensionError(f"gram rows[{i}] has length {r.size}, expected {dim}")
-    for j, c in enumerate(col_list):
-        if c.size != dim:
-            raise DimensionError(f"gram cols[{j}] has length {c.size}, expected {dim}")
-    R = np.stack(row_list)
-    C = np.stack(col_list)
-    return R @ C.T
-
-
 def sym_condition(A) -> float:
     """Condition estimate (ratio of extreme eigenvalues) of a symmetric matrix.
 
@@ -240,27 +222,6 @@ def solve_spd(A, B) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, B_arr))
 
 
-def left_moore_penrose(T, condition_limit: float | None = None) -> np.ndarray:
-    """Left Moore-Penrose inverse (T^t T)^{-1} T^t of a tall full-rank matrix.
-
-    The r-by-r Gram matrix T^t T is required to be well conditioned
-    (condition estimate at most ``condition_limit``, default 1e12); the
-    inverse itself is R^{-1} Q^t from the reduced QR T = QR of
-    :func:`frame_qrs`. Rank-deficient or ill-conditioned input raises
-    SingularityError carrying the estimate.
-    """
-    T = as_matrix(T, "left_moore_penrose input")
-    m, r = T.shape
-    if r > m:
-        raise DimensionError(
-            f"left_moore_penrose expects at least as many rows as columns, got {m}x{r}"
-        )
-    limit = DEFAULT_TOLERANCES.condition_limit if condition_limit is None else condition_limit
-    Q, R, _, refused = frame_qrs(T[None], limit)
-    raise_first(refused)
-    return np.linalg.solve(R[0], Q[0].T)
-
-
 def frame_qrs(T: np.ndarray, condition_limit: float) -> tuple:
     """For an (N, m, r) stack of finite tall frames: the reduced QR T = QR of
     each frame, the condition of every Gram T^t T as cond(R)^2 (the Gram is
@@ -282,19 +243,8 @@ def frame_qrs(T: np.ndarray, condition_limit: float) -> tuple:
     return Q, R, cond, refused
 
 
-def matrix_to_json(M) -> dict:
-    """JSON-ready form of a dense matrix: column-major data with shape."""
-    arr = as_matrix(M, "matrix_to_json input")
-    r, c = arr.shape
-    return {
-        "rows": int(r),
-        "cols": int(c),
-        "data": [float(x) for x in arr.reshape(-1, order="F")],
-    }
-
-
 def matrix_from_json(obj) -> np.ndarray:
-    """Rebuild a dense matrix from its JSON form (see :func:`matrix_to_json`)."""
+    """Rebuild a dense matrix from its JSON form: rows, cols, column-major data."""
     if not isinstance(obj, dict):
         raise DimensionError("matrix JSON must be an object with rows/cols/data")
     missing = {"rows", "cols", "data"} - set(obj)

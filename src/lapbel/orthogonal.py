@@ -27,10 +27,8 @@ from .constraint_core import (
     _in_chunks,
     _multipliers_and_traces,
     _only,
-    _packed,
     _repeated,
     _Rows,
-    _sigma_matrices,
     block_product_set,
 )
 from .errors import ContractError, DimensionError
@@ -68,9 +66,6 @@ class OrthogonalPoint(Frozen):
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def column(self, i: int) -> np.ndarray:
-        return self.matrix[:, i].copy()
 
     def to_vector(self) -> np.ndarray:
         return vec(self.matrix)
@@ -222,21 +217,6 @@ def _lambda_traces(U: np.ndarray, H: np.ndarray) -> np.ndarray:
     return np.einsum("npi,njpiq,nqj->n", U, H.reshape(N, n, n, n, n), U)
 
 
-def sigma_matrix(f: ScalarField, point: OrthogonalPoint) -> np.ndarray:
-    """Multiplier matrix (G^t U + U^t G) / 2 with G the gradient in matrix
-    form; diagonal entries are the column-constraint multipliers,
-    off-diagonal entries the pair-constraint multipliers."""
-    G = unvec_rows(f.gradient(point.to_vector())[None], point.n)
-    return _sigma_matrices(point.matrix[None], G, 0.5, 1.0)[0]
-
-
-def pack_sigma(S, n: int) -> np.ndarray:
-    """Flatten a multiplier matrix in constraint order: diagonal entries,
-    then off-diagonal entries per lexicographic pair."""
-    S = _check_square(S, n, "sigma matrix")
-    return _packed(S[None])[0]
-
-
 def on_laplacian(f: ScalarField, point: OrthogonalPoint) -> LaplacianReport:
     """Laplace-Beltrami value of ``f`` on the orthogonal group, with
     diagnostics: the one-row case of :func:`on_laplacians`, raising the
@@ -250,8 +230,8 @@ def on_laplacians(f, X, tol: float | None = None) -> list:
     points: per row, in row order, a LaplacianReport or the LapbelError that
     refuses the row, the first one it meets of admission at ``tol`` (see
     :class:`OrthogonalPoint`), the field Hessian (as in
-    :meth:`ScalarField.hessian`), a non-finite field gradient, a non-finite
-    multiplier matrix and assembly. The rows go in chunks, as in
+    :meth:`ScalarField.hessian`), a non-finite field gradient and assembly,
+    which refuses a non-finite multiplier. The rows go in chunks, as in
     :func:`~lapbel.constraint_core.evaluate_points`.
 
     The value is half the ambient Laplacian, minus (n-1)/2 times the trace
@@ -272,7 +252,6 @@ def on_laplacians(f, X, tol: float | None = None) -> list:
         g = rows.gradients(X)
         U, g, trace_main = rows.finite(g, "gradient", U, g, trace_main)
         sigma, traces = _multipliers_and_traces(U, unvec_rows(g, n), 0.5, 1.0)
-        sigma, traces, trace_main = rows.finite(sigma, "sigma matrix", sigma, traces, trace_main)
         return rows.assemble(trace_main, sigma, traces, np.ones(len(sigma)))
 
     return _in_chunks(stack, f, X, 8 * X.shape[1] ** 2)

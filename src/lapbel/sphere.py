@@ -66,11 +66,6 @@ def _admit_sphere(X: np.ndarray, radius: float, tol: float | None) -> list:
     return _admit_blocks(X[:, :, None], radius, tol, "point is off the sphere: |<x,x> - R^2| =")
 
 
-def default_chart_index(point: SpherePoint) -> int:
-    """The excluded index used when none is requested: argmax |x_j|."""
-    return int(np.argmax(np.abs(point.coords)))
-
-
 def _charts(X: np.ndarray, radius: float, excluded_index: int | None) -> tuple:
     """Per row of an (N, n) stack of points of the radius-``radius`` sphere,
     the chart's excluded index j (``excluded_index``, or argmax |x_j| when
@@ -140,13 +135,6 @@ def sphere_projector(point: SpherePoint) -> np.ndarray:
     """
     x = point.coords
     return np.eye(point.n) - np.outer(x, x) / point.radius**2
-
-
-def sphere_sigma(f: ScalarField, point: SpherePoint) -> float:
-    """The sphere's single Lagrange multiplier: <x, grad f(x)> / (2 R^2)."""
-    x, g = point.coords, f.gradient(point.coords)
-    sigma, _ = _multipliers_and_traces(x[None, :, None], g[None, :, None], 1.0, point.radius)
-    return float(sigma[0, 0])
 
 
 def sphere_laplacian(f: ScalarField, point: SpherePoint) -> float:

@@ -195,9 +195,11 @@ def suite_lemmas_on(ns, seeds: int, tol: float | None = None) -> list:
             frame_proj.see_matrix(T @ T.T + L - np.eye(n * n))
             involution.see_matrix(L @ L - np.eye(n * n))
             lam_trace.see(float(np.trace(L)) - n)
-            grads = constraints.gradients(point.to_vector())
-            cols = [T[:, c] for c in range(dim)]
-            tangency.see_matrix(numkit.gram(grads, cols))
+            # the frame goes in Fortran order, so each entry is the inner
+            # product of a gradient with one contiguous frame column; the plain
+            # J @ T sums in another order and moves the check's last bits
+            J = constraints.jacobian(point.to_vector())
+            tangency.see_matrix(J @ np.ascontiguousarray(T.T).T)
             rng = _rng(_SALT_ON_FIELDS, n, s)
             H = random_symmetric(rng, n * n)
             contraction.see(

@@ -108,7 +108,9 @@ def test_criterion_01_sphere_frame_identities():
                     T = sphere_frame(p, excluded_index=j)
                     inv = sphere_frame_gram_inverse(p, excluded_index=j)
                     dev1 = float(np.max(np.abs(T.T @ T @ inv - np.eye(n - 1))))
-                    T_plus = numkit.left_moore_penrose(T)
+                    Q, R, _, refused = numkit.frame_qrs(T[None], numkit.DEFAULT_TOLERANCES.condition_limit)
+                    numkit.raise_first(refused)
+                    T_plus = np.linalg.solve(R[0], Q[0].T)
                     dev2 = float(np.max(np.abs(T @ T_plus - P)))
                     worst = max(worst, dev1, dev2)
     pairs.append((worst, 1e-10))

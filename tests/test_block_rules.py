@@ -120,13 +120,14 @@ def test_the_sphere_multiplier_of_a_product_near_the_overflow_edge_stays_finite(
 
 
 def test_sphere_sigma_is_the_one_row_case():
+    # the multiplier of the one-row closed form
     rng = np.random.default_rng(3)
     for n in (2, 5):
         point = sphere.random_sphere_point(n, 2.5, rng)
         f = random_polynomial_field(rng, n)
         x = point.coords
-        reference = sphere_sigma_reference(x[None], f.gradient(x)[None], 2.5)[0]
-        assert same_bits(sphere.sphere_sigma(f, point), reference)
+        reference = sphere_sigma_reference(x[None], f.gradient(x)[None], 2.5)
+        assert same_bits(sphere.sphere_report(f, point).sigma, reference)
 
 
 # -- O(n): p = n, w = 1/2, R = 1 -----------------------------------------------
@@ -160,15 +161,14 @@ def test_on_residuals_multipliers_and_traces_keep_their_bits(n):
 
 
 def test_sigma_matrix_and_pack_sigma_are_the_one_row_cases():
+    # the multiplier matrix of the one-row closed form, in constraint order
     rng = np.random.default_rng(5)
     for n in (2, 4):
         point = orthogonal.random_orthogonal(n, rng)
         f = random_polynomial_field(rng, n * n)
         G = unvec_rows(f.gradient(point.to_vector())[None], n)
         reference = on_sigma_matrices_reference(point.matrix[None], G)
-        S = orthogonal.sigma_matrix(f, point)
-        assert same_bits(S, reference[0])
-        assert same_bits(orthogonal.pack_sigma(S, n), on_packed_reference(reference)[0])
+        assert same_bits(orthogonal.on_laplacian(f, point).sigma, on_packed_reference(reference)[0])
 
 
 @pytest.mark.parametrize("n", (2, 3, 5, 8))

@@ -927,7 +927,7 @@ def test_python_dash_m_entry_point():
 
 def test_package_exports_every_public_name_once():
     names = lapbel.__all__
-    assert len(names) == len(set(names)) == 69
+    assert len(names) == len(set(names)) == 63
     for name in names:
         assert not isinstance(getattr(lapbel, name), types.ModuleType), name
     assert {"laplace_beltrami_general", "on_laplacian", "sphere_report", "ValidationError"} <= set(names)

@@ -90,40 +90,6 @@ def test_non_finite_inputs_rejected():
         numkit.as_vector([1.0, np.inf])
 
 
-def test_gram_small_example():
-    # Oracle: inner products by hand.
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    v = np.array([1.0, 2.0, 3.0])
-    G = numkit.gram([e1, e2], [v])
-    assert G.shape == (2, 1)
-    assert G[0, 0] == 1.0
-    assert G[1, 0] == 2.0
-
-
-def test_gram_matches_bruteforce_dots():
-    rng = np.random.default_rng(3)
-    rows = [rng.standard_normal(6) for _ in range(4)]
-    cols = [rng.standard_normal(6) for _ in range(3)]
-    G = numkit.gram(rows, cols)
-    for i in range(4):
-        for j in range(3):
-            assert_allclose(G[i, j], float(rows[i] @ cols[j]), rtol=0, atol=1e-14)
-
-
-def test_gram_self_is_positive_semidefinite():
-    rng = np.random.default_rng(4)
-    vectors = [rng.standard_normal(5) for _ in range(7)]
-    G = numkit.gram(vectors, vectors)
-    eigenvalues = np.linalg.eigvalsh((G + G.T) / 2.0)
-    assert eigenvalues.min() >= -1e-12
-
-
-def test_gram_rejects_mismatched_lengths():
-    with pytest.raises(DimensionError):
-        numkit.gram([np.ones(3)], [np.ones(4)])
-
-
 def test_solve_spd_residual():
     rng = np.random.default_rng(5)
     M = rng.standard_normal((6, 6))
@@ -154,10 +120,19 @@ def test_sym_condition():
     assert numkit.sym_condition(np.diag([1.0, -2.0])) == np.inf
 
 
+def left_moore_penrose(T, condition_limit: float = 1e12) -> np.ndarray:
+    """The left Moore-Penrose inverse R^{-1} Q^t of a tall frame from its
+    :func:`numkit.frame_qrs` factors, as the lemmas-sphere suite takes it,
+    raising the refusal ``frame_qrs`` gives."""
+    Q, R, _, refused = numkit.frame_qrs(T[None], condition_limit)
+    numkit.raise_first(refused)
+    return np.linalg.solve(R[0], Q[0].T)
+
+
 def test_left_moore_penrose_diagonal_example():
     # Oracle: hand inverse of a diagonal tall matrix.
     T = np.array([[2.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
-    T_plus = numkit.left_moore_penrose(T)
+    T_plus = left_moore_penrose(T)
     assert_allclose(T_plus, [[0.5, 0.0, 0.0], [0.0, 0.25, 0.0]], atol=1e-15)
 
 
@@ -173,7 +148,7 @@ def _matrix_with_condition(rng, m, r, condition):
 def test_left_moore_penrose_identity_well_conditioned(seed):
     rng = np.random.default_rng(seed)
     T = _matrix_with_condition(rng, 9, 4, condition=1e2)
-    T_plus = numkit.left_moore_penrose(T)
+    T_plus = left_moore_penrose(T)
     assert np.max(np.abs(T_plus @ T - np.eye(4))) <= 1e-10
 
 
@@ -182,7 +157,7 @@ def test_left_moore_penrose_error_scales_with_condition():
     # at condition 1e5 the identity still holds to that scaled bound.
     rng = np.random.default_rng(11)
     T = _matrix_with_condition(rng, 12, 5, condition=1e5)
-    T_plus = numkit.left_moore_penrose(T)
+    T_plus = left_moore_penrose(T)
     deviation = np.max(np.abs(T_plus @ T - np.eye(5)))
     assert deviation <= 1e-16 * (1e5) ** 2 * 100.0
 
@@ -192,7 +167,7 @@ def test_left_moore_penrose_rejects_singular():
     T[:, 0] = [1.0, 0.0, 0.0, 0.0]
     T[:, 1] = [2.0, 0.0, 0.0, 0.0]
     with pytest.raises(SingularityError) as info:
-        numkit.left_moore_penrose(T)
+        left_moore_penrose(T)
     assert info.value.condition is None or info.value.condition > 1e12
 
 
@@ -200,27 +175,19 @@ def test_left_moore_penrose_rejects_beyond_condition_limit():
     rng = np.random.default_rng(12)
     T = _matrix_with_condition(rng, 10, 3, condition=1e7)  # Gram condition 1e14
     with pytest.raises(SingularityError) as info:
-        numkit.left_moore_penrose(T)
+        left_moore_penrose(T)
     assert info.value.condition > 1e12
     # A caller-supplied limit admits the same matrix.
-    T_plus = numkit.left_moore_penrose(T, condition_limit=1e15)
+    T_plus = left_moore_penrose(T, condition_limit=1e15)
     assert T_plus.shape == (3, 10)
 
 
-def test_left_moore_penrose_rejects_wide():
-    with pytest.raises(DimensionError):
-        numkit.left_moore_penrose(np.ones((2, 4)))
-
-
 def test_matrix_json_round_trip():
-    rng = np.random.default_rng(13)
-    M = rng.standard_normal((3, 5))
-    payload = numkit.matrix_to_json(M)
-    assert payload["rows"] == 3
-    assert payload["cols"] == 5
-    # Column-major: the first three data entries are the first column.
-    assert_allclose(payload["data"][:3], M[:, 0])
-    assert_allclose(numkit.matrix_from_json(payload), M)
+    # Column-major: the first two data entries are the first column.
+    payload = {"rows": 2, "cols": 3, "data": [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]}
+    M = numkit.matrix_from_json(payload)
+    assert np.array_equal(M, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert M.flags.c_contiguous and M.flags.writeable
 
 
 def test_matrix_from_json_validates():
@@ -261,9 +228,5 @@ def test_frame_qrs_take_the_gram_condition_from_r():
     # every frame is factored, refused or not; Q is orthonormal and spans T
     assert_allclose(Q @ R, frames, atol=1e-12)
     assert_allclose(np.swapaxes(Q, 1, 2) @ Q, np.broadcast_to(np.eye(3), (2, 3, 3)), atol=1e-14)
-    assert np.array_equal(np.linalg.solve(R[0], Q[0].T), numkit.left_moore_penrose(frames[0]))
     assert refused[1].condition == cond[1]
     assert str(refused[1]) == f"frame Gram condition {cond[1]:.3e} exceeds limit 1.000e+08"
-    with pytest.raises(SingularityError, match=r"^frame Gram condition 1\.000e\+06 exceeds limit 1\.000e\+05$") as info:
-        numkit.left_moore_penrose(frames[0], 1e5)
-    assert info.value.condition == cond[0]

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lapbel.constraint_core import (
+    _sigma_matrices,
     constant_field,
+    evaluate_points,
     finite_difference_field,
-    lagrange_multipliers,
     laplace_beltrami_general,
     polynomial_field,
 )
@@ -29,10 +30,9 @@ from lapbel.orthogonal import (
     p2_laplacian,
     p11_field,
     p11_laplacian,
-    pack_sigma,
+    on_laplacians,
     pair_sign,
     random_orthogonal,
-    sigma_matrix,
     theta_basis,
     trace_lambda_product,
 )
@@ -44,7 +44,7 @@ from lapbel.orthogonal import (
 def test_point_validation():
     p = OrthogonalPoint(np.eye(3))
     assert p.n == 3
-    assert_allclose(p.column(1), [0.0, 1.0, 0.0])
+    assert_allclose(p.matrix[:, 1], [0.0, 1.0, 0.0])
     assert_allclose(p.to_vector(), vec(np.eye(3)))
     with pytest.raises(DimensionError):
         OrthogonalPoint(np.ones((2, 3)))
@@ -194,8 +194,7 @@ def test_frame_columns_are_tangent(n):
     cons = on_constraint_set(n)
     U = random_orthogonal(n, rng)
     T = on_frame(U)
-    for g in cons.gradients(U.to_vector()):
-        assert np.max(np.abs(g @ T)) <= 1e-12
+    assert np.max(np.abs(cons.jacobian(U.to_vector()) @ T)) <= 1e-12
 
 
 def test_adapted_frame_wraps_on_frame():
@@ -279,31 +278,33 @@ def test_trace_lambda_product_validates_shape():
 
 
 def test_sigma_matrix_identity_example():
-    # f = tr(U) at U = I has gradient I in matrix form, so the multiplier
-    # matrix is the identity.
-    S = sigma_matrix(p1_field(np.eye(2)), OrthogonalPoint(np.eye(2)))
-    assert_allclose(S, np.eye(2))
+    # f = tr(A U) at U = I has gradient A^t in matrix form, so the multiplier
+    # matrix is sym(A): the diagonal, then the pair (0, 1).
+    report = on_laplacian(p1_field([[1.0, 3.0], [1.0, 4.0]]), OrthogonalPoint(np.eye(2)))
+    assert_allclose(report.sigma, [1.0, 4.0, 2.0])
 
 
 def test_sigma_matrix_is_symmetric():
     U = random_orthogonal(3, 81)
     A = np.random.default_rng(81).standard_normal((3, 3))
-    S = sigma_matrix(p11_field(A), U)
+    G = unvec(p11_field(A).gradient(U.to_vector()), 3)
+    S = _sigma_matrices(U.matrix[None], G[None], 0.5, 1.0)[0]
     assert np.array_equal(S, S.T)
 
 
 def test_pack_sigma_order():
-    S = np.array([[1.0, 2.0], [2.0, 4.0]])
-    assert_allclose(pack_sigma(S, 2), [1.0, 4.0, 2.0])
-    with pytest.raises(DimensionError):
-        pack_sigma(S, 3)
+    # The multipliers go in constraint order: the diagonal of sym(A), then
+    # the pairs (0, 1), (0, 2), (1, 2).
+    S = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+    (report,) = on_laplacians(p1_field(S), vec(np.eye(3))[None])
+    assert report.sigma.tolist() == [1.0, 4.0, 6.0, 2.0, 3.0, 5.0]
 
 
 def test_sigma_matches_general_multipliers():
     rng = np.random.default_rng(82)
     for n in (2, 3):
         cons = on_constraint_set(n)
-        U = random_orthogonal(n, rng)
+        X = np.stack([random_orthogonal(n, rng).to_vector() for _ in range(3)])
         A = rng.standard_normal((n, n))
         sym = (A + A.T) / 2.0
         fields = [
@@ -313,9 +314,8 @@ def test_sigma_matches_general_multipliers():
             brockett_field(sym, rng.standard_normal(n)),
         ]
         for f in fields:
-            packed = pack_sigma(sigma_matrix(f, U), n)
-            general = lagrange_multipliers(cons, f, U.to_vector())
-            assert np.max(np.abs(packed - general)) <= 1e-12
+            for closed, general in zip(on_laplacians(f, X), evaluate_points(f, cons, None, X)):
+                assert np.max(np.abs(closed.sigma - general.sigma)) <= 1e-12
 
 
 # -- the evaluator ------------------------------------------------------------------

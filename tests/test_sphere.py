@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from lapbel import numkit
 from lapbel.constraint_core import (
     constant_field,
+    evaluate_points,
     laplace_beltrami_general,
     linear_field,
     polynomial_field,
@@ -17,7 +18,6 @@ from lapbel.constraint_core import (
 from lapbel.errors import ChartError, ContractError, DimensionError, DomainError
 from lapbel.sphere import (
     SpherePoint,
-    default_chart_index,
     homogeneous_sphere_laplacian,
     random_sphere_point,
     sphere_adapted_frame,
@@ -28,7 +28,6 @@ from lapbel.sphere import (
     sphere_projector,
     sphere_report,
     sphere_reports,
-    sphere_sigma,
 )
 
 RADII = (1.0, 2.5)
@@ -125,8 +124,9 @@ def test_a_radius_out_of_range_is_refused_by_every_entry(radius, point):
 
 
 def test_default_chart_index():
+    # With no index requested, the chart drops argmax |x_j|.
     p = SpherePoint(np.array([0.1, -0.9, np.sqrt(1 - 0.82)]), 1.0)
-    assert default_chart_index(p) == 1
+    assert np.array_equal(sphere_frame(p), sphere_frame(p, 1))
 
 
 def test_random_sphere_point_determinism():
@@ -234,7 +234,9 @@ def test_projector_matches_frame_product_each_chart():
         P = sphere_projector(p)
         for j in range(4):
             T = sphere_frame(p, excluded_index=j)
-            T_plus = numkit.left_moore_penrose(T)
+            Q, R, _, refused = numkit.frame_qrs(T[None], numkit.DEFAULT_TOLERANCES.condition_limit)
+            numkit.raise_first(refused)
+            T_plus = np.linalg.solve(R[0], Q[0].T)
             assert np.max(np.abs(T @ T_plus - P)) <= 1e-10
 
 
@@ -243,31 +245,30 @@ def test_projector_matches_frame_product_each_chart():
 
 def test_sigma_examples():
     f = linear_field([1.0, 0.0, 0.0])
-    assert_allclose(sphere_sigma(f, SpherePoint([1.0, 0.0, 0.0], 1.0)), 0.5)
+    assert_allclose(sphere_report(f, SpherePoint([1.0, 0.0, 0.0], 1.0)).sigma, [0.5])
     big = SpherePoint([2.5, 0.0, 0.0], 2.5)
-    assert_allclose(sphere_sigma(linear_field([1.0, 0.0, 0.0]), big), 0.2)
+    assert_allclose(sphere_report(linear_field([1.0, 0.0, 0.0]), big).sigma, [0.2])
     # The multiplier of the constraint function itself is 1 at any point.
     sq = polynomial_field(3, [(1.0, (2, 0, 0)), (1.0, (0, 2, 0)), (1.0, (0, 0, 2))])
     p = SpherePoint([0.6, 0.0, 0.8], 1.0)
-    assert_allclose(sphere_sigma(sq, p), 1.0, atol=1e-14)
+    assert_allclose(sphere_report(sq, p).sigma, [1.0], atol=1e-14)
 
 
 def test_sigma_matches_general_multiplier():
-    from lapbel.constraint_core import lagrange_multipliers
-
     rng = np.random.default_rng(55)
     f = polynomial_field(3, [(1.0, (2, 1, 0)), (-0.7, (0, 0, 3)), (0.3, (1, 0, 1))])
     for radius in RADII:
         cons = sphere_constraint_set(3, radius)
-        for _ in range(5):
-            p = random_sphere_point(3, radius, rng)
-            general = lagrange_multipliers(cons, f, p.coords)[0]
-            assert_allclose(sphere_sigma(f, p), general, atol=1e-12)
+        X = np.stack([random_sphere_point(3, radius, rng).coords for _ in range(5)])
+        closed = sphere_reports(f, X, radius)
+        general = evaluate_points(f, cons, None, X)
+        for a, b in zip(closed, general):
+            assert_allclose(a.sigma, b.sigma, atol=1e-12)
 
 
 def test_sigma_dimension_mismatch():
     with pytest.raises(DimensionError):
-        sphere_sigma(linear_field([1.0, 0.0]), SpherePoint([1.0, 0.0, 0.0], 1.0))
+        sphere_report(linear_field([1.0, 0.0]), SpherePoint([1.0, 0.0, 0.0], 1.0))
 
 
 def test_laplacian_constant_and_radius_function():

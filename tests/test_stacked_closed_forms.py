@@ -11,7 +11,7 @@ import pytest
 
 from lapbel import constraint_core, numkit, orthogonal, sphere
 from lapbel.constraint_core import ScalarField, linear_field
-from lapbel.errors import ContractError, DimensionError, DomainError, LapbelError
+from lapbel.errors import ContractError, DimensionError, DomainError, LapbelError, NumericalError
 from lapbel.verify import random_polynomial_field, random_symmetric
 
 
@@ -175,10 +175,15 @@ def test_on_laplacians_refuse_a_row_whose_multipliers_overflow():
     # 1.7e308 sqrt(2), beyond the double range however the sum is split.
     c = np.sqrt(0.5)
     x = np.array([c, c, -c, c])
+    # Assembly refuses the row, as on the general path with either frame.
     f = linear_field([1.7e308] * 4)
     (record,) = orthogonal.on_laplacians(f, x[None])
-    assert isinstance(record, DimensionError)
-    assert str(record) == "sigma matrix contains non-finite entries"
+    assert isinstance(record, NumericalError)
+    assert str(record) == "the evaluation overflowed: sigma or a trace is not finite"
+    constraints = orthogonal.on_constraint_set(2)
+    for frame in (None, orthogonal.on_adapted_frame()):
+        (general,) = constraint_core.evaluate_points(f, constraints, frame, x[None])
+        assert same_outcome(record, general)
 
 
 def test_on_laplacians_evaluate_a_row_whose_multiplier_sum_alone_overflows():

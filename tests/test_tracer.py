@@ -35,7 +35,7 @@ def test_span_tracer_installs_traces_an_eval_and_uninstalls(tmp_path, monkeypatc
     points = [orthogonal.random_orthogonal(3, s).to_vector().tolist() for s in range(3)]
     job = {
         "manifold": {"type": "orthogonal", "n": 3},
-        "function": {"type": "brockett", "matrix": numkit.matrix_to_json(np.eye(3)), "diagonal": [1.0, 2.0, 3.0]},
+        "function": {"type": "brockett", "matrix": {"rows": 3, "cols": 3, "data": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]}, "diagonal": [1.0, 2.0, 3.0]},
         "points": points,
         "options": {"path": "general-frame"},
     }
