@@ -48,7 +48,7 @@ def _load_json(path):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ValidationError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -389,6 +389,19 @@ def test_eval_validation_failures(capsys, tmp_path):
         assert code == 2, (i, err)
 
 
+@pytest.mark.parametrize("where", ["job", "point file"])
+def test_json_nested_too_deep_is_invalid_json(capsys, tmp_path, where):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    job = str(nested)
+    if where == "point file":
+        job = write_json(tmp_path / "job.json", {**SPHERE_LINEAR_JOB, "points": [{"file": job}]})
+    code, out, err = run_cli(capsys, ["eval", "--job", job])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid JSON in {nested}: maximum recursion depth exceeded")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "term, message",
     [
@@ -1322,23 +1335,34 @@ def test_inline_points_stack_equals_the_per_row_path_bit_for_bit(
 
 
 # Raw JSON rows, so that 10**400 and NaN reach the parser as literals.
+# Each row's id is written out, as the name the suite has always printed, so
+# a change of wording renames no test.
 _BAD_POINTS = [
-    ("[true, 0, 0]", "points[{i}][0] is not a number"),
-    ('["1", 0, 0]', "points[{i}][0] is not a number"),
-    ("[1.0, [0.0], 0.0]", "points[{i}][1] is not a number"),
-    ("[1.0, 0.0]", "points[{i}] has dimension 2, manifold ambient dimension is 3"),
-    (
+    pytest.param("[true, 0, 0]", "points[{i}][0] is not a number", id="[true, 0, 0]-points[{i}]["),
+    pytest.param('["1", 0, 0]', "points[{i}][0] is not a number", id='["1", 0, 0]-points[{i}]['),
+    pytest.param("[1.0, [0.0], 0.0]", "points[{i}][1] is not a number", id="[1.0, [0.0],-points[{i}]["),
+    pytest.param(
+        "[1.0, 0.0]",
+        "points[{i}] has dimension 2, manifold ambient dimension is 3",
+        id="[1.0, 0.0]-points[{i}] ",
+    ),
+    pytest.param(
         "[1" + "0" * 400 + ", 0, 0]",
         "points[{i}] is not an array of numbers: int too large to convert to float",
+        id="[10000000000-points[{i}] ",
     ),
-    ("[0, NaN, 0]", "points[{i}] contains non-finite entries"),
-    ("[0, 1e400, 0]", "points[{i}] contains non-finite entries"),
-    ('{"rows": 3, "cols": 1, "data": [0, "1", 0]}', "points[{i}].data[1] is not a number"),
+    pytest.param("[0, NaN, 0]", "points[{i}] contains non-finite entries", id="[0, NaN, 0]-points[{i}] "),
+    pytest.param("[0, 1e400, 0]", "points[{i}] contains non-finite entries", id="[0, 1e400, 0-points[{i}] "),
+    pytest.param(
+        '{"rows": 3, "cols": 1, "data": [0, "1", 0]}',
+        "points[{i}].data[1] is not a number",
+        id='{"rows": 3, -points[{i}].',
+    ),
 ]
 
 
 @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
-@pytest.mark.parametrize("row, message", _BAD_POINTS, ids=lambda v: str(v)[:12])
+@pytest.mark.parametrize("row, message", _BAD_POINTS)
 def test_a_bad_point_entry_is_named_wherever_it_stands(capsys, tmp_path, row, message, last):
     good = ["[1.0, 0.0, 0.0]", "[0, 1, 0]", "[0.6, 0.8, 0.0]"]
     rows = good + [row] if last else [row] + good
