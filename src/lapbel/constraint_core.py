@@ -661,12 +661,6 @@ class ConstraintSet(Frozen):
         field's :meth:`ScalarField.gradients`, not checked finite."""
         return np.stack([f.gradients(X) for f in self.fields], axis=1)
 
-    def hessians(self, u) -> np.ndarray:
-        """The k-by-m-by-m stack of constraint Hessians at ``u``."""
-        H, errors = _hessians_at(self.fields, self._check_point(u)[None])
-        numkit.raise_first(errors)
-        return _writable(H[0])
-
     def projected_traces(self, X: np.ndarray, Q: np.ndarray, normal: bool) -> tuple:
         """Per row of X, the k traces :func:`_projected_traces` gives on the
         constraint Hessians, and None or the error refusing them."""
@@ -777,13 +771,35 @@ def _packed(S: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(S[:, np.concatenate([diagonal, a]), np.concatenate([diagonal, b])])
 
 
-def _multipliers_and_traces(U: np.ndarray, G: np.ndarray, weight: float, radius: float) -> tuple:
-    """Per matrix of U, the multipliers in constraint order and the projected
-    constraint traces, which are the same at every point: 2w (s - (p+1)/2) on
-    each norm constraint and 0 on each pair."""
-    s, p = U.shape[1:]
+def _closed_form(
+    f, X, block: tuple, weight: float, radius: float, admit, frame, trace_main
+) -> list:
+    """:func:`evaluate_points` on the (N, s p) stack X of the p columns of s
+    coordinates of matrices U, (s, p) = ``block``, with a closed form's
+    stages: ``admit(X)``, the field gradient, ``frame(X)`` (the frame Gram
+    conditions and per row None or the error), the field Hessian with
+    ``trace_main(U, H)``, and assembly by the rules above, each constraint
+    trace 2w (s - (p+1)/2) on a norm constraint and 0 on a pair."""
+    s, p = block
     traces = np.repeat([2.0 * weight * (s - (p + 1) / 2.0), 0.0], [p, p * (p - 1) // 2])
-    return _packed(_sigma_matrices(U, G, weight, radius)), np.tile(traces, (len(U), 1))
+
+    def columns(A):  # C order, as the products round strided rows apart
+        return np.ascontiguousarray(A.reshape(len(A), p, s).transpose(0, 2, 1))
+
+    def stack(fields, X):
+        rows = _Rows(fields)
+        X = rows.refuse(admit(X), X)
+        g = rows.gradients(X)
+        X, g = rows.finite(g, "gradient", X, g)
+        cond, errors = frame(X)
+        X, g, cond = rows.refuse(errors, X, g, cond)
+        H, errors = rows.hessians(X)
+        U = columns(X)
+        U, g, cond, main = rows.refuse(errors, U, g, cond, trace_main(U, H[:, 0]))
+        sigma = _packed(_sigma_matrices(U, columns(g), weight, radius))
+        return rows.assemble(main, sigma, np.tile(traces, (len(U), 1)), cond)
+
+    return _in_chunks(stack, f, X, 8 * X.shape[1] ** 2)
 
 
 class AdaptedFrame(Frozen):

@@ -24,11 +24,9 @@ from .constraint_core import (
     LaplacianReport,
     ScalarField,
     _admit_blocks,
-    _in_chunks,
-    _multipliers_and_traces,
+    _closed_form,
     _only,
     _repeated,
-    _Rows,
     block_product_set,
 )
 from .errors import ContractError, DimensionError
@@ -227,12 +225,10 @@ def on_laplacian(f: ScalarField, point: OrthogonalPoint) -> LaplacianReport:
 def on_laplacians(f, X, tol: float | None = None) -> list:
     """Closed-form reports of ``f`` (one ScalarField, or one per row) on the
     orthogonal group at the rows vec(U) of the (N, n*n) stack ``X`` of finite
-    points: per row, in row order, a LaplacianReport or the LapbelError that
-    refuses the row, the first one it meets of admission at ``tol`` (see
-    :class:`OrthogonalPoint`), the field Hessian (as in
-    :meth:`ScalarField.hessian`), a non-finite field gradient and assembly,
-    which refuses a non-finite multiplier. The rows go in chunks, as in
-    :func:`~lapbel.constraint_core.evaluate_points`.
+    points, by :func:`~lapbel.constraint_core._closed_form` (n columns of n
+    coordinates, weight 1/2): per row a LaplacianReport or the first error of
+    admission at ``tol`` (see :class:`OrthogonalPoint`), a non-finite field
+    gradient, the field Hessian and assembly (a non-finite multiplier).
 
     The value is half the ambient Laplacian, minus (n-1)/2 times the trace
     of U^t times the gradient in matrix form, minus half the blockwise
@@ -242,19 +238,11 @@ def on_laplacians(f, X, tol: float | None = None) -> list:
     X = as_matrix(X, "orthogonal points")
     n = _side(X)
 
-    def stack(fields, X):
-        rows = _Rows(fields)
-        X = rows.refuse(_admit_orthogonal(unvec_rows(X, n), tol), X)
-        U = unvec_rows(X, n)
-        H, errors = rows.hessians(X)
-        trace_main = 0.5 * (np.trace(H[:, 0], axis1=1, axis2=2) - _lambda_traces(U, H[:, 0]))
-        X, U, trace_main = rows.refuse(errors, X, U, trace_main)
-        g = rows.gradients(X)
-        U, g, trace_main = rows.finite(g, "gradient", U, g, trace_main)
-        sigma, traces = _multipliers_and_traces(U, unvec_rows(g, n), 0.5, 1.0)
-        return rows.assemble(trace_main, sigma, traces, np.ones(len(sigma)))
+    def trace_main(U, H):
+        return 0.5 * (np.trace(H, axis1=1, axis2=2) - _lambda_traces(U, H))
 
-    return _in_chunks(stack, f, X, 8 * X.shape[1] ** 2)
+    return _closed_form(f, X, (n, n), 0.5, 1.0, lambda X: _admit_orthogonal(unvec_rows(X, n), tol),
+                        lambda X: (np.ones(len(X)), [None] * len(X)), trace_main)
 
 
 def _check_square(A, n: int | None = None, name: str = "matrix") -> np.ndarray:

@@ -20,10 +20,8 @@ from .constraint_core import (
     LaplacianReport,
     ScalarField,
     _admit_blocks,
-    _in_chunks,
-    _multipliers_and_traces,
+    _closed_form,
     _only,
-    _Rows,
     block_product_set,
 )
 from .errors import ChartError, ContractError, DimensionError, DomainError
@@ -241,35 +239,28 @@ def sphere_reports(
 ) -> list:
     """Closed-form reports of ``f`` (one ScalarField, or one per row) on the
     radius-``radius`` sphere at the rows of the (N, n) stack ``X`` of finite
-    points: per row, in row order, a LaplacianReport or the LapbelError that
-    refuses the row, the first one it meets of admission at ``tol`` (see
-    :class:`SpherePoint`), the chart (see :func:`sphere_frame`), a non-finite
-    field gradient, the field Hessian (as in :meth:`ScalarField.hessian`)
-    and assembly. The rows go in chunks, as in
-    :func:`~lapbel.constraint_core.evaluate_points`."""
+    points, by :func:`~lapbel.constraint_core._closed_form` (one column of n
+    coordinates, weight 1): per row a LaplacianReport or the first error of
+    admission at ``tol`` (see :class:`SpherePoint`), a non-finite field
+    gradient, the chart (see :func:`sphere_frame`), the field Hessian and
+    assembly. The main trace is tr H - x^t H x / R^2."""
     R = float(radius)
 
-    def stack(fields, X):
-        rows = _Rows(fields)
-        X = rows.refuse(_admit_sphere(X, R, tol), X)
-        j, errors = _charts(X, R, excluded_index)
-        X, j = rows.refuse(errors, X, j)
-        g = rows.gradients(X)
-        X, j, g = rows.finite(g, "gradient", X, j, g)
-        H, errors = rows.hessians(X)
-        quadratic = (X[:, None, :] @ H[:, 0] @ X[:, :, None])[:, 0, 0]
-        trace_main = np.trace(H[:, 0], axis1=1, axis2=2) - quadratic / R**2
-        X, j, g, trace_main = rows.refuse(errors, X, j, g, trace_main)
+    def chart(X):
         # Frame Gram eigenvalues are R^4 (multiplicity n-2) and R^2 x_j^2;
         # float_power is libm pow, the bits of the scalar **, not of x * x
-        N, n = X.shape
-        xj = X[np.arange(N), j]
-        cond = np.maximum(R**2 / np.float_power(xj, 2), 1.0) if n > 2 else np.ones(N)
-        sigma, traces = _multipliers_and_traces(X[:, :, None], g[:, :, None], 1.0, R)
-        return rows.assemble(trace_main, sigma, traces, cond)
+        j, errors = _charts(X, R, excluded_index)
+        cond = np.maximum(R**2 / np.float_power(X[np.arange(len(X)), j], 2), 1.0)
+        return (cond if X.shape[1] > 2 else np.ones(len(X))), errors
+
+    def trace_main(U, H):
+        x = U[:, :, 0]
+        return np.trace(H, axis1=1, axis2=2) - (x[:, None, :] @ H @ x[:, :, None])[:, 0, 0] / R**2
 
     X = as_matrix(X, "sphere points")
-    return _in_chunks(stack, f, X, 8 * X.shape[1] ** 2)
+    return _closed_form(
+        f, X, (X.shape[1], 1), 1.0, R, lambda X: _admit_sphere(X, R, tol), chart, trace_main
+    )
 
 
 def random_sphere_point(n: int, radius: float, rng) -> SpherePoint:

@@ -37,10 +37,10 @@ _SALT_HYGIENE = 32
 class CheckRecord:
     """The worst deviation seen for one named check, against its tolerance."""
 
-    def __init__(self, name: str, tolerance: float, max_deviation: float = 0.0):
+    def __init__(self, name: str, tolerance: float):
         self.name = name
         self.tolerance = tolerance
-        self.max_deviation = max_deviation
+        self.max_deviation = 0.0
 
     @property
     def passed(self) -> bool:
@@ -89,11 +89,11 @@ def _rng(salt: int, n: int, seed: int) -> np.random.Generator:
     return np.random.default_rng([salt, n, seed])
 
 
-def random_polynomial_field(rng, dim: int, degree: int = 4, terms: int = 8):
-    """Sparse random polynomial with integer exponents of total degree at
-    most ``degree`` and coefficients uniform in [-1, 1]."""
+def random_polynomial_field(rng, dim: int, degree: int = 4):
+    """Sparse random polynomial of 8 terms with integer exponents of total
+    degree at most ``degree`` and coefficients uniform in [-1, 1]."""
     rows = []
-    for _ in range(terms):
+    for _ in range(8):
         powers = np.zeros(dim, dtype=int)
         total = int(rng.integers(0, degree + 1))
         support = rng.integers(0, dim, size=3)

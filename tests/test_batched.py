@@ -21,6 +21,7 @@ from lapbel.constraint_core import (
     ConstraintSet,
     ScalarField,
     _gradient_qrs,
+    _hessians_at,
     _projected_traces,
     constant_field,
     evaluate_points,
@@ -681,8 +682,10 @@ def test_block_traces_equal_the_dense_hessian_traces(cons, frame, U):
     for basis, normal in ((Q, True), (Q_T, False)):
         block, errors = cons.projected_traces(U, basis, normal)
         assert errors == [None] * len(U) and block.flags.c_contiguous
+        H, errors = _hessians_at(cons.fields, U)
+        assert errors == [None] * len(U)
         dense = np.concatenate(
-            [_projected_traces(cons.hessians(u)[None], basis[i : i + 1], normal) for i, u in enumerate(U)]
+            [_projected_traces(H[i : i + 1], basis[i : i + 1], normal) for i in range(len(U))]
         )
         assert block.shape == dense.shape == (len(U), cons.count)
         assert np.all(np.abs(block - dense) <= 1e-13 * np.maximum(1.0, np.abs(dense)))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from lapbel import constraint_core, orthogonal, sphere
-from lapbel.constraint_core import _multipliers_and_traces, _sigma_matrices
+from lapbel.constraint_core import LaplacianReport, _packed, _sigma_matrices, linear_field
 from lapbel.errors import DomainError
 from lapbel.numkit import unvec_rows
 from lapbel.verify import random_polynomial_field
@@ -30,6 +30,15 @@ def refused_residuals(errors) -> np.ndarray:
     """The residuals an admission refusing every row reports, one per row."""
     assert all(isinstance(e, DomainError) for e in errors)
     return np.array([e.residual for e in errors])
+
+
+def assert_traces(reports, reference):
+    """Each report's constraint traces are the bits of their reference row;
+    at most the 1e200 row is refused."""
+    evaluated = [i for i, r in enumerate(reports) if isinstance(r, LaplacianReport)]
+    assert len(evaluated) >= len(reports) - 1
+    for i in evaluated:
+        assert same_bits(reports[i].trace_constraint, reference[i])
 
 
 # -- the expressions each manifold had before the rules were shared ---------------
@@ -106,10 +115,11 @@ def test_sphere_residuals_multipliers_and_traces_keep_their_bits(n, radius):
     assert same_bits(residual, sphere_residual_reference(X, radius))
     G = rng.standard_normal(X.shape) * rng.choice([1e-3, 1.0, 1e3], size=(len(X), 1))
     with np.errstate(over="ignore"):
-        sigma, traces = _multipliers_and_traces(X[:, :, None], G[:, :, None], 1.0, radius)
+        sigma = _packed(_sigma_matrices(X[:, :, None], G[:, :, None], 1.0, radius))
         reference = sphere_sigma_reference(X, G, radius)[:, None]
     assert same_bits(sigma, reference)
-    assert same_bits(traces, sphere_traces_reference(len(X), n))
+    reports = sphere.sphere_reports(linear_field(G[0]), X, radius, tol=math.inf)
+    assert_traces(reports, sphere_traces_reference(len(X), n))
 
 
 def test_the_sphere_multiplier_of_a_product_near_the_overflow_edge_stays_finite():
@@ -153,11 +163,12 @@ def test_on_residuals_multipliers_and_traces_keep_their_bits(n):
     G = unvec_rows(rng.standard_normal((len(Us), n * n)), n)
     with np.errstate(over="ignore", invalid="ignore"):
         S = _sigma_matrices(Us, G, 0.5, 1.0)
-        sigma, traces = _multipliers_and_traces(Us, G, 0.5, 1.0)
         reference = on_sigma_matrices_reference(Us, G)
     assert same_bits(S, reference)
-    assert same_bits(sigma, on_packed_reference(reference))
-    assert same_bits(traces, on_traces_reference(len(Us), n))
+    assert same_bits(_packed(S), on_packed_reference(reference))
+    X = np.swapaxes(Us, 1, 2).reshape(len(Us), n * n)  # the rows vec(U)
+    reports = orthogonal.on_laplacians(linear_field(X[0]), X, math.inf)
+    assert_traces(reports, on_traces_reference(len(Us), n))
 
 
 def test_sigma_matrix_and_pack_sigma_are_the_one_row_cases():

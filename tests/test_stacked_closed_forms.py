@@ -6,12 +6,21 @@ and ``on_laplacian`` give at that point alone (or the error that point
 raises), whatever the chunking and whichever rows around it are refused.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from lapbel import constraint_core, numkit, orthogonal, sphere
 from lapbel.constraint_core import ScalarField, linear_field
-from lapbel.errors import ContractError, DimensionError, DomainError, LapbelError, NumericalError
+from lapbel.errors import (
+    ChartError,
+    ContractError,
+    DimensionError,
+    DomainError,
+    LapbelError,
+    NumericalError,
+)
 from lapbel.verify import random_polynomial_field, random_symmetric
 
 
@@ -106,15 +115,6 @@ def test_sphere_reports_equal_their_one_row_calls_across_chunks(monkeypatch, n, 
     assert kinds.count("LaplacianReport") == 5
 
 
-def test_sphere_reports_keep_chart_then_gradient_then_hessian_order():
-    x = np.array([0.6, 0.8, 0.0])
-    f = poisoned(random_polynomial_field(np.random.default_rng(3), 3), [x], [x], [x])
-    (record,) = sphere.sphere_reports(f, x[None], 1.0)
-    assert isinstance(record, DimensionError) and "gradient" in str(record)
-    (record,) = sphere.sphere_reports(f, x[None], 1.0, excluded_index=2)
-    assert type(record).__name__ == "ChartError"
-
-
 # -- the orthogonal group ----------------------------------------------------------
 
 
@@ -159,17 +159,6 @@ def test_on_laplacians_equal_their_one_row_calls_across_chunks(monkeypatch, n):
     assert kinds.count("LaplacianReport") == 5
 
 
-def test_on_laplacians_read_the_hessian_before_the_gradient():
-    rng = np.random.default_rng(8)
-    x = orthogonal.random_orthogonal(3, rng).to_vector()
-    f = poisoned(orthogonal.brockett_field(random_symmetric(rng, 3), [1.0, 2.0, 3.0]), [x], [], [x])
-    (record,) = orthogonal.on_laplacians(f, x[None])
-    assert isinstance(record, DimensionError)
-    assert str(record) == "hessian contains non-finite entries"
-    with pytest.raises(DimensionError, match="^hessian contains non-finite entries$"):
-        orthogonal.on_laplacian(f, orthogonal.OrthogonalPoint(numkit.unvec(x, 3)))
-
-
 def test_on_laplacians_refuse_a_row_whose_multipliers_overflow():
     # At the 45-degree rotation the multiplier sigma_11 = (G^t U)_11 is
     # 1.7e308 sqrt(2), beyond the double range however the sum is split.
@@ -195,6 +184,71 @@ def test_on_laplacians_evaluate_a_row_whose_multiplier_sum_alone_overflows():
     (general,) = constraint_core.evaluate_points(f, orthogonal.on_constraint_set(2), None, x[None])
     assert record.value == general.value == -5e307
     assert record.sigma.tolist() == [1e308, 0.0, 0.0]
+
+
+# -- one stage order on every route -------------------------------------------------
+
+STAGES = ("admission", "gradient", "chart", "hessian")
+
+
+def stage_of(record):
+    """The stage whose error ``record`` is, or None for a report."""
+    if isinstance(record, constraint_core.LaplacianReport):
+        return None
+    if isinstance(record, DomainError):
+        return "admission"
+    if isinstance(record, ChartError):
+        return "chart"
+    assert isinstance(record, DimensionError), record
+    return {
+        "gradient contains non-finite entries": "gradient",
+        "hessian contains non-finite entries": "hessian",
+    }[str(record)]
+
+
+def stage_cases():
+    for manifold in ("sphere", "O(3)"):
+        stages = STAGES if manifold == "sphere" else tuple(s for s in STAGES if s != "chart")
+        for count in range(len(stages) + 1):
+            for faults in itertools.combinations(stages, count):
+                yield pytest.param(manifold, faults, id="-".join((manifold,) + faults))
+
+
+@pytest.mark.parametrize("manifold, faults", stage_cases())
+def test_every_route_refuses_a_row_at_its_earliest_failing_stage(manifold, faults):
+    # A row poisoned at several stages gets the error of the first one in
+    # the order admission, field gradient, frame (the sphere's chart), field
+    # Hessian on the closed form and on the general path with either frame.
+    rng = np.random.default_rng(8)
+    if manifold == "sphere":
+        x = np.array([0.6, 0.8, 0.0])  # x_2 = 0: the chart excluding 2 fails
+        f = random_polynomial_field(rng, 3)
+        j = 2 if "chart" in faults else None
+        cons, frame = sphere.sphere_constraint_set(3, 1.0), sphere.sphere_adapted_frame(1.0, j)
+    else:
+        x = orthogonal.random_orthogonal(3, rng).to_vector()
+        f = orthogonal.brockett_field(random_symmetric(rng, 3), [1.0, 2.0, 3.0])
+        cons, frame = orthogonal.on_constraint_set(3), orthogonal.on_adapted_frame()
+    if "admission" in faults:
+        x = x * 1.001
+    f = poisoned(
+        f,
+        gradient_at=[x] if "gradient" in faults else [],
+        nan_hessian_at=[x] if "hessian" in faults else [],
+    )
+    if manifold == "sphere":
+        (closed,) = sphere.sphere_reports(f, x[None], 1.0, j)
+    else:
+        (closed,) = orthogonal.on_laplacians(f, x[None])
+    (normal,) = constraint_core.evaluate_points(f, cons, None, x[None])
+    (framed,) = constraint_core.evaluate_points(f, cons, frame, x[None])
+    earliest = faults[0] if faults else None
+    assert stage_of(closed) == stage_of(framed) == earliest
+    # without a frame there is no chart to fail
+    unframed = [s for s in faults if s != "chart"]
+    assert stage_of(normal) == (unframed[0] if unframed else None)
+    if faults and faults[0] != "admission":
+        assert same_outcome(closed, framed)
 
 
 # -- one-row cases do not admit again --------------------------------------------
