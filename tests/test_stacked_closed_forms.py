@@ -225,10 +225,12 @@ def test_every_route_refuses_a_row_at_its_earliest_failing_stage(manifold, fault
         f = random_polynomial_field(rng, 3)
         j = 2 if "chart" in faults else None
         cons, frame = sphere.sphere_constraint_set(3, 1.0), sphere.sphere_adapted_frame(1.0, j)
+        closed_form = lambda f, X: sphere.sphere_reports(f, X, 1.0, j)  # noqa: E731
     else:
         x = orthogonal.random_orthogonal(3, rng).to_vector()
         f = orthogonal.brockett_field(random_symmetric(rng, 3), [1.0, 2.0, 3.0])
         cons, frame = orthogonal.on_constraint_set(3), orthogonal.on_adapted_frame()
+        closed_form = orthogonal.on_laplacians
     if "admission" in faults:
         x = x * 1.001
     f = poisoned(
@@ -236,10 +238,7 @@ def test_every_route_refuses_a_row_at_its_earliest_failing_stage(manifold, fault
         gradient_at=[x] if "gradient" in faults else [],
         nan_hessian_at=[x] if "hessian" in faults else [],
     )
-    if manifold == "sphere":
-        (closed,) = sphere.sphere_reports(f, x[None], 1.0, j)
-    else:
-        (closed,) = orthogonal.on_laplacians(f, x[None])
+    (closed,) = closed_form(f, x[None])
     (normal,) = constraint_core.evaluate_points(f, cons, None, x[None])
     (framed,) = constraint_core.evaluate_points(f, cons, frame, x[None])
     earliest = faults[0] if faults else None
