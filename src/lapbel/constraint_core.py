@@ -737,8 +737,8 @@ def block_product_set(ambient_dim: int, block: int, products, regular_value) -> 
     return BlockProductSet(ambient_dim, tuple(fields), regular_value, block, tuple(products))
 
 
-# Rules for p orthonormal columns of s coordinates, (N, s, p) stacks U with U^t U = R^2 I
-# and norm constraints of weight w: the sphere (p = 1, w = 1) and O(n) (p = n, w = 1/2, R = 1).
+# Rules for V(s, p): p orthonormal columns of s coordinates, (N, s, p) stacks U with U^t U = R^2 I
+# and norm constraints of weight w; the sphere (p = 1, w = 1) and O(n) (p = n, w = 1/2, R = 1).
 
 
 def _admit_blocks(U: np.ndarray, radius: float, tol: float, what: str) -> list:
@@ -771,26 +771,42 @@ def _packed(S: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(S[:, np.concatenate([diagonal, a]), np.concatenate([diagonal, b])])
 
 
-def _closed_form(
-    f, X, block: tuple, weight: float, radius: float, admit, frame, trace_main
-) -> list:
-    """:func:`evaluate_points` on the (N, s p) stack X of the p columns of s
-    coordinates of matrices U, (s, p) = ``block``, with a closed form's
-    stages: ``admit(X)``, the field gradient, ``frame(X)`` (the frame Gram
-    conditions and per row None or the error), the field Hessian with
-    ``trace_main(U, H)``, and assembly by the rules above, each constraint
-    trace 2w (s - (p+1)/2) on a norm constraint and 0 on a pair."""
+def _lambda_traces(U: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """tr(Lambda H) per matrix of U, Lambda's block (a, b) being u_b u_a^t:
+    vec(U)^t K vec(U) with K's block (a, b) H_ba, so K is H, a view, at p = 1."""
+    N, s, p = U.shape
+    x = np.swapaxes(U, 1, 2).reshape(N, s * p)
+    K = H.reshape(N, p, s, p, s).transpose(0, 3, 2, 1, 4).reshape(H.shape)
+    return (x[:, None, :] @ K @ x[:, :, None])[:, 0, 0]
+
+
+def _closed_form(f, X, block: tuple, weight: float, radius: float, admit, frame) -> list:
+    """:func:`evaluate_points` on the (N, s p) stack X of matrices U of V(s, p),
+    (s, p) = ``block``, by column, with a closed form's stages: ``admit(X)``,
+    the field gradient, ``frame(X)`` (the frame Gram conditions and per row
+    None or the error), the field Hessian with the main trace
+    tr H - (sum_a tr(U^t H_aa U) + tr(Lambda H)) / (2 R^2), each product halved
+    before the sum (x^t H x / R^2 in its bits at p = 1), and assembly by the
+    rules above, each constraint trace 2w (s - (p+1)/2) on a norm constraint
+    and 0 on a pair."""
     s, p = block
     traces = np.repeat([2.0 * weight * (s - (p + 1) / 2.0), 0.0], [p, p * (p - 1) // 2])
 
     def columns(A):  # C order, as the products round strided rows apart
         return np.ascontiguousarray(A.reshape(len(A), p, s).transpose(0, 2, 1))
 
+    def trace_main(U, H):
+        Haa = np.moveaxis(np.diagonal(H.reshape(len(H), p, s, p, s), 0, 1, 3), -1, 1)  # views
+        own = np.trace(np.swapaxes(U, 1, 2)[:, None] @ Haa @ U[:, None], 0, 2, 3).sum(axis=1)
+        return np.trace(H, 0, 1, 2) - (0.5 * own + 0.5 * _lambda_traces(U, H)) / radius**2
+
     def stack(fields, X):
         rows = _Rows(fields)
         X = rows.refuse(admit(X), X)
         g = rows.gradients(X)
         X, g = rows.finite(g, "gradient", X, g)
+        if not len(X):
+            return rows.records
         cond, errors = frame(X)
         X, g, cond = rows.refuse(errors, X, g, cond)
         H, errors = rows.hessians(X)

@@ -25,6 +25,7 @@ from .constraint_core import (
     ScalarField,
     _admit_blocks,
     _closed_form,
+    _lambda_traces,
     _only,
     _repeated,
     block_product_set,
@@ -200,19 +201,11 @@ def _block_reflection(M: np.ndarray) -> np.ndarray:
 
 
 def trace_lambda_product(point: OrthogonalPoint, H) -> float:
-    """tr(Lambda(U) H) contracted blockwise, without materializing Lambda.
-
-    Sums u_i^t H[block j, block i] u_j over all block index pairs.
-    """
+    """tr(Lambda(U) H) contracted blockwise, without materializing Lambda:
+    the sum of u_i^t H[block j, block i] u_j over all block index pairs, by
+    :func:`~lapbel.constraint_core._lambda_traces`, which the closed form reads."""
     H = _check_square(H, point.n**2, "hessian")
     return float(_lambda_traces(point.matrix[None], H[None])[0])
-
-
-def _lambda_traces(U: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """:func:`trace_lambda_product` for each matrix of an (N, n, n) stack U,
-    with (N, n*n, n*n) Hessians H."""
-    N, n = U.shape[:2]
-    return np.einsum("npi,njpiq,nqj->n", U, H.reshape(N, n, n, n, n), U)
 
 
 def on_laplacian(f: ScalarField, point: OrthogonalPoint) -> LaplacianReport:
@@ -230,19 +223,14 @@ def on_laplacians(f, X, tol: float | None = None) -> list:
     admission at ``tol`` (see :class:`OrthogonalPoint`), a non-finite field
     gradient, the field Hessian and assembly (a non-finite multiplier).
 
-    The value is half the ambient Laplacian, minus (n-1)/2 times the trace
-    of U^t times the gradient in matrix form, minus half the blockwise
-    Lambda-Hessian trace. The frame Gram is exactly twice the identity, so
-    its condition is reported as 1.
+    The driver's main trace at p = n and R = 1 is tr H - (tr H + tr(Lambda H)) / 2,
+    with tr H written as sum_a tr(U^t H_aa U). The frame Gram is exactly twice
+    the identity, so its condition is reported as 1.
     """
     X = as_matrix(X, "orthogonal points")
     n = _side(X)
-
-    def trace_main(U, H):
-        return 0.5 * (np.trace(H, axis1=1, axis2=2) - _lambda_traces(U, H))
-
     return _closed_form(f, X, (n, n), 0.5, 1.0, lambda X: _admit_orthogonal(unvec_rows(X, n), tol),
-                        lambda X: (np.ones(len(X)), [None] * len(X)), trace_main)
+                        lambda X: (np.ones(len(X)), [None] * len(X)))
 
 
 def _check_square(A, n: int | None = None, name: str = "matrix") -> np.ndarray:

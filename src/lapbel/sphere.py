@@ -243,7 +243,7 @@ def sphere_reports(
     coordinates, weight 1): per row a LaplacianReport or the first error of
     admission at ``tol`` (see :class:`SpherePoint`), a non-finite field
     gradient, the chart (see :func:`sphere_frame`), the field Hessian and
-    assembly. The main trace is tr H - x^t H x / R^2."""
+    assembly. The driver's main trace at p = 1 is tr H - x^t H x / R^2."""
     R = float(radius)
 
     def chart(X):
@@ -253,14 +253,8 @@ def sphere_reports(
         cond = np.maximum(R**2 / np.float_power(X[np.arange(len(X)), j], 2), 1.0)
         return (cond if X.shape[1] > 2 else np.ones(len(X))), errors
 
-    def trace_main(U, H):
-        x = U[:, :, 0]
-        return np.trace(H, axis1=1, axis2=2) - (x[:, None, :] @ H @ x[:, :, None])[:, 0, 0] / R**2
-
     X = as_matrix(X, "sphere points")
-    return _closed_form(
-        f, X, (X.shape[1], 1), 1.0, R, lambda X: _admit_sphere(X, R, tol), chart, trace_main
-    )
+    return _closed_form(f, X, (X.shape[1], 1), 1.0, R, lambda X: _admit_sphere(X, R, tol), chart)
 
 
 def random_sphere_point(n: int, radius: float, rng) -> SpherePoint:
