@@ -216,8 +216,9 @@ def suite_theorem_equivalence(ns, seeds: int, tol: float | None = None) -> list:
     sphere_eq = CheckRecord("sphere-general-vs-closed", _identity_tol(1e-8, tol))
     on_eq = CheckRecord("on-general-vs-closed", _identity_tol(1e-8, tol))
     for n in ns:
-        # each (n, radius) group's seeds take one general-path call, one field
-        # per row; sphere_laplacian, the independent reference, stays per point
+        # each (n, radius) group's seeds take one general-path call and one
+        # closed-form driver call, one field per row; sphere_laplacian, the
+        # independent reference, stays per point
         for radius in _RADII:
             fields, points = [], []
             for s in range(seeds):
@@ -227,9 +228,11 @@ def suite_theorem_equivalence(ns, seeds: int, tol: float | None = None) -> list:
             X = np.stack([point.coords for point in points])
             frame = sphere.sphere_adapted_frame(radius)
             general = core.evaluate_points(fields, sphere.sphere_constraint_set(n, radius), frame, X)
-            for f, point, report in zip(fields, points, general):
+            driver = sphere.sphere_reports(fields, X, radius, tol=math.inf)  # admitted on construction
+            for f, point, *reports in zip(fields, points, general, driver):
                 closed = sphere.sphere_laplacian(f, point)
-                sphere_eq.see(core._only([report]).value - closed)
+                for report in reports:
+                    sphere_eq.see(core._only([report]).value - closed)
         fields = [random_polynomial_field(_rng(_SALT_ON_FIELDS, n, s), n * n) for s in range(seeds)]
         points = [orthogonal.random_orthogonal(n, _rng(_SALT_ON_POINTS, n, s)) for s in range(seeds)]
         X = np.stack([point.to_vector() for point in points])

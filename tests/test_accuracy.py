@@ -2,7 +2,7 @@
 
 A 50-digit mpmath evaluation of the same formula, from the same inputs J,
 ∇f, H, the constraint Hessians and T, bounds the rounding of the float64
-route; sweeps of sphere chart frames and of mixed O(4) frames toward their
+route, and of the sphere and O(4) closed forms at the same points; sweeps of sphere chart frames and of mixed O(4) frames toward their
 condition limit bound how fast accuracy is lost with the frame's
 conditioning.
 """
@@ -14,15 +14,18 @@ import pytest
 from lapbel import (
     AdaptedFrame,
     ConstraintSet,
+    OrthogonalPoint,
     SpherePoint,
     brockett_field,
     laplace_beltrami_general,
     on_adapted_frame,
     on_constraint_set,
+    on_laplacian,
     polynomial_field,
     sphere_adapted_frame,
     sphere_constraint_set,
     sphere_laplacian,
+    sphere_report,
 )
 from lapbel.constraint_core import _hessians_at
 from lapbel.numkit import raise_first
@@ -109,12 +112,29 @@ def _sphere_chart_case():
     return f, sphere_constraint_set(5, 2.0), sphere_adapted_frame(2.0, excluded_index=3), x
 
 
+def _on_closed_form(f, cons, frame, u):
+    return on_laplacian(f, OrthogonalPoint(u.reshape(4, 4, order="F")))
+
+
+def _sphere_closed_form(f, cons, frame, u):
+    return sphere_report(f, SpherePoint(u, 2.0), excluded_index=3)
+
+
 @pytest.mark.parametrize(
-    "case", [_torus_case, _orthogonal_case, _sphere_chart_case], ids=["torus", "O(4)", "sphere-chart"]
+    "case, evaluate",
+    [
+        (_torus_case, laplace_beltrami_general),
+        (_orthogonal_case, laplace_beltrami_general),
+        (_sphere_chart_case, laplace_beltrami_general),
+        (_orthogonal_case, _on_closed_form),
+        (_sphere_chart_case, _sphere_closed_form),
+    ],
+    ids=["torus", "O(4)", "sphere-chart", "O(4)-on_laplacian", "sphere-chart-sphere_report"],
 )
-def test_general_evaluator_matches_a_50_digit_reference(case):
+def test_general_evaluator_matches_a_50_digit_reference(case, evaluate):
+    # the closed forms are held to the general evaluator's bound too
     f, cons, frame, u = case()
-    report = laplace_beltrami_general(f, cons, frame, u)
+    report = evaluate(f, cons, frame, u)
     T = None if frame is None else frame.at(u)
     reference = reference_report(cons.jacobian(u), f.gradient(u), f.hessian(u), constraint_hessians(cons, u), T)
     assert report_distance(report, reference) <= 1e-14

@@ -4,6 +4,8 @@
 chunks. Each row's record must equal, bit for bit, what ``sphere_report``
 and ``on_laplacian`` give at that point alone (or the error that point
 raises), whatever the chunking and whichever rows around it are refused.
+The driver behind both, ``constraint_core._closed_form``, is checked against
+the general evaluator on Stiefel manifolds V(s, p) other than these two.
 """
 
 import itertools
@@ -248,6 +250,59 @@ def test_every_route_refuses_a_row_at_its_earliest_failing_stage(manifold, fault
     assert stage_of(normal) == (unframed[0] if unframed else None)
     if faults and faults[0] != "admission":
         assert same_outcome(closed, framed)
+
+
+def test_a_chunk_refused_before_the_chart_is_not_asked_for_its_chart():
+    # the chart refuses an out-of-range index for any stack, even an empty one;
+    # a row that admission refuses keeps its DomainError, as on the general path
+    f = linear_field([1.0, 0.0, 0.0])
+    X = np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.01]])
+    closed = sphere.sphere_reports(f, X, 1.0, 5)
+    frame = sphere.sphere_adapted_frame(1.0, 5)
+    general = constraint_core.evaluate_points(f, sphere.sphere_constraint_set(3, 1.0), frame, X)
+    assert [type(r) for r in closed] == [type(r) for r in general] == [DimensionError, DomainError]
+    assert str(closed[0]) == str(general[0])
+    assert closed[1].residual == general[1].residual == pytest.approx(1e-4)
+
+
+# -- the driver is the closed form of V(s, p) ----------------------------------------
+
+
+def stiefel_case(s, p, weight, radius, rng):
+    """The constraint set of V(s, p) with norm constraints of ``weight`` and
+    radius ``radius`` (pairs of weight 1), and 4 points of it, vec(U) by row."""
+    products = [(a, a, weight) for a in range(p)]
+    products += [(b, c, 1.0) for b, c in itertools.combinations(range(p), 2)]
+    values = [weight * radius**2] * p + [0.0] * (len(products) - p)
+    cons = constraint_core.block_product_set(s * p, s, products, np.array(values))
+    U = [radius * np.linalg.qr(rng.standard_normal((s, p)))[0] for _ in range(4)]
+    return cons, np.stack([u.reshape(-1, order="F") for u in U])
+
+
+@pytest.mark.parametrize(
+    "s, p, weight, radius",
+    [(3, 1, 0.5, 1.0), (5, 2, 0.5, 1.0), (5, 3, 0.5, 1.0), (7, 4, 0.5, 1.0), (4, 4, 0.5, 1.0),
+     (6, 6, 0.5, 1.0), (3, 1, 1.0, 2.5), (6, 1, 1.0, 2.5)],
+)
+def test_the_closed_form_driver_is_the_general_evaluator_on_every_stiefel_manifold(s, p, weight, radius):
+    rng = np.random.default_rng([s, p])
+    cons, X = stiefel_case(s, p, weight, radius, rng)
+    fields = [random_polynomial_field(rng, s * p) for _ in X]
+
+    def admit(X):
+        U = X.reshape(len(X), p, s).transpose(0, 2, 1)
+        return constraint_core._admit_blocks(U, radius, 1e-8, "off V(s, p):")
+
+    def frame(X):
+        return np.ones(len(X)), [None] * len(X)
+
+    closed = constraint_core._closed_form(fields, X, (s, p), weight, radius, admit, frame)
+    general = constraint_core.evaluate_points(fields, cons, None, X)
+    for a, b in zip(closed, general):
+        for key in ("value", "sigma", "trace_main", "trace_constraint", "frame_gram_condition"):
+            expected = np.atleast_1d(getattr(b, key))
+            scale = max(1.0, np.abs(expected).max())
+            np.testing.assert_allclose(getattr(a, key), expected, rtol=0, atol=1e-12 * scale)
 
 
 # -- one-row cases do not admit again --------------------------------------------
