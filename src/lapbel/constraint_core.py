@@ -781,8 +781,8 @@ def _lambda_traces(U: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 
 def _closed_form(f, X, block: tuple, weight: float, radius: float, admit, frame) -> list:
-    """:func:`evaluate_points` on the (N, s p) stack X of matrices U of V(s, p),
-    (s, p) = ``block``, by column, with a closed form's stages: ``admit(X)``,
+    """:func:`evaluate_points` on the (N, s p) stack X of the p columns of s
+    coordinates of U in V(s, p), (s, p) = ``block``, by the stages ``admit(X)``,
     the field gradient, ``frame(X)`` (the frame Gram conditions and per row
     None or the error), the field Hessian with the main trace
     tr H - (sum_a tr(U^t H_aa U) + tr(Lambda H)) / (2 R^2), each product halved
@@ -796,9 +796,10 @@ def _closed_form(f, X, block: tuple, weight: float, radius: float, admit, frame)
         return np.ascontiguousarray(A.reshape(len(A), p, s).transpose(0, 2, 1))
 
     def trace_main(U, H):
-        Haa = np.moveaxis(np.diagonal(H.reshape(len(H), p, s, p, s), 0, 1, 3), -1, 1)  # views
-        own = np.trace(np.swapaxes(U, 1, 2)[:, None] @ Haa @ U[:, None], 0, 2, 3).sum(axis=1)
-        return np.trace(H, 0, 1, 2) - (0.5 * own + 0.5 * _lambda_traces(U, H)) / radius**2
+        Haa = np.moveaxis(np.diagonal(H.reshape(len(H), p, s, p, s), axis1=1, axis2=3), -1, 1)
+        own = np.trace(np.swapaxes(U, 1, 2)[:, None] @ Haa @ U[:, None], axis1=2, axis2=3)
+        normal = 0.5 * own.sum(axis=1) + 0.5 * _lambda_traces(U, H)
+        return np.trace(H, axis1=1, axis2=2) - normal / radius**2
 
     def stack(fields, X):
         rows = _Rows(fields)

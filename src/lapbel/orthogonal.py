@@ -223,9 +223,10 @@ def on_laplacians(f, X, tol: float | None = None) -> list:
     admission at ``tol`` (see :class:`OrthogonalPoint`), a non-finite field
     gradient, the field Hessian and assembly (a non-finite multiplier).
 
-    The driver's main trace at p = n and R = 1 is tr H - (tr H + tr(Lambda H)) / 2,
-    with tr H written as sum_a tr(U^t H_aa U). The frame Gram is exactly twice
-    the identity, so its condition is reported as 1.
+    This is the driver's V(n, n) at R = 1. As U U^t = I, the value is half the
+    ambient Laplacian, minus half the blockwise Lambda-Hessian trace, minus
+    (n-1)/2 times tr(U^t G), G the gradient in matrix form. The frame Gram is
+    exactly twice the identity, so its condition is reported as 1.
     """
     X = as_matrix(X, "orthogonal points")
     n = _side(X)

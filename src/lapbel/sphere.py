@@ -243,7 +243,7 @@ def sphere_reports(
     coordinates, weight 1): per row a LaplacianReport or the first error of
     admission at ``tol`` (see :class:`SpherePoint`), a non-finite field
     gradient, the chart (see :func:`sphere_frame`), the field Hessian and
-    assembly. The driver's main trace at p = 1 is tr H - x^t H x / R^2."""
+    assembly: the driver's V(n, 1), main trace tr H - x^t H x / R^2."""
     R = float(radius)
 
     def chart(X):
