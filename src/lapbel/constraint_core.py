@@ -42,20 +42,19 @@ class ScalarField(Frozen):
     another label for externally supplied data. Derivative-hygiene checks
     only accept analytic fields.
 
-    Each derivative comes in per-point form (``value_fn``, ``gradient_fn``,
-    ``hessian_fn``) or stacked form (``values_fn``, ``gradients_fn``,
-    ``hessians_fn``: a C-ordered (N, dim) stack in, N values, (N, dim)
-    gradients or (N, dim, dim) Hessians out); a field with neither form of
-    some derivative is refused with ContractError. A missing per-point form
-    is the stacked form's one-row case on a C-ordered ``u[None]``. A stacked
-    form serves every stack, one row included, so where a field has both,
-    each row must have the bits of the per-point form. The stacks come back
-    C-ordered (a stacked dot sums a strided row in another order than the
-    one-row case), except that a derivative that is one array at every
+    Each derivative is stored in stacked form (``values_fn``,
+    ``gradients_fn``, ``hessians_fn``: a C-ordered (N, dim) stack in, N
+    values, (N, dim) gradients or (N, dim, dim) Hessians out). A derivative
+    given in per-point form instead (``value_fn``, ``gradient_fn``,
+    ``hessian_fn``) is lifted once, here, into the stacked form that calls
+    it row by row and checks each row's shape. A field given neither or both
+    forms of some derivative is refused with ContractError. The stacks come
+    back C-ordered (a stacked dot sums a strided row in another order than
+    the one-row case), except that a derivative that is one array at every
     point may come back as a read-only broadcast view of it, row stride 0
     (:func:`_repeated`). Finite-difference stencils go through
     :meth:`values`, the general evaluator through :meth:`gradients` and
-    :meth:`hessians`.
+    :meth:`hessians`; the one-point methods are their one-row cases.
     """
 
     def __init__(
@@ -73,13 +72,10 @@ class ScalarField(Frozen):
             raise DimensionError(f"ScalarField dim must be positive, got {dim}")
         vars(self).update(
             dim=dim,
-            value_fn=_per_point(value_fn, values_fn, "value"),
-            gradient_fn=_per_point(gradient_fn, gradients_fn, "gradient"),
-            hessian_fn=_per_point(hessian_fn, hessians_fn, "hessian"),
             provenance=provenance,
-            values_fn=values_fn,
-            gradients_fn=gradients_fn,
-            hessians_fn=hessians_fn,
+            values_fn=_lifted(value_fn, values_fn, "value", ()),
+            gradients_fn=_lifted(gradient_fn, gradients_fn, "gradient", (dim,)),
+            hessians_fn=_lifted(hessian_fn, hessians_fn, "hessian", (dim, dim)),
         )
 
     @property
@@ -111,31 +107,20 @@ class ScalarField(Frozen):
         return np.ascontiguousarray(X)
 
     def values(self, X) -> np.ndarray:
-        """N values at the rows of an (N, dim) stack, shape-checked but not
-        checked finite: ``values_fn`` when the field has one, else
-        ``value_fn`` row by row."""
+        """N values at the rows of an (N, dim) stack, shape-checked but not checked finite."""
         X = self._check_stack(X)
-        if self.values_fn is not None:
-            return _shaped(self.values_fn(X), X.shape[:1], "value stack")
-        return np.array([float(self.value_fn(x)) for x in X])
+        return _shaped(self.values_fn(X), X.shape[:1], "value stack")
 
     def gradients(self, X) -> np.ndarray:
         """(N, dim) gradients at the rows of an (N, dim) stack, shape-checked
-        but not checked finite: ``gradients_fn`` when the field has one, else
-        ``gradient_fn`` row by row."""
+        but not checked finite."""
         X = self._check_stack(X)
-        if self.gradients_fn is not None:
-            return _shaped(self.gradients_fn(X), X.shape, "gradient stack")
-        return _stacked(map(self.gradient_fn, X), len(X), (self.dim,), "gradient")
+        return _shaped(self.gradients_fn(X), X.shape, "gradient stack")
 
     def hessians(self, X) -> np.ndarray:
-        """(N, dim, dim) Hessians at the rows of an (N, dim) stack, like
-        :meth:`gradients`, through ``hessians_fn`` or ``hessian_fn``."""
+        """(N, dim, dim) Hessians at the rows of an (N, dim) stack, like :meth:`gradients`."""
         X = self._check_stack(X)
-        shape = (self.dim, self.dim)
-        if self.hessians_fn is not None:
-            return _shaped(self.hessians_fn(X), (len(X),) + shape, "hessian stack")
-        return _stacked(map(self.hessian_fn, X), len(X), shape, "hessian")
+        return _shaped(self.hessians_fn(X), (len(X), self.dim, self.dim), "hessian stack")
 
     def gradient(self, u) -> np.ndarray:
         g = self.gradients(self._check_point(u)[None])
@@ -232,15 +217,14 @@ class ScalarField(Frozen):
     __rmul__ = __mul__
 
 
-def _per_point(one, stacked, form: str) -> Callable[[np.ndarray], np.ndarray]:
-    """A derivative's per-point form: ``one``, else the stacked form's one-row
-    case, on the point made C-ordered as :meth:`ScalarField._check_stack`
-    makes a stack; refused with ContractError when the field has neither."""
-    if one is not None:
-        return one
-    if stacked is None:
-        raise ContractError(f"ScalarField needs {form}_fn or {form}s_fn")
-    return lambda u: stacked(np.ascontiguousarray(u, dtype=float)[None])[0]
+def _lifted(one, stacked, form: str, shape: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """A derivative's stacked form: ``stacked``, or the per-point form ``one``
+    called on each row, each result refused unless it has the given shape;
+    refused with ContractError when the field has neither form or both."""
+    if (one is None) == (stacked is None):
+        both = "" if one is None else ", not both"
+        raise ContractError(f"ScalarField needs {form}_fn or {form}s_fn{both}")
+    return stacked if one is None else lambda X: _stacked(map(one, X), len(X), shape, form)
 
 
 def _writable(a: np.ndarray) -> np.ndarray:
@@ -250,11 +234,12 @@ def _writable(a: np.ndarray) -> np.ndarray:
 
 def _shaped(a, shape: tuple, name: str) -> np.ndarray:
     """``a`` as a C-ordered float64 array, refused unless it has the given
-    shape; an array whose rows repeat one (row stride 0) stays a view."""
+    shape; a scalar stays 0-d, and an array whose rows repeat one (row stride
+    0) stays a view."""
     a = np.asarray(a, dtype=float)
     if a.shape != shape:
         raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
-    return a if a.strides[0] == 0 else np.ascontiguousarray(a)
+    return a if a.ndim == 0 or a.strides[0] == 0 else np.ascontiguousarray(a)
 
 
 def _stacked(arrays, count: int, shape: tuple, name: str) -> np.ndarray:
@@ -562,7 +547,8 @@ def finite_difference_field(
 
     The gradient uses step ``grad_step``, the Hessian ``hess_step``; the
     Hessian estimate is symmetrized. Provenance records the steps. A
-    ScalarField source lends its ``values_fn``, so each stencil is one call.
+    ScalarField source lends its ``values_fn``, so each stencil is one call;
+    a function is lifted row by row as the constructor lifts a ``value_fn``.
     """
     if dim <= 0:
         raise DimensionError("finite_difference_field dim must be positive")
@@ -570,7 +556,7 @@ def finite_difference_field(
         raise ContractError("finite-difference steps must be positive")
     values_fn = None
     if isinstance(value_fn, ScalarField):
-        value_fn, values_fn = value_fn.value_fn, value_fn.values_fn
+        value_fn, values_fn = None, value_fn.values_fn
 
     def gradient(u):
         return _fd_gradient(field.values, u, grad_step)
@@ -581,7 +567,7 @@ def finite_difference_field(
 
     field = ScalarField(
         dim=dim,
-        value_fn=lambda u: float(value_fn(u)),
+        value_fn=value_fn,
         gradient_fn=gradient,
         hessian_fn=hessian,
         provenance=f"finite-difference(h={grad_step:g},{hess_step:g})",

@@ -7,6 +7,7 @@ stacked numpy kernels it relies on are pinned against per-matrix calls here.
 """
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -122,9 +123,9 @@ def test_polynomial_stacked_forms_match_the_per_point_forms_row_by_row(dim):
     f = polynomial_field(dim, random_sparse_terms(rng, dim))
     X = rng.uniform(-1.5, 1.5, size=(40, dim))
     X[::5, : (dim + 1) // 2] = 0.0  # 0.0 ** 0 == 1 in the stacked pass too
-    values = np.array([f.value_fn(x) for x in X])
-    gradients = np.stack([f.gradient_fn(x) for x in X])
-    hessians = np.stack([f.hessian_fn(x) for x in X])
+    values = np.array([f.value(x) for x in X])
+    gradients = np.stack([f.gradient(x) for x in X])
+    hessians = np.stack([f.hessian(x) for x in X])
     assert same_bits(f.values_fn(X), values)
     assert same_bits(f.gradients_fn(X), gradients)
     assert same_bits(f.hessians_fn(X), hessians)
@@ -146,7 +147,7 @@ def test_an_f_ordered_geodesic_stack_has_the_per_point_values():
     ch, sh = np.cos(1e-2), np.sin(1e-2)
     X = np.concatenate([ch * x + sh * B.T, ch * x - sh * B.T])
     assert X.flags.f_contiguous and not X.flags.c_contiguous
-    assert same_bits(f.values(X), np.array([f.value_fn(r) for r in X]))
+    assert same_bits(f.values(X), np.array([f.value(r) for r in X]))
 
 
 def test_polynomial_stacked_forms_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -178,19 +179,19 @@ def test_orthogonal_field_gradients_match_the_per_point_form(n):
     rng = np.random.default_rng([8, n])
     X = rng.standard_normal((9, n * n))
     for f in orthogonal_fields(rng, n):
-        assert same_bits(f.gradients(X), np.stack([f.gradient_fn(x) for x in X]))
-        assert same_bits(f.values(X), np.array([f.value_fn(x) for x in X]))
+        assert same_bits(f.gradients(X), np.stack([f.gradient(x) for x in X]))
+        assert same_bits(f.values(X), np.array([f.value(x) for x in X]))
 
 
 def test_orthogonal_field_gradients_refuse_a_non_finite_row_as_vec_does():
-    # the per-point gradients raise in ``vec``; the stacked ones raise the same
-    # error, so a chunk's one-row re-run gives each row its per-point record.
+    # the stacked gradients raise in ``vec``, a one-row stack as a whole one,
+    # so a chunk's one-row re-run gives each row its per-point record.
     # Every row has an entry of magnitude >= 1.7e308 / sqrt(2), so 2 U overflows.
     X = 1.7e308 * np.stack([orthogonal.random_orthogonal(2, s).to_vector() for s in range(3)])
     with np.errstate(over="ignore", invalid="ignore"):
         for f in (orthogonal.brockett_field(np.eye(2), [1.0, 1.0]), orthogonal.p2_field(np.eye(2))):
             with pytest.raises(DimensionError, match="vec input contains non-finite entries"):
-                f.gradient_fn(X[0])
+                f.gradient(X[0])
             with pytest.raises(DimensionError, match="vec input contains non-finite entries"):
                 f.gradients(X)
 
@@ -206,7 +207,7 @@ def test_constant_hessian_stacks_are_read_only_views_of_the_per_point_hessian(n)
         with pytest.raises(ValueError):
             H[0, 0, 0] = 1.0
         for x, h in zip(X, H):
-            assert same_bits(h, f.hessian_fn(x))
+            assert same_bits(h, f.hessian(x))
 
 
 def test_an_asymmetric_constant_hessian_is_refused_on_every_row():
@@ -215,7 +216,6 @@ def test_an_asymmetric_constant_hessian_is_refused_on_every_row():
         3,
         lambda u: float(u @ Ha @ u) / 2.0,
         lambda u: Ha @ u,
-        lambda u: Ha.copy(),
         hessians_fn=constraint_core._repeated(Ha),
     )
     cons = sphere.sphere_constraint_set(3, 1.0)
@@ -229,26 +229,34 @@ def test_block_product_gradients_match_the_per_point_form():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((30, 9))
     for field in orthogonal.on_constraint_set(3).fields:
-        assert same_bits(field.gradients(X), np.stack([field.gradient_fn(x) for x in X]))
+        assert same_bits(field.gradients(X), np.stack([field.gradient(x) for x in X]))
 
 
 def test_stacked_derivatives_fall_back_to_the_rows_and_check_shapes():
-    f = ScalarField(2, lambda u: float(u @ u), lambda u: 2.0 * u, lambda u: 2.0 * np.eye(2))
+    value, hessian = lambda u: float(u @ u), lambda u: 2.0 * np.eye(2)
+    f = ScalarField(2, value, lambda u: 2.0 * u, hessian)
     X = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.25]])
     assert same_bits(f.gradients(X), 2.0 * X)
     assert same_bits(f.hessians(X), np.stack([2.0 * np.eye(2)] * 3))
     assert f.gradients(np.zeros((0, 2))).shape == (0, 2)
     with pytest.raises(DimensionError):
         f.gradients(np.zeros((3, 5)))
-    bad = ScalarField(2, f.value_fn, lambda u: np.zeros(3), f.hessian_fn)
+    bad = ScalarField(2, value, lambda u: np.zeros(3), hessian)
     with pytest.raises(DimensionError, match="gradient has shape"):
         bad.gradients(X)
-    bad = ScalarField(2, f.value_fn, f.gradient_fn, f.hessian_fn, gradients_fn=lambda X: X[:, :1])
+    bad = ScalarField(2, value, None, hessian, gradients_fn=lambda X: X[:, :1])
     with pytest.raises(DimensionError, match="gradient stack has shape"):
         bad.gradients(X)
 
 
 # -- one form per derivative --------------------------------------------------
+
+
+def lifted(form) -> bool:
+    """Whether a stored stacked form is a per-point form lifted by the
+    constructor: every lift runs one code object."""
+    per_point = ScalarField(1, lambda u: 0.0, lambda u: u, lambda u: u[None])
+    return form.__code__ is per_point.values_fn.__code__
 
 
 def built_in_fields(rng, n):
@@ -260,13 +268,13 @@ def built_in_fields(rng, n):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_every_built_in_family_has_stacked_values_and_gradients(n):
-    # so none falls back to the row loop unnoticed; a block product keeps its
-    # per-point Hessian as its only form, since a stacked one would be dense
+    # so none falls back to the row loop unnoticed; a block product gives its
+    # Hessian in per-point form, lifted, since a stacked one would be dense
     fields, blocks = built_in_fields(np.random.default_rng([10, n]), n)
     for f in fields + blocks:
-        assert f.values_fn is not None and f.gradients_fn is not None
-    assert all(f.hessians_fn is not None for f in fields)
-    assert all(f.hessians_fn is None for f in blocks)
+        assert not lifted(f.values_fn) and not lifted(f.gradients_fn)
+    assert not any(lifted(f.hessians_fn) for f in fields)
+    assert all(lifted(f.hessians_fn) for f in blocks)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -292,16 +300,16 @@ def test_per_point_derivatives_are_writable_rows_of_the_stacks(n):
             assert same_bits(gradient, g) and same_bits(hessian, h)
 
 
-def test_a_filled_in_per_point_form_reads_a_strided_point_as_its_copy():
+def test_a_one_point_evaluation_reads_a_strided_point_as_its_copy():
     # a column of a C-ordered matrix has stride 3 doubles, and a ddot over a
     # strided row rounds differently from the unit-stride one
     rng = np.random.default_rng(16)
     u = rng.standard_normal((25, 3))[:, 0]
     fields, blocks = built_in_fields(rng, 5)
     for f in fields + blocks:
-        assert f.value_fn(u) == f.value_fn(u.copy())
-        assert same_bits(f.gradient_fn(u), f.gradient_fn(u.copy()))
-        assert same_bits(f.hessian_fn(u), f.hessian_fn(u.copy()))
+        assert f.value(u) == f.value(u.copy())
+        assert same_bits(f.gradient(u), f.gradient(u.copy()))
+        assert same_bits(f.hessian(u), f.hessian(u.copy()))
 
 
 def test_a_broadcast_constant_hessian_is_checked_once_not_once_per_row():
@@ -336,7 +344,7 @@ def test_a_field_of_stacked_forms_only_works_wherever_a_field_does():
     assert f.value(u) == f.values_fn(u[None])[0]
     assert same_bits(f.gradient(u), 3.0 * u**2)
     assert same_bits(f.hessian(u), 6.0 * u[:, None] * np.eye(3))
-    double = f + f  # arithmetic reads the filled-in per-point forms
+    double = f + f  # arithmetic reads the stacked forms
     assert double.value(u) == 2.0 * f.value(u)
     assert same_bits(double.hessian(u), 2.0 * f.hessian(u))
     fd = finite_difference_field(f, 3)
@@ -345,7 +353,7 @@ def test_a_field_of_stacked_forms_only_works_wherever_a_field_does():
     rng = np.random.default_rng(15)
     X = sphere_stack(rng, 3, 1.0, 12)
     cons = sphere.sphere_constraint_set(3, 1.0)
-    rows = ScalarField(3, f.value_fn, f.gradient_fn, f.hessian_fn)  # row by row
+    rows = ScalarField(3, f.value, f.gradient, f.hessian)  # lifted: row by row
     for frame in (sphere.sphere_adapted_frame(1.0), None):
         records = assert_matches_per_row(f, cons, frame, X)
         assert all(map(same_outcome, records, evaluate_points(rows, cons, frame, X)))
@@ -360,7 +368,7 @@ def test_arithmetic_on_built_in_fields_reads_their_one_row_forms():
     p11, p2 = orthogonal.p11_field(A), orthogonal.p2_field(A)
     combo = p11 - p2  # as verify's theorem-equivalence suite builds it
     X = rng.standard_normal((5, 9))
-    assert None not in (combo.values_fn, combo.gradients_fn, combo.hessians_fn)
+    assert not any(map(lifted, (combo.values_fn, combo.gradients_fn, combo.hessians_fn)))
     assert same_bits(combo.values(X), p11.values(X) - p2.values(X))
     assert same_bits(combo.gradients(X), p11.gradients(X) - p2.gradients(X))
     assert same_bits(combo.hessians(X), p11.hessians(X) - p2.hessians(X))
@@ -384,8 +392,41 @@ def test_a_field_with_neither_form_of_a_derivative_is_refused(missing):
     f = cubic_sum(2)
     forms = {"values_fn": f.values_fn, "gradients_fn": f.gradients_fn, "hessians_fn": f.hessians_fn}
     del forms[f"{missing}s_fn"]
-    with pytest.raises(ContractError, match=f"needs {missing}_fn or {missing}s_fn"):
+    with pytest.raises(ContractError, match=f"needs {missing}_fn or {missing}s_fn$"):
         ScalarField(2, **forms)
+
+
+def test_a_field_stores_one_stacked_form_per_derivative():
+    per_point = ScalarField(2, lambda u: 0.0, lambda u: u, lambda u: np.eye(2))
+    for f in (cubic_sum(2), per_point):
+        assert set(vars(f)) == {"dim", "provenance", "values_fn", "gradients_fn", "hessians_fn"}
+    assert all(map(lifted, (per_point.values_fn, per_point.gradients_fn, per_point.hessians_fn)))
+
+
+@pytest.mark.parametrize("doubled", ["value", "gradient", "hessian"])
+def test_a_field_with_both_forms_of_a_derivative_is_refused(doubled):
+    # neither form is dropped silently in favour of the other
+    f = cubic_sum(2)
+    forms = {"values_fn": f.values_fn, "gradients_fn": f.gradients_fn, "hessians_fn": f.hessians_fn}
+    forms[f"{doubled}_fn"] = getattr(f, doubled)
+    with pytest.raises(ContractError, match=f"needs {doubled}_fn or {doubled}s_fn, not both"):
+        ScalarField(2, **forms)
+
+
+@pytest.mark.parametrize("result", [np.array([1.0]), [1.0], np.ones((1, 1)), [1.0, 2.0]])
+def test_a_per_point_value_of_the_wrong_shape_is_refused(result):
+    # as a per-point gradient or Hessian of the wrong shape is: the row loop
+    # checks each value's shape, not only what float() accepts
+    message = re.escape(f"value has shape {np.shape(result)}, expected ()")
+    f = ScalarField(2, lambda u: result, lambda u: 2.0 * u, lambda u: 2.0 * np.eye(2))
+    for call in (lambda: f.values(np.ones((3, 2))), lambda: f.value([1.0, 2.0])):
+        with pytest.raises(DimensionError, match=message):
+            call()
+    # a constraint whose values refuse a stack gives each row that record
+    norm = ScalarField(3, lambda u: [u @ u], lambda u: 2.0 * u, lambda u: 2.0 * np.eye(3))
+    cons = ConstraintSet(3, (norm,), [1.0])
+    records = evaluate_points(linear_field([1.0, 2.0, 3.0]), cons, None, np.eye(3))
+    assert [str(r) for r in records] == ["value has shape (1,), expected ()"] * 3
 
 
 # -- evaluate_points against the per-point evaluator ------------------------

@@ -323,7 +323,7 @@ def test_polynomial_derivatives_match_finite_differences(seed):
         powers = rng.integers(0, 3, size=3)
         terms.append((float(rng.uniform(-1, 1)), tuple(int(p) for p in powers)))
     f = polynomial_field(3, terms)
-    fd = finite_difference_field(f.value_fn, 3)
+    fd = finite_difference_field(f.value, 3)
     for _ in range(5):
         u = rng.uniform(-1.5, 1.5, size=3)
         assert np.max(np.abs(f.gradient(u) - fd.gradient(u))) <= 1e-6
@@ -684,13 +684,13 @@ def counting_field(field, counts, key):
 
     def gradient(u):
         counts[key, "gradient"] = counts.get((key, "gradient"), 0) + 1
-        return field.gradient_fn(u)
+        return field.gradient(u)
 
     def hessian(u):
         counts[key, "hessian"] = counts.get((key, "hessian"), 0) + 1
-        return field.hessian_fn(u)
+        return field.hessian(u)
 
-    return ScalarField(field.dim, field.value_fn, gradient, hessian)
+    return ScalarField(field.dim, gradient_fn=gradient, hessian_fn=hessian, values_fn=field.values_fn)
 
 
 def torus_constraints(counts=None):

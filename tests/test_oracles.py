@@ -234,17 +234,17 @@ def test_checkers_detect_corrupted_derivatives():
     base = polynomial_field(2, [(1.0, (2, 0)), (1.0, (0, 2))])
     wrong_grad = ScalarField(
         dim=2,
-        value_fn=base.value_fn,
-        gradient_fn=lambda u: base.gradient_fn(u) + np.array([0.01, 0.0]),
-        hessian_fn=base.hessian_fn,
+        value_fn=base.value,
+        gradient_fn=lambda u: base.gradient(u) + np.array([0.01, 0.0]),
+        hessian_fn=base.hessian,
     )
     u = np.array([0.3, -0.4])
     assert check_gradient(wrong_grad, u, OracleConfig(step=1e-5)) >= 0.009
     wrong_hess = ScalarField(
         dim=2,
-        value_fn=base.value_fn,
-        gradient_fn=base.gradient_fn,
-        hessian_fn=lambda u: base.hessian_fn(u) + 0.01 * np.eye(2),
+        value_fn=base.value,
+        gradient_fn=base.gradient,
+        hessian_fn=lambda u: base.hessian(u) + 0.01 * np.eye(2),
     )
     assert check_hessian(wrong_hess, u) >= 0.009
 

@@ -141,7 +141,7 @@ def test_constraint_derivatives_match_finite_differences():
     cons = on_constraint_set(3)
     u = rng.standard_normal(9)  # any matrix, not necessarily orthogonal
     for f in cons.fields:
-        fd = finite_difference_field(f.value_fn, 9)
+        fd = finite_difference_field(f.value, 9)
         assert np.max(np.abs(f.gradient(u) - fd.gradient(u))) <= 1e-6
         assert np.max(np.abs(f.hessian(u) - fd.hessian(u))) <= 1e-5
 

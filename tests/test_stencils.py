@@ -78,23 +78,21 @@ def assert_same_bits(got, expected):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_values_match_value_fn_bit_for_bit(n):
+def test_values_match_one_point_values_bit_for_bit(n):
     rng = np.random.default_rng([5, n])
     X = rng.uniform(-1.0, 1.0, size=(200, n * n))
     for field in batched_fields(n, rng):
-        assert field.values_fn is not None
-        assert_same_bits(field.values(X), [field.value_fn(x) for x in X])
+        assert_same_bits(field.values(X), [field.value(x) for x in X])
 
 
 def test_values_fall_back_to_value_fn_rows():
-    field = finite_difference_field(lambda u: float(u[0] * u[1] ** 3), 2)
-    assert field.values_fn is None
+    value_fn = lambda u: float(u[0] * u[1] ** 3)  # noqa: E731
+    field = finite_difference_field(value_fn, 2)  # lifted: one call per row
     X = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.25]])
-    assert_same_bits(field.values(X), [field.value_fn(x) for x in X])
+    assert_same_bits(field.values(X), [value_fn(x) for x in X])
     summed = block_product_field(4, slice(0, 2), slice(2, 4)) + 1.5
-    assert summed.values_fn is not None  # field arithmetic writes the stacked form
     X = np.arange(8.0).reshape(2, 4)
-    assert_same_bits(summed.values(X), [summed.value_fn(x) for x in X])
+    assert_same_bits(summed.values(X), [summed.value(x) for x in X])
 
 
 def test_values_refuse_a_stack_of_the_wrong_shape():
@@ -127,8 +125,8 @@ def stencil_cases():
 
 @pytest.mark.parametrize("field, u, h", stencil_cases())
 def test_stencils_match_the_per_point_loops_bit_for_bit(field, u, h):
-    assert_same_bits(_fd_gradient(field.values, u, h), reference_fd_gradient(field.value_fn, u, h))
-    assert_same_bits(_fd_hessian(field.values, u, h), reference_fd_hessian(field.value_fn, u, h))
+    assert_same_bits(_fd_gradient(field.values, u, h), reference_fd_gradient(field.value, u, h))
+    assert_same_bits(_fd_hessian(field.values, u, h), reference_fd_hessian(field.value, u, h))
 
 
 def test_wide_stencil_spans_several_chunks():
@@ -148,8 +146,8 @@ def test_stencils_do_not_depend_on_the_chunk_size(monkeypatch, rows):
         return field.values(X)
 
     monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", rows * 8 * u.size)
-    assert_same_bits(_fd_hessian(values, u, 1e-3), reference_fd_hessian(field.value_fn, u, 1e-3))
-    assert_same_bits(_fd_gradient(values, u, 1e-5), reference_fd_gradient(field.value_fn, u, 1e-5))
+    assert_same_bits(_fd_hessian(values, u, 1e-3), reference_fd_hessian(field.value, u, 1e-3))
+    assert_same_bits(_fd_gradient(values, u, 1e-5), reference_fd_gradient(field.value, u, 1e-5))
     assert max(calls) <= rows
 
 
@@ -171,8 +169,8 @@ def test_finite_difference_field_from_a_field_uses_its_batch():
     rng = np.random.default_rng(8)
     source = batched_fields(3, rng)[1]
     batched = finite_difference_field(source, 9, grad_step=1e-5, hess_step=1e-3)
-    looped = finite_difference_field(source.value_fn, 9, grad_step=1e-5, hess_step=1e-3)
-    assert batched.values_fn is source.values_fn and looped.values_fn is None
+    looped = finite_difference_field(source.value, 9, grad_step=1e-5, hess_step=1e-3)
+    assert batched.values_fn is source.values_fn and looped.values_fn is not source.values_fn
     assert batched.provenance == looped.provenance
     u = rng.uniform(-1.0, 1.0, 9)
     assert batched.value(u) == looped.value(u)
