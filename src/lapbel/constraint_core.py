@@ -759,11 +759,13 @@ def _packed(S: np.ndarray) -> np.ndarray:
 
 def _lambda_traces(U: np.ndarray, H: np.ndarray) -> np.ndarray:
     """tr(Lambda H) per matrix of U, Lambda's block (a, b) being u_b u_a^t:
-    vec(U)^t K vec(U) with K's block (a, b) H_ba, so K is H, a view, at p = 1."""
+    vec(U)^t K vec(U) with K's block (a, b) H_ba, so K is H, a view, at p = 1.
+    A broadcast H (stride 0 across rows) repeats one matrix: its K is built once."""
     N, s, p = U.shape
     x = np.swapaxes(U, 1, 2).reshape(N, s * p)
-    K = H.reshape(N, p, s, p, s).transpose(0, 3, 2, 1, 4).reshape(H.shape)
-    return (x[:, None, :] @ K @ x[:, :, None])[:, 0, 0]
+    one = H[:1] if H.strides[0] == 0 else H
+    K = one.reshape(len(one), p, s, p, s).transpose(0, 3, 2, 1, 4).reshape(one.shape)
+    return (x[:, None, :] @ np.broadcast_to(K, H.shape) @ x[:, :, None])[:, 0, 0]
 
 
 def _closed_form(f, X, block: tuple, weight: float, radius: float, admit, frame) -> list:

@@ -328,6 +328,31 @@ def test_a_broadcast_constant_hessian_is_checked_once_not_once_per_row():
     assert peak < 256 * 1024
 
 
+def test_a_broadcast_constant_hessian_is_transposed_once_not_once_per_row():
+    # at p > 1 the blockwise transpose in tr(Lambda H) cannot be a view: of the
+    # stride-0 stack of 32 O(8) Brockett rows it was a 1 MiB copy; of the one
+    # 64 x 64 matrix, 32 kB. The 200-point closed form peaked at 1.2 MiB.
+    rng = np.random.default_rng(13)
+    f = orthogonal.brockett_field(random_symmetric(rng, 8), rng.uniform(-1.0, 1.0, 8))
+    X = np.stack([orthogonal.random_orthogonal(8, s).to_vector() for s in range(200)])
+    U = np.ascontiguousarray(X[:32].reshape(32, 8, 8).transpose(0, 2, 1))
+    H = f.hessians(X[:32])
+    assert H.strides[0] == 0
+    expected = constraint_core._lambda_traces(U, np.ascontiguousarray(H))
+    tracemalloc.start()
+    try:
+        traces = constraint_core._lambda_traces(U, H)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        orthogonal.on_laplacians(f, X)
+        closed_form_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(traces, expected)
+    assert peak < 256 * 1024
+    assert closed_form_peak < 768 * 1024
+
+
 def cubic_sum(dim):
     """sum(u_i^3) on R^dim from stacked forms only."""
     return ScalarField(
