@@ -472,7 +472,7 @@ def block_product_field(
         H[second, first] += weight * np.eye(size)
         return H
 
-    # a stacked Hessian would be dense: the per-point one is the only form
+    # a stacked Hessian would be dense: it is written per point, and lifted
     return ScalarField(dim, hessian_fn=hessian, values_fn=values, gradients_fn=gradients)
 
 
