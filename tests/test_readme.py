@@ -1,7 +1,7 @@
 """The README's library tour runs and prints what its comments say.
 
 The tour is the README's one ``python`` block. It runs here statement by
-statement, as an interactive session would, keeping the value of each bare
+statement, as the interactive interpreter would, keeping the value of each bare
 expression with the comment on its line.
 """
 
