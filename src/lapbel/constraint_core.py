@@ -127,9 +127,7 @@ class ScalarField(Frozen):
         return _writable(_finite(g, "gradient")[0])
 
     def hessian(self, u) -> np.ndarray:
-        H, errors = _hessians_at((self,), self._check_point(u)[None])
-        numkit.raise_first(errors)
-        return _writable(H[0, 0])
+        return _writable(_hessians_at((self,), self._check_point(u)[None])[0, 0])
 
     # -- field arithmetic ---------------------------------------------------
     # Sums, scalar multiples, and products are themselves scalar fields with
@@ -257,32 +255,37 @@ def _nonfinite(A: np.ndarray) -> np.ndarray:
 
 
 def _finite(A: np.ndarray, name: str) -> np.ndarray:
-    if not np.isfinite(A).all():
-        raise DimensionError(f"{name} contains non-finite entries")
+    """The stack ``A``, refusing each row that holds a non-finite entry with
+    DimensionError (see :func:`numkit.refuse_rows`)."""
+    message = f"{name} contains non-finite entries"
+    numkit.refuse_rows((_nonfinite(A), lambda i: DimensionError(message)))
     return A
 
 
-def _hessians_at(fields, X: np.ndarray) -> tuple:
-    """The (N, k, m, m) Hessians of ``fields`` at the rows of X and, per row,
-    None or the error refusing them: DimensionError for a non-finite entry,
-    else the ContractError naming the first asymmetric one (scaled)."""
+def _hessians_at(fields, X: np.ndarray) -> np.ndarray:
+    """The (N, k, m, m) Hessians of ``fields`` at the rows of X, checked by
+    :func:`_checked_hessians`."""
     if len(fields) == 1:
-        H = fields[0].hessians(X)[:, None]
-    else:  # filled field by field: no second copy of the stack
-        H = np.empty((len(X), len(fields)) + X.shape[1:] * 2)
-        for a, field in enumerate(fields):
-            H[:, a] = field.hessians(X)
-    return H, _hessian_errors(H)
+        return _checked_hessians(fields[0].hessians(X)[:, None])
+    H = np.empty((len(X), len(fields)) + X.shape[1:] * 2)  # no second copy of the stack
+    for a, field in enumerate(fields):
+        H[:, a] = field.hessians(X)
+    return _checked_hessians(H)
 
 
-def _hessian_errors(H: np.ndarray) -> list:
-    """Per row of the (N, k, m, m) Hessians H, as :func:`_hessians_at` says."""
+def _checked_hessians(H: np.ndarray) -> np.ndarray:
+    """The (N, k, m, m) Hessians H, refusing a row with DimensionError for a
+    non-finite entry, else with the ContractError naming the first asymmetric
+    one (scaled)."""
     # a broadcast stack (stride 0 across rows) repeats one matrix: check it once
-    checked = H[:1] if H.strides[0] == 0 else H
-    errors = numkit.symmetry_errors(checked, "hessian", "H")
-    for i in np.flatnonzero(_nonfinite(checked)):
-        errors[i] = DimensionError("hessian contains non-finite entries")
-    return errors if checked is H else errors * len(H)
+    one = H[:1] if H.strides[0] == 0 else H
+    row = np.arange(len(H)) if one is H else np.zeros(len(H), dtype=np.intp)
+    asymmetric, error = numkit.symmetry_check(one, "hessian", "H")
+    numkit.refuse_rows(
+        (_nonfinite(one)[row], lambda i: DimensionError("hessian contains non-finite entries")),
+        (asymmetric[row], lambda i: error(row[i])),
+    )
+    return H
 
 
 def _repeated(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -640,18 +643,17 @@ class ConstraintSet(Frozen):
 
     def jacobian(self, u) -> np.ndarray:
         """The k-by-m matrix whose row a is the gradient of constraint a."""
-        return _finite(self.jacobians_at(self._check_point(u)[None])[0], "gradient")
+        return _finite(self.jacobians_at(self._check_point(u)[None]), "gradient")[0]
 
     def jacobians_at(self, X) -> np.ndarray:
         """The (N, k, m) Jacobians at the rows of an (N, m) stack, from each
         field's :meth:`ScalarField.gradients`, not checked finite."""
         return np.stack([f.gradients(X) for f in self.fields], axis=1)
 
-    def projected_traces(self, X: np.ndarray, Q: np.ndarray, normal: bool) -> tuple:
+    def projected_traces(self, X: np.ndarray, Q: np.ndarray, normal: bool) -> np.ndarray:
         """Per row of X, the k traces :func:`_projected_traces` gives on the
-        constraint Hessians, and None or the error refusing them."""
-        H, errors = _hessians_at(self.fields, X)
-        return _projected_traces(H, Q, normal), errors
+        constraint Hessians, which :func:`_hessians_at` checks."""
+        return _projected_traces(_hessians_at(self.fields, X), Q, normal)
 
 
 class BlockProductSet(ConstraintSet):
@@ -699,7 +701,7 @@ class BlockProductSet(ConstraintSet):
         J[:, constraint, target] = factor * B[:, source]
         return J.reshape(len(B), self.count, self.ambient_dim)
 
-    def projected_traces(self, X: np.ndarray, Q: np.ndarray, normal: bool) -> tuple:
+    def projected_traces(self, X: np.ndarray, Q: np.ndarray, normal: bool) -> np.ndarray:
         """The traces from the blocks, nothing refused: with Q spanning the
         tangent space, tr(Q^t H Q) = w (<Q_b, Q_c>_F + <Q_c, Q_b>_F); with Q
         spanning the normal space, 2 s w [b = c] minus that."""
@@ -712,7 +714,7 @@ class BlockProductSet(ConstraintSet):
             traces = 2.0 * self.block * w * (b == c) - traces
         # G[:, b, c] leaves the rows strided, and the ddot of the assembly
         # rounds a strided row differently from a contiguous one
-        return np.ascontiguousarray(traces), [None] * len(X)
+        return np.ascontiguousarray(traces)
 
 
 def block_product_set(ambient_dim: int, block: int, products, regular_value) -> BlockProductSet:
@@ -727,14 +729,14 @@ def block_product_set(ambient_dim: int, block: int, products, regular_value) -> 
 # and norm constraints of weight w; the sphere (p = 1, w = 1) and O(n) (p = n, w = 1/2, R = 1).
 
 
-def _admit_blocks(U: np.ndarray, radius: float, tol: float, what: str) -> list:
-    """Per matrix of U (finite): None, or where r = max |U^t U - R^2 I| is not
-    within ``tol``, the DomainError "{what} r exceeds tolerance ..." with r."""
+def _admit_blocks(U: np.ndarray, radius: float, tol: float, what: str) -> None:
+    """Refuse each matrix of U (finite) where r = max |U^t U - R^2 I| is not
+    within ``tol``, with the DomainError "{what} r exceeds tolerance ..." carrying r."""
     with np.errstate(over="ignore"):  # a huge point is refused, not warned about
         # stacked p-by-s times s-by-p products, at p = 1 the ddot of x @ x per row
         gram = np.swapaxes(U, 1, 2) @ U
         residual = np.abs(gram - radius**2 * np.eye(U.shape[2])).max(axis=(1, 2))
-    return numkit.off_manifold(residual, tol, what)
+    numkit.off_manifold(residual, tol, what)
 
 
 def _sigma_matrices(U: np.ndarray, G: np.ndarray, weight: float, radius: float) -> np.ndarray:
@@ -771,8 +773,8 @@ def _lambda_traces(U: np.ndarray, H: np.ndarray) -> np.ndarray:
 def _closed_form(f, X, block: tuple, weight: float, radius: float, admit, frame) -> list:
     """:func:`evaluate_points` on the (N, s p) stack X of the p columns of s
     coordinates of U in V(s, p), (s, p) = ``block``, by the stages ``admit(X)``,
-    the field gradient, ``frame(X)`` (the frame Gram conditions and per row
-    None or the error), the field Hessian with the main trace
+    the field gradient, ``frame(X)`` (the frame Gram conditions; both refuse
+    rows as the checks do), the field Hessian with the main trace
     tr H - (sum_a tr(U^t H_aa U) + tr(Lambda H)) / (2 R^2), each product halved
     before the sum (x^t H x / R^2 in its bits at p = 1), and assembly by the
     rules above, each constraint trace 2w (s - (p+1)/2) on a norm constraint
@@ -790,19 +792,13 @@ def _closed_form(f, X, block: tuple, weight: float, radius: float, admit, frame)
         return np.trace(H, axis1=1, axis2=2) - normal / radius**2
 
     def stack(fields, X):
-        rows = _Rows(fields)
-        X = rows.refuse(admit(X), X)
-        g = rows.gradients(X)
-        X, g = rows.finite(g, "gradient", X, g)
-        if not len(X):
-            return rows.records
-        cond, errors = frame(X)
-        X, g, cond = rows.refuse(errors, X, g, cond)
-        H, errors = rows.hessians(X)
+        admit(X)
+        g = _field_gradients(fields, X)
+        cond = frame(X)
+        H = _field_hessians(fields, X)
         U = columns(X)
-        U, g, cond, main = rows.refuse(errors, U, g, cond, trace_main(U, H[:, 0]))
         sigma = _packed(_sigma_matrices(U, columns(g), weight, radius))
-        return rows.assemble(main, sigma, np.tile(traces, (len(U), 1)), cond)
+        return _reports(trace_main(U, H[:, 0]), sigma, np.tile(traces, (len(U), 1)), cond)
 
     return _in_chunks(stack, f, X, 8 * X.shape[1] ** 2)
 
@@ -810,15 +806,18 @@ def _closed_form(f, X, block: tuple, weight: float, radius: float, admit, frame)
 class AdaptedFrame(Frozen):
     """A tangent-frame provider: an (N, m) stack of points -> the (N, m, r)
     stack of matrices whose columns span the tangent space of the constraint
-    manifold at each point. A provider refuses a stack by raising the
-    LapbelError of its first bad row."""
+    manifold at each point. A provider that refuses rows through
+    :func:`numkit.raise_first` (or :func:`numkit.refuse_rows`) gives each its
+    own error and keeps the other rows stacked; the evaluators isolate any
+    other LapbelError it raises by halving the stack (see :func:`_in_chunks`)."""
 
     def __init__(self, provider: Callable[[np.ndarray], np.ndarray]):
         vars(self).update(provider=provider)
 
     def at(self, U) -> np.ndarray:
         """The checked frames at the rows of the (N, m) stack ``U``, or the
-        one frame at the point ``U``, the one-row case."""
+        one frame at the point ``U``, the one-row case: a stack of the wrong
+        shape is refused as a whole, a non-finite frame on its row."""
         point = np.ndim(U) == 1
         U = as_vector(U, "frame point")[None] if point else as_matrix(U, "frame points")
         # C order, as the products of the traces round strided rows apart
@@ -933,31 +932,31 @@ def evaluate_points(
     row's record has the bits of its one-row evaluation with its own field.
 
     The value is the projected Hessian trace minus the multiplier-weighted
-    projected constraint Hessian traces. Each stage runs on the whole stack
-    of rows still standing, in this order, and a row's record is the first
-    error it meets, with its own numbers:
+    projected constraint Hessian traces. Each stage runs on the whole stack,
+    in this order, and a row's record is the first error it meets, with its
+    own numbers:
     - admission: a finite point whose max-abs residual is within
       ``tols.on_manifold`` (DomainError with the residual);
     - the Jacobian J, checked finite, and its reduced QR J^t = QR with the
       rank test on diag R (RegularityError);
-    - the field gradient (see :meth:`_Rows.gradients`), checked finite, and
+    - the field gradient (see :func:`_field_gradients`), checked finite, and
       the multipliers R^{-1} Q^t ∇f;
     - the frame: with ``frame`` None every trace is tr H - <Q, H Q>_F and
       the frame Gram condition is 1; explicit frames T, from one
-      ``frame.at`` call on the rows still standing (where it raises a
-      LapbelError, each row asks alone, and a row whose own call raises
-      is refused with that error), give tr(Q_T^t H Q_T) from their reduced
-      QR T = Q_T R_T, which equals tr(T+ H T) with nothing inverted; the
-      Gram condition cond(R_T)^2 refuses a frame above
-      ``tols.condition_limit`` (SingularityError);
+      ``frame.at`` call on the stack, checked to have m - k columns, give
+      tr(Q_T^t H Q_T) from their reduced QR T = Q_T R_T, which equals
+      tr(T+ H T) with nothing inverted; the Gram condition cond(R_T)^2
+      refuses a frame above ``tols.condition_limit`` (SingularityError);
     - the field Hessian, checked finite and symmetric, and its trace; then
       :meth:`ConstraintSet.projected_traces` (no Hessian for block products);
     - assembly, one array step per chunk (NumericalError on overflow).
 
     The rows go in chunks whose Hessian stacks (m^2 doubles per row, k m^2
     more unless the set is a BlockProductSet) stay within ``_CHUNK_BYTES``,
-    through :func:`_in_chunks`: a LapbelError raised for a chunk as a whole
-    (by a field callable, say) is put on its row.
+    through :func:`_in_chunks`: a check, or a frame provider, that refuses
+    rows through :func:`numkit.raise_first` costs the chunk one more pass on
+    the rows left, and any other LapbelError (from a field callable, say) is
+    isolated by halving the chunk.
     """
     tols = DEFAULT_TOLERANCES if tols is None else tols
     X = np.asarray(X, dtype=float)
@@ -988,19 +987,32 @@ def _in_chunks(evaluate, f, X: np.ndarray, row_bytes: int) -> list:
     """``evaluate`` (a tuple of one field per row and an (N, m) stack -> N
     records) on the rows of X in chunks of at most ``_CHUNK_BYTES //
     row_bytes`` rows, each with its rows' fields of ``f`` (see
-    :func:`_per_row`), the records in row order. A LapbelError raised for a
-    chunk as a whole (by a field callable, say) is put on its row
-    by evaluating the chunk one row at a time, each row with its own field.
-    Overflow gives non-finite numbers that the checks refuse, not warnings."""
+    :func:`_per_row`), the records in row order. This is the one place that
+    refuses rows. A raise that carries the ``verdicts`` of the stack's rows
+    (:func:`numkit.raise_first`) files each refused row's error as it is and
+    runs the rows left again: one more pass per stage that refuses rows. Any
+    other LapbelError is isolated by halving the stack, down to the row that
+    raises it. A raised error is filed without its verdicts or traceback, so
+    that no record keeps a chunk's arrays alive. Overflow gives non-finite
+    numbers that the checks refuse, not warnings."""
     f = _per_row(f, len(X))
 
     def rows(fields, U):
         try:
             return evaluate(fields, U)
         except LapbelError as exc:
+            records = vars(exc).pop("verdicts", None)
+            error = exc.with_traceback(None)
+        if records is None or len(records) != len(U):
             if len(U) == 1:
-                return [exc]
-        return [rows(fields[i : i + 1], U[i : i + 1])[0] for i in range(len(U))]
+                return [error]
+            half = len(U) // 2
+            return rows(fields[:half], U[:half]) + rows(fields[half:], U[half:])
+        left = [i for i, record in enumerate(records) if record is None]
+        if left:
+            for i, record in zip(left, rows(tuple(fields[i] for i in left), U[left])):
+                records[i] = record
+        return records
 
     with np.errstate(all="ignore"):
         return [
@@ -1010,131 +1022,70 @@ def _in_chunks(evaluate, f, X: np.ndarray, row_bytes: int) -> list:
         ]
 
 
-class _Rows:
-    """The records of one chunk's rows, whose fields are ``fields`` (one per
-    row): the rows a stage refuses leave the live rows and the per-row
-    arrays, each with its error as its record."""
+def _by_field(derivative, fields: tuple, X: np.ndarray) -> np.ndarray:
+    """``derivative(field, V)`` at the rows of X, whose fields are ``fields``
+    (one per row): one call for each run V of consecutive rows that share
+    one field object (so one call for a shared field), the results stacked
+    in row order."""
+    cuts = [j for j in range(1, len(fields)) if fields[j] is not fields[j - 1]]
+    parts = [derivative(fields[a], X[a:b]) for a, b in zip([0, *cuts], [*cuts, len(fields)])]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def __init__(self, fields: tuple):
-        self.fields = fields
-        self.records = [None] * len(fields)
-        self.live = np.arange(len(fields))  # the rows still standing
 
-    def _stacked(self, derivative, U: np.ndarray) -> np.ndarray:
-        """``derivative(field, V)`` at the live rows U: one call for each run
-        V of consecutive live rows that share one field object (so one call
-        for a shared field), the results stacked in row order."""
-        # with no row left, one call on the empty stack gives the shape
-        fields = [self.fields[i] for i in self.live] or [self.fields[0]]
-        cuts = [j for j in range(1, len(fields)) if fields[j] is not fields[j - 1]]
-        parts = [derivative(fields[a], U[a:b]) for a, b in zip([0, *cuts], [*cuts, len(fields)])]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _field_gradients(fields: tuple, X: np.ndarray) -> np.ndarray:
+    """The field gradients at the rows of X, checked finite."""
+    return _finite(_by_field(ScalarField.gradients, fields, X), "gradient")
 
-    def gradients(self, U: np.ndarray) -> np.ndarray:
-        """The field gradients at the live rows U, not checked finite."""
-        return self._stacked(ScalarField.gradients, U)
 
-    def hessians(self, U: np.ndarray) -> tuple:
-        """The (N, 1, m, m) field Hessians at the live rows U and, per row,
-        None or the error refusing them, as :func:`_hessians_at` gives them:
-        one check of the whole stack."""
-        H = self._stacked(ScalarField.hessians, U)[:, None]
-        return H, _hessian_errors(H)
+def _field_hessians(fields: tuple, X: np.ndarray) -> np.ndarray:
+    """The (N, 1, m, m) field Hessians at the rows of X, checked by
+    :func:`_checked_hessians`: one check of the whole stack."""
+    return _checked_hessians(_by_field(ScalarField.hessians, fields, X)[:, None])
 
-    def refuse(self, errors: list, *arrays):
-        """Live row j leaves with its record ``errors[j]`` unless that is None;
-        returns ``arrays`` (one row per live row) without those, or the one."""
-        if errors.count(None) != len(errors):
-            keep = np.array([e is None for e in errors], dtype=bool)
-            for j in np.flatnonzero(~keep):
-                self.records[self.live[j]] = errors[j]
-            self.live = self.live[keep]
-            arrays = tuple(a[keep] for a in arrays)
-        return arrays if len(arrays) > 1 else arrays[0]
 
-    def finite(self, A: np.ndarray, name: str, *arrays):
-        """:meth:`refuse` the live rows whose row of ``A`` is not finite."""
-        message = f"{name} contains non-finite entries"
-        errors = numkit.row_errors(_nonfinite(A), lambda j: DimensionError(message))
-        return self.refuse(errors, *arrays)
-
-    def assemble(self, trace_main, sigma, trace_constraint, cond) -> list:
-        """The records: live row j's the LaplacianReport of the parts' rows j,
-        its value trace_main - sigma . trace_constraint from one stacked 1-by-k
-        times k-by-1 product (per row the ddot of ``np.dot``), or the
-        NumericalError refusing it where a part or the value is not finite."""
-        value = trace_main - np.matmul(sigma[:, None], trace_constraint[:, :, None])[:, 0, 0]
-        bad = ~np.isfinite(trace_main) | _nonfinite(sigma) | _nonfinite(trace_constraint)
-        what = {True: "sigma or a trace", False: "the value"}
-        errors = numkit.row_errors(
-            bad | ~np.isfinite(value),
-            lambda j: NumericalError(f"the evaluation overflowed: {what[bad[j]]} is not finite"),
-        )
-        parts = self.refuse(errors, value, sigma, trace_main, trace_constraint, np.asarray(cond))
-        # the report's fields in order, each number a Python float
-        for i, *report in zip(self.live, *(a.tolist() if a.ndim == 1 else a for a in parts)):
-            self.records[i] = LaplacianReport(*report)
-        return self.records
+def _reports(trace_main, sigma, trace_constraint, cond) -> list:
+    """The LaplacianReports of the parts' rows, each value trace_main - sigma
+    . trace_constraint from one stacked 1-by-k times k-by-1 product (per row
+    the ddot of ``np.dot``), refusing with NumericalError a row where a part
+    or the value is not finite."""
+    value = trace_main - np.matmul(sigma[:, None], trace_constraint[:, :, None])[:, 0, 0]
+    numkit.refuse_rows(
+        (
+            ~np.isfinite(trace_main) | _nonfinite(sigma) | _nonfinite(trace_constraint),
+            lambda i: NumericalError("the evaluation overflowed: sigma or a trace is not finite"),
+        ),
+        (~np.isfinite(value), lambda i: NumericalError("the evaluation overflowed: the value is not finite")),
+    )
+    # the report's fields in order, each number a Python float
+    parts = (value, sigma, trace_main, trace_constraint, np.asarray(cond))
+    return [LaplacianReport(*report) for report in zip(*(a.tolist() if a.ndim == 1 else a for a in parts))]
 
 
 def _evaluate_stack(constraints, frame, tols, fields, X) -> list:
     """The stages of :func:`evaluate_points` on one chunk."""
     m, k = X.shape[1], constraints.count
-    rows = _Rows(fields)
-    U = rows.finite(X, "point", X)
-    residual = np.abs(constraints.residuals_at(U)).max(axis=1)
-    off = numkit.off_manifold(residual, tols.on_manifold, "point is off the manifold: residual")
-    U = rows.refuse(off, U)
-    J = constraints.jacobians_at(U)
-    U, J = rows.finite(J, "gradient", U, J)
-    Q, R, deficient = _gradient_qrs(J)
-    rank = numkit.row_errors(deficient, lambda j: RegularityError(_RANK_DEFICIENT))
-    U, Q, R = rows.refuse(rank, U, Q, R)
-    g = rows.gradients(U)
-    U, Q, R, g = rows.finite(g, "gradient", U, Q, R, g)
+    _finite(X, "point")
+    residual = np.abs(constraints.residuals_at(X)).max(axis=1)
+    numkit.off_manifold(residual, tols.on_manifold, "point is off the manifold: residual")
+    Q, R, deficient = _gradient_qrs(_finite(constraints.jacobians_at(X), "gradient"))
+    numkit.refuse_rows((deficient, lambda i: RegularityError(_RANK_DEFICIENT)))
+    g = _field_gradients(fields, X)
     sigma = np.linalg.solve(R, np.swapaxes(Q, 1, 2) @ g[:, :, None])[:, :, 0]
-    if not len(U):
-        return rows.records
 
     normal = frame is None  # Q spans the normal space, else the frame's
     if normal:
-        cond = np.ones(len(U))
+        cond = np.ones(len(X))
     else:
-        frames, errors = _frames(frame, U, m - k)
-        U, sigma = rows.refuse(errors, U, sigma)
-        if not frames:
-            return rows.records
-        T = frames[0] if len(frames) == 1 else np.concatenate(frames)
-        Q, _, cond, refused = numkit.frame_qrs(T, tols.condition_limit)
-        U, sigma, cond, Q = rows.refuse(refused, U, sigma, cond, Q)
-
-    H, errors = rows.hessians(U)
-    trace_main = _projected_traces(H, Q, normal)[:, 0]
-    U, sigma, cond, trace_main, Q = rows.refuse(errors, U, sigma, cond, trace_main, Q)
-    trace_constraint, errors = constraints.projected_traces(U, Q, normal)
-    parts = rows.refuse(errors, trace_main, sigma, trace_constraint, cond)
-    return rows.assemble(*parts)
-
-
-def _frames(frame: AdaptedFrame, U: np.ndarray, width: int) -> tuple:
-    """The frames at the rows of U, as a list of stacks in row order, and
-    per row None or the error refusing its frame: one ``frame.at`` call, its
-    frames checked to have ``width`` columns; where that raises a
-    LapbelError for a stack, each row asked alone."""
-    try:
-        T = frame.at(U)
-        if T.shape[2] != width:
-            m = U.shape[1]
+        T = frame.at(X)
+        if T.shape[2] != m - k:
             raise DimensionError(
                 f"frame supplies {T.shape[2]} tangent directions, expected "
-                f"{width} (ambient {m} minus {m - width} constraints)"
+                f"{m - k} (ambient {m} minus {k} constraints)"
             )
-        return [T], [None] * len(U)
-    except LapbelError as exc:
-        if len(U) == 1:
-            return [], [exc]
-    parts = [_frames(frame, U[i : i + 1], width) for i in range(len(U))]
-    return [T for frames, _ in parts for T in frames], [errors[0] for _, errors in parts]
+        Q, _, cond = numkit.frame_qrs(T, tols.condition_limit)
+
+    trace_main = _projected_traces(_field_hessians(fields, X), Q, normal)[:, 0]
+    return _reports(trace_main, sigma, constraints.projected_traces(X, Q, normal), cond)
 
 
 def _projected_traces(H: np.ndarray, Q: np.ndarray, normal: bool) -> np.ndarray:
@@ -1173,8 +1124,7 @@ def qr_nullspace_frame(constraints: ConstraintSet) -> AdaptedFrame:
     def provider(U):
         J = _finite(constraints.jacobians_at(U), "gradient")
         Q, _, deficient = _gradient_qrs(J, "complete")
-        if deficient.any():
-            raise RegularityError(_RANK_DEFICIENT)
+        numkit.refuse_rows((deficient, lambda i: RegularityError(_RANK_DEFICIENT)))
         return Q[:, :, constraints.count :]
 
     return AdaptedFrame(provider=provider)

@@ -143,52 +143,58 @@ def sym_condition(A) -> float:
     return float(w[-1] / w[0])
 
 
-def symmetry_errors(M: np.ndarray, name: str, symbol: str) -> list:
-    """Per row of an (N, ..., m, m) stack of matrices: None, or a
-    ContractError naming the value of max |M - M^t| of the row's first matrix
-    that is not symmetric to the equality tolerance scaled by its
-    magnitude."""
+def symmetry_check(M: np.ndarray, name: str, symbol: str) -> tuple:
+    """The :func:`refuse_rows` check of an (N, ..., m, m) stack of matrices:
+    per row, whether one of its matrices is not symmetric to the equality
+    tolerance scaled by its magnitude, and the function giving row i the
+    ContractError that names max |M - M^t| of its first such matrix."""
     rows = (len(M), math.prod(M.shape[1:-2]))  # (N, matrices per row)
     scale = np.maximum(np.abs(M).max(axis=(-2, -1)), 1.0).reshape(rows)
     asym = M - np.swapaxes(M, -1, -2)
     asym = np.abs(asym, out=asym).max(axis=(-2, -1)).reshape(rows)
     bad = asym > DEFAULT_TOLERANCES.equality * scale
-    return row_errors(
-        bad.any(axis=1),
-        lambda i: ContractError(
-            f"{name} is not symmetric: max |{symbol} - {symbol}^T| = {asym[i][bad[i]][0]:.3e}"
-        ),
-    )
+    message = f"{name} is not symmetric: max |{symbol} - {symbol}^T| = {{:.3e}}"
+    return bad.any(axis=1), lambda i: ContractError(message.format(asym[i][bad[i]][0]))
 
 
 def require_symmetric(M: np.ndarray, name: str, symbol: str) -> None:
     """Raise ContractError unless the matrix ``M``, or every matrix of the
-    stack ``M``, is symmetric (see :func:`symmetry_errors`)."""
-    raise_first(symmetry_errors(np.asarray(M)[None], name, symbol))
+    stack ``M``, is symmetric (see :func:`symmetry_check`)."""
+    refuse_rows(symmetry_check(np.asarray(M)[None], name, symbol))
 
 
-def row_errors(bad: np.ndarray, make) -> list:
-    """Per row: ``make(i)`` where the boolean ``bad[i]`` is set, else None."""
-    errors = [None] * len(bad)
-    for i in bad.nonzero()[0]:
-        errors[i] = make(i)
-    return errors
+def refuse_rows(*checks) -> None:
+    """Refuse the rows of a stack that fail a check: each check is a (bad,
+    make) pair, a boolean row mask and a function giving row i its error. A
+    row's verdict is the error of the first check that marks it, or None;
+    where any row has one, :func:`raise_first` raises the verdicts."""
+    if not any(bad.any() for bad, _ in checks):
+        return
+    verdicts = [None] * len(checks[0][0])
+    for bad, make in checks:
+        for i in np.flatnonzero(bad):
+            verdicts[i] = verdicts[i] or make(i)
+    raise_first(verdicts)
 
 
-def off_manifold(residual: np.ndarray, tol: float, what: str) -> list:
-    """Per row: None, or where the residual r is not within ``tol`` (nan is
-    not), the DomainError "{what} {r} exceeds tolerance {tol}" carrying r."""
+def off_manifold(residual: np.ndarray, tol: float, what: str) -> None:
+    """Refuse each row whose residual r is not within ``tol`` (nan is not)
+    with the DomainError "{what} {r} exceeds tolerance {tol}" carrying r."""
     message = f"{what} {{:.6g}} exceeds tolerance {tol:.6g}"
-    return row_errors(
+    refuse_rows((
         ~(residual <= tol),
         lambda i: DomainError(message.format(residual[i]), residual=float(residual[i])),
-    )
+    ))
 
 
-def raise_first(errors: list) -> None:
-    """Raise the first entry of a per-row list of None or errors, if any."""
-    for error in errors:
+def raise_first(verdicts: list) -> None:
+    """Raise the first error of a per-row list of None or errors, if any,
+    carrying the list as its ``verdicts``: the stacked evaluators file each
+    row's error and run the rows left again, so a check, or a frame
+    provider, that refuses this way leaves the other rows stacked."""
+    for error in verdicts:
         if error is not None:
+            error.verdicts = verdicts
             raise error
 
 
@@ -224,10 +230,10 @@ def solve_spd(A, B) -> np.ndarray:
 
 def frame_qrs(T: np.ndarray, condition_limit: float) -> tuple:
     """For an (N, m, r) stack of finite tall frames: the reduced QR T = QR of
-    each frame, the condition of every Gram T^t T as cond(R)^2 (the Gram is
-    never formed), and per frame None or the SingularityError carrying the
-    estimate that refuses it, when the estimate is not finite or exceeds
-    ``condition_limit``. The orthonormal Q spans what T spans, so a caller
+    each frame and the condition of every Gram T^t T as cond(R)^2 (the Gram
+    is never formed), refusing each frame whose estimate is not finite or
+    exceeds ``condition_limit`` with the SingularityError carrying it (see
+    :func:`refuse_rows`). The orthonormal Q spans what T spans, so a caller
     that needs only the tangent projector T T+ = Q Q^t inverts nothing."""
     Q, R = np.linalg.qr(T)
     s = np.linalg.svd(R, compute_uv=False)
@@ -236,11 +242,11 @@ def frame_qrs(T: np.ndarray, condition_limit: float) -> tuple:
     with np.errstate(over="ignore"):
         cond *= cond
     message = f"frame Gram condition {{:.3e}} exceeds limit {condition_limit:.3e}"
-    refused = row_errors(
+    refuse_rows((
         ~(cond <= condition_limit),
         lambda i: SingularityError(message.format(cond[i]), condition=float(cond[i])),
-    )
-    return Q, R, cond, refused
+    ))
+    return Q, R, cond
 
 
 def matrix_from_json(obj) -> np.ndarray:

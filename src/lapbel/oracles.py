@@ -15,7 +15,7 @@ import numpy as np
 
 from .constraint_core import ScalarField, _fd_gradient, _fd_hessian, _finite, _hessians_at
 from .errors import ContractError, DomainError, LapbelError
-from .numkit import Frozen, raise_first, vec
+from .numkit import Frozen, vec
 from .orthogonal import OrthogonalPoint
 from .sphere import SpherePoint, _resolve_chart, sphere_projector
 
@@ -142,9 +142,7 @@ def _analytic(fields, u: np.ndarray, derivative: str) -> np.ndarray:
     try:
         if derivative == "gradient":
             return _finite(np.stack([f.gradients(u[None])[0] for f in fields]), "gradient")
-        H, errors = _hessians_at(fields, u[None])
-        raise_first(errors)
-        return H[0]
+        return _hessians_at(fields, u[None])[0]
     except LapbelError:
         for f in fields:
             getattr(f, derivative)(u)

@@ -36,7 +36,6 @@ from .numkit import (
     Frozen,
     as_matrix,
     as_vector,
-    raise_first,
     require_symmetric,
     unvec_rows,
     vec,
@@ -60,7 +59,7 @@ class OrthogonalPoint(Frozen):
         benchmark's span tracer times)."""
         matrix = _check_square(self.matrix, name="orthogonal point")
         vars(self).update(matrix=matrix)
-        raise_first(_admit_orthogonal(matrix[None], tol))
+        _admit_orthogonal(matrix[None], tol)
 
     @property
     def n(self) -> int:
@@ -70,15 +69,15 @@ class OrthogonalPoint(Frozen):
         return vec(self.matrix)
 
 
-def _admit_orthogonal(Us: np.ndarray, tol: float | None) -> list:
-    """Per matrix of an (N, n, n) stack of finite matrices: None, or the
-    DomainError carrying the residual max |U^t U - I| when it is not within
-    ``tol`` (default: the orthogonality tolerance). The whole stack is
-    refused unless n >= 2."""
+def _admit_orthogonal(Us: np.ndarray, tol: float | None) -> None:
+    """Refuse each matrix of an (N, n, n) stack of finite matrices whose
+    residual max |U^t U - I| is not within ``tol`` (default: the
+    orthogonality tolerance) with the DomainError carrying it. The whole
+    stack is refused unless n >= 2."""
     if Us.shape[1] < 2:
         raise DimensionError("orthogonal points need n >= 2")
     tol = DEFAULT_TOLERANCES.orthogonality if tol is None else tol
-    return _admit_blocks(Us, 1.0, tol, "matrix is not orthogonal: max |U^t U - I| =")
+    _admit_blocks(Us, 1.0, tol, "matrix is not orthogonal: max |U^t U - I| =")
 
 
 def index_pairs(n: int) -> tuple:
@@ -163,7 +162,7 @@ def on_adapted_frame(tol: float | None = None) -> AdaptedFrame:
 
     def provider(X: np.ndarray) -> np.ndarray:
         n = _side(X)
-        raise_first(_admit_orthogonal(unvec_rows(X, n), tol))
+        _admit_orthogonal(unvec_rows(X, n), tol)
         return _on_frames(X, n)
 
     return AdaptedFrame(provider=provider)
@@ -231,7 +230,7 @@ def on_laplacians(f, X, tol: float | None = None) -> list:
     X = as_matrix(X, "orthogonal points")
     n = _side(X)
     return _closed_form(f, X, (n, n), 0.5, 1.0, lambda X: _admit_orthogonal(unvec_rows(X, n), tol),
-                        lambda X: (np.ones(len(X)), [None] * len(X)))
+                        lambda X: np.ones(len(X)))
 
 
 def _check_square(A, n: int | None = None, name: str = "matrix") -> np.ndarray:

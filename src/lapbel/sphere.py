@@ -25,7 +25,7 @@ from .constraint_core import (
     block_product_set,
 )
 from .errors import ChartError, ContractError, DimensionError, DomainError
-from .numkit import DEFAULT_TOLERANCES, Frozen, as_matrix, as_vector, raise_first, row_errors
+from .numkit import DEFAULT_TOLERANCES, Frozen, as_matrix, as_vector, refuse_rows
 
 
 class SpherePoint(Frozen):
@@ -45,30 +45,30 @@ class SpherePoint(Frozen):
         benchmark's span tracer times)."""
         coords = as_vector(self.coords, "sphere point")
         vars(self).update(coords=coords, radius=float(self.radius))
-        raise_first(_admit_sphere(coords[None], self.radius, tol))
+        _admit_sphere(coords[None], self.radius, tol)
 
     @property
     def n(self) -> int:
         return self.coords.size
 
 
-def _admit_sphere(X: np.ndarray, radius: float, tol: float | None) -> list:
-    """Per row of an (N, n) stack of finite points: None, or the DomainError
-    carrying the residual |<x, x> - R^2| when it exceeds ``tol`` (default:
-    the on-manifold tolerance). The whole stack is refused unless n >= 2 and
-    :func:`_check_radius` admits the radius."""
+def _admit_sphere(X: np.ndarray, radius: float, tol: float | None) -> None:
+    """Refuse each row of an (N, n) stack of finite points whose residual
+    |<x, x> - R^2| exceeds ``tol`` (default: the on-manifold tolerance) with
+    the DomainError carrying it. The whole stack is refused unless n >= 2
+    and :func:`_check_radius` admits the radius."""
     if X.shape[1] < 2:
         raise DimensionError("sphere points need ambient dimension >= 2")
     _check_radius(radius)
     tol = DEFAULT_TOLERANCES.on_manifold if tol is None else tol
-    return _admit_blocks(X[:, :, None], radius, tol, "point is off the sphere: |<x,x> - R^2| =")
+    _admit_blocks(X[:, :, None], radius, tol, "point is off the sphere: |<x,x> - R^2| =")
 
 
-def _charts(X: np.ndarray, radius: float, excluded_index: int | None) -> tuple:
+def _charts(X: np.ndarray, radius: float, excluded_index: int | None) -> np.ndarray:
     """Per row of an (N, n) stack of points of the radius-``radius`` sphere,
     the chart's excluded index j (``excluded_index``, or argmax |x_j| when
-    it is None) and None or, where |x_j| is below the chart margin, the
-    ChartError refusing the row."""
+    it is None), refusing each row where |x_j| is below the chart margin
+    with ChartError."""
     best = np.argmax(np.abs(X), axis=1)
     n = X.shape[1]
     if excluded_index is None:
@@ -78,19 +78,18 @@ def _charts(X: np.ndarray, radius: float, excluded_index: int | None) -> tuple:
     else:
         j = np.full(len(X), excluded_index)
     xj = X[np.arange(len(X)), j]
-    return j, row_errors(
+    refuse_rows((
         np.abs(xj) < DEFAULT_TOLERANCES.chart_margin * radius,
         lambda i: ChartError(
             f"coordinate {j[i]} is too small ({xj[i]:.3e}) for a valid chart; try index {best[i]}",
             suggested_index=int(best[i]),
         ),
-    )
+    ))
+    return j
 
 
 def _resolve_chart(point: SpherePoint, excluded_index: int | None) -> int:
-    j, errors = _charts(point.coords[None], point.radius, excluded_index)
-    raise_first(errors)
-    return int(j[0])
+    return int(_charts(point.coords[None], point.radius, excluded_index)[0])
 
 
 def _sphere_frames(X: np.ndarray, radius: float, j: np.ndarray) -> np.ndarray:
@@ -217,9 +216,8 @@ def sphere_adapted_frame(
 
     def provider(X: np.ndarray) -> np.ndarray:
         R = float(radius)
-        j, errors = _charts(X, R, excluded_index)
-        raise_first(_admit_sphere(X, R, tol) + errors)
-        return _sphere_frames(X, R, j)
+        _admit_sphere(X, R, tol)
+        return _sphere_frames(X, R, _charts(X, R, excluded_index))
 
     return AdaptedFrame(provider=provider)
 
@@ -249,9 +247,9 @@ def sphere_reports(
     def chart(X):
         # Frame Gram eigenvalues are R^4 (multiplicity n-2) and R^2 x_j^2;
         # float_power is libm pow, the bits of the scalar **, not of x * x
-        j, errors = _charts(X, R, excluded_index)
+        j = _charts(X, R, excluded_index)
         cond = np.maximum(R**2 / np.float_power(X[np.arange(len(X)), j], 2), 1.0)
-        return (cond if X.shape[1] > 2 else np.ones(len(X))), errors
+        return cond if X.shape[1] > 2 else np.ones(len(X))
 
     X = as_matrix(X, "sphere points")
     return _closed_form(f, X, (X.shape[1], 1), 1.0, R, lambda X: _admit_sphere(X, R, tol), chart)

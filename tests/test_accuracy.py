@@ -28,14 +28,11 @@ from lapbel import (
     sphere_report,
 )
 from lapbel.constraint_core import _hessians_at
-from lapbel.numkit import raise_first
 
 
 def constraint_hessians(cons, u):
     """The k-by-m-by-m stack of the constraint Hessians at ``u``."""
-    H, errors = _hessians_at(cons.fields, np.asarray(u, dtype=float)[None])
-    raise_first(errors)
-    return H[0]
+    return _hessians_at(cons.fields, np.asarray(u, dtype=float)[None])[0]
 
 
 def reference_report(J, grad, H, Hs, T=None, digits=50):

@@ -42,11 +42,7 @@ from lapbel.errors import (
 )
 from lapbel.numkit import Tolerances
 from lapbel.verify import _SALT_ORACLE, _rng, random_polynomial_field, random_symmetric
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+from outcomes import outcome, same_bits, same_outcome
 
 
 # -- stacked numpy kernels against per-matrix calls -------------------------
@@ -320,11 +316,11 @@ def test_a_broadcast_constant_hessian_is_checked_once_not_once_per_row():
     X = np.stack([orthogonal.random_orthogonal(8, s).to_vector() for s in range(32)])
     tracemalloc.start()
     try:
-        H, errors = constraint_core._hessians_at((f,), X)
+        H = constraint_core._hessians_at((f,), X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert H.strides[0] == 0 and errors == [None] * 32
+    assert H.strides[0] == 0
     assert peak < 256 * 1024
 
 
@@ -455,27 +451,6 @@ def test_a_per_point_value_of_the_wrong_shape_is_refused(result):
 
 
 # -- evaluate_points against the per-point evaluator ------------------------
-
-
-def outcome(call):
-    try:
-        return call()
-    except LapbelError as exc:
-        return exc
-
-
-def same_outcome(a, b) -> bool:
-    if isinstance(a, LapbelError) or isinstance(b, LapbelError):
-        return (
-            type(a) is type(b)
-            and str(a) == str(b)
-            and getattr(a, "residual", None) == getattr(b, "residual", None)
-            and getattr(a, "condition", None) == getattr(b, "condition", None)
-        )
-    return all(
-        same_bits(getattr(a, key), getattr(b, key))
-        for key in ("value", "sigma", "trace_main", "trace_constraint", "frame_gram_condition")
-    )
 
 
 def assert_matches_per_row(f, constraints, frame, X, tols=None):
@@ -743,13 +718,12 @@ def test_block_traces_equal_the_dense_hessian_traces(cons, frame, U):
     assert isinstance(cons, BlockProductSet)
     Q, _, deficient = _gradient_qrs(np.stack([cons.jacobian(u) for u in U]))
     T = np.stack([frame.at(u) for u in U])
-    Q_T, _, _, refused = numkit.frame_qrs(T, 1e12)
-    assert not deficient.any() and refused == [None] * len(U)
+    Q_T, _, _ = numkit.frame_qrs(T, 1e12)
+    assert not deficient.any()
     for basis, normal in ((Q, True), (Q_T, False)):
-        block, errors = cons.projected_traces(U, basis, normal)
-        assert errors == [None] * len(U) and block.flags.c_contiguous
-        H, errors = _hessians_at(cons.fields, U)
-        assert errors == [None] * len(U)
+        block = cons.projected_traces(U, basis, normal)
+        assert block.flags.c_contiguous
+        H = _hessians_at(cons.fields, U)
         dense = np.concatenate(
             [_projected_traces(H[i : i + 1], basis[i : i + 1], normal) for i in range(len(U))]
         )
@@ -805,8 +779,8 @@ def test_block_sets_admit_as_the_per_field_route_across_chunks(monkeypatch, cons
 
 def test_a_frame_refusal_stays_on_its_rows():
     # rows 2 and 5 are admitted by the constraints, but the frame refuses
-    # them as not orthogonal: each row is asked alone, and the other rows
-    # stay stacked, with one gradient and one Hessian call for the chunk
+    # them as not orthogonal, each with its own verdict: the chunk runs once
+    # more on the six rows left, which stay stacked, and no row asks alone
     n, calls = 3, []
     X = np.stack([orthogonal.random_orthogonal(n, [7, s]).to_vector() for s in range(8)])
     X[[2, 5], :n] *= np.sqrt(1.0 + np.array([[1.5e-8], [1.2e-8]]))
@@ -824,7 +798,7 @@ def test_a_frame_refusal_stays_on_its_rows():
         hessians_fn=counted("hessians", brockett.hessians),
     )
     records = evaluate_points(f, orthogonal.on_constraint_set(n), frame, X)
-    assert calls == [("gradients", 8), ("frame", 8)] + [("frame", 1)] * 8 + [("hessians", 6)]
+    assert calls == [("gradients", 8), ("frame", 8), ("gradients", 6), ("frame", 6), ("hessians", 6)]
     single = [outcome(lambda: laplace_beltrami_general(f, orthogonal.on_constraint_set(n), frame, x)) for x in X]
     assert all(map(same_outcome, records, single))
     assert [i for i, r in enumerate(records) if isinstance(r, DomainError)] == [2, 5]

@@ -19,15 +19,15 @@ from lapbel.constraint_core import LaplacianReport, _packed, _sigma_matrices, li
 from lapbel.errors import DomainError
 from lapbel.numkit import unvec_rows
 from lapbel.verify import random_polynomial_field
+from outcomes import same_bits
 
 
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def refused_residuals(errors) -> np.ndarray:
-    """The residuals an admission refusing every row reports, one per row."""
+def refused_residuals(admit) -> np.ndarray:
+    """The residuals ``admit()``, an admission refusing every row, reports
+    in its verdicts, one per row."""
+    with pytest.raises(DomainError) as refused:
+        admit()
+    errors = refused.value.verdicts
     assert all(isinstance(e, DomainError) for e in errors)
     return np.array([e.residual for e in errors])
 
@@ -111,7 +111,7 @@ def test_sphere_residuals_multipliers_and_traces_keep_their_bits(n, radius):
     rng = np.random.default_rng([n, int(math.log10(radius) + 400)])
     X = sphere_rows(n, radius, rng)
     # tolerance -1 refuses every row, so each error carries its residual
-    residual = refused_residuals(sphere._admit_sphere(X, radius, -1.0))
+    residual = refused_residuals(lambda: sphere._admit_sphere(X, radius, -1.0))
     assert same_bits(residual, sphere_residual_reference(X, radius))
     G = rng.standard_normal(X.shape) * rng.choice([1e-3, 1.0, 1e3], size=(len(X), 1))
     with np.errstate(over="ignore"):
@@ -158,7 +158,7 @@ def on_rows(n, rng):
 def test_on_residuals_multipliers_and_traces_keep_their_bits(n):
     rng = np.random.default_rng([7, n])
     Us = on_rows(n, rng)
-    residual = refused_residuals(orthogonal._admit_orthogonal(Us, -1.0))
+    residual = refused_residuals(lambda: orthogonal._admit_orthogonal(Us, -1.0))
     assert same_bits(residual, on_residual_reference(Us))
     G = unvec_rows(rng.standard_normal((len(Us), n * n)), n)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -28,7 +28,7 @@ from lapbel.errors import (
     RegularityError,
     SingularityError,
 )
-from lapbel.numkit import Tolerances, raise_first
+from lapbel.numkit import Tolerances
 from lapbel.orthogonal import brockett_field, on_laplacians, p2_field, random_orthogonal
 from lapbel.sphere import sphere_reports
 
@@ -737,9 +737,8 @@ def test_constant_hessian_asymmetry_is_still_refused():
     cons = ConstraintSet(
         ambient_dim=3, fields=(linear_field([1.0, 0.0, 0.0]), f), regular_value=[1.0, 0.0]
     )
-    _, errors = _hessians_at(cons.fields, np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ContractError, match="not symmetric"):
-        raise_first(errors)
+        _hessians_at(cons.fields, np.array([[1.0, 0.0, 0.0]]))
 
 
 def test_block_product_field_matches_its_formula_bitwise():

@@ -124,8 +124,7 @@ def left_moore_penrose(T, condition_limit: float = 1e12) -> np.ndarray:
     """The left Moore-Penrose inverse R^{-1} Q^t of a tall frame from its
     :func:`numkit.frame_qrs` factors, as the lemmas-sphere suite takes it,
     raising the refusal ``frame_qrs`` gives."""
-    Q, R, _, refused = numkit.frame_qrs(T[None], condition_limit)
-    numkit.raise_first(refused)
+    Q, R, _ = numkit.frame_qrs(T[None], condition_limit)
     return np.linalg.solve(R[0], Q[0].T)
 
 
@@ -222,11 +221,38 @@ def test_frame_qrs_take_the_gram_condition_from_r():
     # Gram lost about half the digits at condition 1e10 (1.5e-6 relative).
     rng = np.random.default_rng(14)
     frames = np.stack([_matrix_with_condition(rng, 8, 3, condition=c) for c in (1e3, 1e5)])
-    Q, R, cond, refused = numkit.frame_qrs(frames, 1e8)
+    Q, R, cond = numkit.frame_qrs(frames, 1e11)
     assert_allclose(cond, [1e6, 1e10], rtol=1e-9)
-    assert refused[0] is None and Q.shape == (2, 8, 3) and R.shape == (2, 3, 3)
-    # every frame is factored, refused or not; Q is orthonormal and spans T
+    assert Q.shape == (2, 8, 3) and R.shape == (2, 3, 3)
+    # Q is orthonormal and spans T
     assert_allclose(Q @ R, frames, atol=1e-12)
     assert_allclose(np.swapaxes(Q, 1, 2) @ Q, np.broadcast_to(np.eye(3), (2, 3, 3)), atol=1e-14)
-    assert refused[1].condition == cond[1]
-    assert str(refused[1]) == f"frame Gram condition {cond[1]:.3e} exceeds limit 1.000e+08"
+    # a frame above the limit is refused on its row, the other row is not
+    with pytest.raises(SingularityError) as refused:
+        numkit.frame_qrs(frames, 1e8)
+    assert refused.value.verdicts == [None, refused.value]
+    assert refused.value.condition == cond[1]
+    assert str(refused.value) == f"frame Gram condition {cond[1]:.3e} exceeds limit 1.000e+08"
+
+
+def test_refuse_rows_raises_the_first_row_with_every_rows_verdict():
+    numkit.refuse_rows((np.zeros(3, dtype=bool), lambda i: 1 / 0))  # nothing refused, nothing made
+    made = []
+
+    def make(kind):
+        return lambda i: made.append((kind, i)) or kind(f"{kind.__name__} {i}")
+
+    checks = (np.array([False, True, False, True]), make(DimensionError)), (
+        np.array([False, True, True, False]), make(ContractError))
+    with pytest.raises(DimensionError, match="^DimensionError 1$") as refused:
+        numkit.refuse_rows(*checks)
+    verdicts = refused.value.verdicts
+    # each row's first check decides; a later check makes no error for it
+    assert [type(v).__name__ for v in verdicts] == ["NoneType", "DimensionError", "ContractError", "DimensionError"]
+    assert verdicts[1] is refused.value and sorted(made, key=str) == sorted(
+        [(DimensionError, 1), (DimensionError, 3), (ContractError, 2)], key=str)
+    # raise_first is the same refusal from a list of verdicts
+    with pytest.raises(ContractError) as first:
+        numkit.raise_first(verdicts[2:])
+    assert first.value is verdicts[2] and first.value.verdicts == verdicts[2:]
+    numkit.raise_first([None, None])

@@ -21,21 +21,7 @@ from lapbel.cli import main
 from lapbel.constraint_core import ScalarField, linear_field, polynomial_field
 from lapbel.errors import ContractError, DimensionError, LapbelError, NumericalError
 from lapbel.verify import random_polynomial_field, random_symmetric
-
-REPORT_KEYS = ("value", "sigma", "trace_main", "trace_constraint", "frame_gram_condition")
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def same_outcome(a, b) -> bool:
-    if isinstance(a, LapbelError) or isinstance(b, LapbelError):
-        return type(a) is type(b) and str(a) == str(b) and all(
-            getattr(a, key, None) == getattr(b, key, None) for key in ("residual", "condition")
-        )
-    return all(same_bits(getattr(a, key), getattr(b, key)) for key in REPORT_KEYS)
+from outcomes import same_bits, same_outcome
 
 
 def broken(f, gradient=False, asymmetric=False, raising=False):
