@@ -232,8 +232,10 @@ def _writable(a: np.ndarray) -> np.ndarray:
 
 def _shaped(a, shape: tuple, name: str) -> np.ndarray:
     """``a`` as a C-ordered float64 array, refused unless it has the given
-    shape; a scalar stays 0-d, and an array whose rows repeat one (row stride
-    0) stays a view."""
+    shape (None, which numpy reads as nan, is refused); a scalar stays 0-d,
+    and an array whose rows repeat one (row stride 0) stays a view."""
+    if a is None:
+        raise DimensionError(f"{name} is None, expected shape {shape}")
     a = np.asarray(a, dtype=float)
     if a.shape != shape:
         raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")

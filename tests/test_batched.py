@@ -10,6 +10,7 @@ import json
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -448,6 +449,33 @@ def test_a_per_point_value_of_the_wrong_shape_is_refused(result):
     cons = ConstraintSet(3, (norm,), [1.0])
     records = evaluate_points(linear_field([1.0, 2.0, 3.0]), cons, None, np.eye(3))
     assert [str(r) for r in records] == ["value has shape (1,), expected ()"] * 3
+
+
+@pytest.mark.parametrize("form, shape", [("value", "()"), ("gradient", "(3,)"), ("hessian", "(3, 3)")])
+def test_a_per_point_form_that_returns_none_is_refused_on_its_row(form, shape):
+    # numpy reads None as nan: a constraint value of None was a residual of
+    # nan, which blamed the point; the shape rule now refuses it, naming the form
+    forms = {"value_fn": lambda u: u @ u, "gradient_fn": lambda u: 2.0 * u,
+             "hessian_fn": lambda u: 2.0 * np.eye(3)}
+    given = forms[f"{form}_fn"]
+    forms[f"{form}_fn"] = lambda u: None if u[1] == 1.0 else given(u)
+    norm = ScalarField(3, **forms)
+    X, message = np.eye(3), re.escape(f"{form} is None, expected shape {shape}")
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        getattr(norm, f"{form}s")(X)
+    sphere_set = sphere.sphere_constraint_set(3, 1.0)
+    cases = [(linear_field([1.0, 2.0, 3.0]), ConstraintSet(3, (norm,), [1.0]))]
+    if form != "value":  # the evaluator reads no field value
+        cases.append((norm, sphere_set))
+    for f, cons in cases:
+        records = evaluate_points(f, cons, None, X)
+        assert isinstance(records[1], DimensionError) and re.fullmatch(message, str(records[1]))
+        assert not any(isinstance(records[i], LapbelError) for i in (0, 2))
+        single = [outcome(lambda: laplace_beltrami_general(f, cons, None, x)) for x in X]
+        assert all(map(same_outcome, records, single))
+    # a number numpy converts, such as an mpmath mpf, is still a value
+    mpf = ScalarField(3, lambda u: mpmath.mpf(1) / 4, lambda u: 2.0 * u, lambda u: 2.0 * np.eye(3))
+    assert mpf.value([1.0, 0.0, 0.0]) == 0.25
 
 
 # -- evaluate_points against the per-point evaluator ------------------------
