@@ -252,11 +252,12 @@ def _sample_field(sample, index: int, ambient_dim: int) -> core.ScalarField:
             f"{where}.hessian has shape {hessian.shape}, expected "
             f"{(ambient_dim, ambient_dim)}"
         )
+    # the sample at every point, as read-only views of its arrays
     return core.ScalarField(
         dim=ambient_dim,
-        value_fn=lambda u: value,
-        gradient_fn=lambda u: gradient.copy(),
-        hessian_fn=lambda u: hessian.copy(),
+        values_fn=core._repeated(np.asarray(value)),
+        gradients_fn=core._repeated(gradient),
+        hessians_fn=core._repeated(hessian),
         provenance="external",
     )
 

@@ -303,6 +303,37 @@ def test_eval_external_samples(capsys, tmp_path):
     assert abs(records[0]["value"] - (-2.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("path", ["closed-form", "general-frame"])
+def test_each_sample_field_reads_its_arrays_with_one_shape_check_per_row(capsys, tmp_path, monkeypatch, path):
+    # a sample's field is its value, gradient and Hessian repeated by stacked
+    # forms, with no per-point forms lifted into row loops that each check
+    # the shape of the row again: one check per row and derivative read
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((6, 3))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    samples = []
+    for x in X:
+        H = rng.standard_normal((3, 3))
+        samples.append({"value": float(x[0]), "gradient": rng.standard_normal(3).tolist(),
+                        "hessian": {"rows": 3, "cols": 3, "data": (H + H.T).ravel().tolist()}})
+    job = {"manifold": {"type": "sphere", "n": 3, "radius": 1.0}, "options": {"path": path},
+           "function": {"type": "external-samples", "samples": samples}, "points": X.tolist()}
+    built = []
+    sample_field = cli._sample_field
+    monkeypatch.setattr(cli, "_sample_field", lambda *args: built.append(sample_field(*args)) or built[-1])
+    checks = []
+    shaped = cli.core._shaped
+    monkeypatch.setattr(cli.core, "_shaped", lambda a, *args: checks.append(args) or shaped(a, *args))
+    code, records, _ = eval_records(capsys, tmp_path, job)
+    assert code == 0 and len(records) == len(X)
+    assert len(checks) == 2 * len(X)  # one gradient and one Hessian stack per row
+    for field, sample, x in zip(built, samples, X):
+        gradients = field.gradients_fn(np.stack([x, x]))
+        assert gradients.strides[0] == 0 and not gradients.flags.writeable
+        assert gradients[1].tolist() == sample["gradient"] and field.value(x) == sample["value"]
+        assert field.hessian(x).ravel().tolist() == sample["hessian"]["data"]
+
+
 def test_eval_external_samples_must_align(capsys, tmp_path):
     job = {
         "manifold": {"type": "sphere", "n": 3, "radius": 1.0},
