@@ -21,6 +21,7 @@ from lapbel.constraint_core import (
     AdaptedFrame,
     BlockProductSet,
     ConstraintSet,
+    LaplacianReport,
     ScalarField,
     _gradient_qrs,
     _hessians_at,
@@ -39,7 +40,9 @@ from lapbel.errors import (
     DimensionError,
     DomainError,
     LapbelError,
+    NumericalError,
     RegularityError,
+    SingularityError,
 )
 from lapbel.numkit import Tolerances
 from lapbel.verify import _SALT_ORACLE, _rng, random_polynomial_field, random_symmetric
@@ -832,6 +835,159 @@ def test_a_frame_refusal_stays_on_its_rows():
     assert [i for i, r in enumerate(records) if isinstance(r, DomainError)] == [2, 5]
     assert str(records[2]) != str(records[5])
     assert str(records[2]).startswith("matrix is not orthogonal: max |U^t U - I| =")
+
+
+# The stages that refuse rows, and the tag (the third coordinate) of the rows
+# that staged_case refuses at each.
+STAGE_TAGS = {"admission": 1.0, "rank": 2.0, "gradient": 3.0, "frame": 4.0, "hessian": 5.0, "assembly": 6.0}
+
+
+def staged_case(calls):
+    """The plane u_0 = 0 in R^3, a field and a frame, each derivative and the
+    frame counted in ``calls`` as (name, rows), that refuse a row at the stage
+    its third coordinate tags (STAGE_TAGS): the admission tag sits off the
+    plane, and the others make the constraint gradient zero, the field
+    gradient infinite, the frame refuse the row, the field Hessian
+    asymmetric, or its trace overflow."""
+
+    def counted(name, derivative):
+        return lambda X: (calls.append((name, len(X))), derivative(X))[1]
+
+    def tagged(X, stage):
+        return X[:, 2] == STAGE_TAGS[stage]
+
+    def plane_gradients(X):
+        G = np.zeros(X.shape)
+        G[:, 0] = np.where(tagged(X, "rank"), 0.0, 1.0)
+        return G
+
+    def gradients(X):
+        G = np.stack([X[:, 1], 2.0 * X[:, 1], X[:, 2]], axis=1)
+        G[tagged(X, "gradient"), 1] = np.inf
+        return G
+
+    def hessians(X):
+        H = np.zeros((len(X), 3, 3))
+        H[:, 1, 1] = 2.0 + X[:, 1]
+        H[tagged(X, "hessian"), 1, 2] = 1.0
+        H[tagged(X, "assembly"), 2, 2] = 1e308
+        H[tagged(X, "assembly"), 1, 1] = 1e308
+        return H
+
+    def frames(X):
+        numkit.refuse_rows((tagged(X, "frame"), lambda i: DomainError(f"the frame refuses {X[i, 1]:.3f}")))
+        return np.tile(np.eye(3)[:, 1:], (len(X), 1, 1))
+
+    plane = ScalarField(3, values_fn=counted("values", lambda X: X[:, 0].copy()),
+                        gradients_fn=plane_gradients, hessians_fn=lambda X: np.zeros((len(X), 3, 3)))
+    f = ScalarField(3, values_fn=lambda X: X[:, 1] ** 2, gradients_fn=counted("gradients", gradients),
+                    hessians_fn=counted("hessians", hessians))
+    return ConstraintSet(3, (plane,), [0.0]), f, AdaptedFrame(counted("frame", frames))
+
+
+def staged_points(tags, rng):
+    """One point per tag: off the plane for the admission tag, else on it."""
+    tags = np.asarray(tags, dtype=float)
+    return np.stack([(tags == STAGE_TAGS["admission"]).astype(float), rng.uniform(-1.0, 1.0, len(tags)), tags], 1)
+
+
+STAGE_ERRORS = {"admission": DomainError, "rank": RegularityError, "gradient": DimensionError,
+                "frame": DomainError, "hessian": ContractError, "assembly": NumericalError}
+
+
+def test_a_chunk_takes_one_more_pass_per_stage_that_refuses_rows():
+    # rows refused at each stage, in one chunk: each stage files its rows'
+    # errors and the chunk runs again on the rows left, so seven passes
+    calls = []
+    cons, f, frame = staged_case(calls)
+    tags = [0, 1, 2, 0, 3, 4, 0, 5, 6, 0, 1, 4, 6, 0]
+    X = staged_points(tags, np.random.default_rng(21))
+    records = evaluate_points(f, cons, frame, X)
+    passes = [rows for name, rows in calls if name == "values"]
+    assert passes == [14, 12, 11, 10, 8, 7, 5]  # one pass per refusing stage, plus one
+    counts = {name: sum(1 for n, _ in calls if n == name) for name in ("gradients", "frame", "hessians")}
+    assert counts == {"gradients": 5, "frame": 4, "hessians": 3}
+    stage_of = {tag: stage for stage, tag in STAGE_TAGS.items()}
+    for tag, record in zip(tags, records):
+        expected = STAGE_ERRORS[stage_of[tag]] if tag else LaplacianReport
+        assert type(record) is expected, (tag, record)
+    single = [outcome(lambda: laplace_beltrami_general(f, cons, frame, x)) for x in X]
+    assert all(map(same_outcome, records, single))
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_TAGS))
+def test_a_chunk_whose_rows_are_all_refused_at_one_stage_takes_one_pass(stage):
+    calls = []
+    cons, f, frame = staged_case(calls)
+    X = staged_points([STAGE_TAGS[stage]] * 9, np.random.default_rng(22))
+    records = evaluate_points(f, cons, frame, X)
+    assert [rows for name, rows in calls if name == "values"] == [9]
+    assert all(type(r) is STAGE_ERRORS[stage] for r in records)
+    single = [outcome(lambda: laplace_beltrami_general(f, cons, frame, x)) for x in X]
+    assert all(map(same_outcome, records, single))
+
+
+def test_a_raise_without_verdicts_is_isolated_by_halving():
+    # a field callable that refuses its whole stack: the chunk is halved down
+    # to the row that raises, and every other row is evaluated in one piece
+    calls = []
+    cons, f, frame = staged_case(calls)
+    X = staged_points([0] * 16, np.random.default_rng(23))
+
+    def gradients(U):
+        calls.append(len(U))
+        if any(np.array_equal(u, X[5]) for u in U):
+            raise NumericalError("this field refuses any stack with row 5")
+        return f.gradients(U)
+
+    g = ScalarField(3, values_fn=f.values_fn, gradients_fn=gradients, hessians_fn=f.hessians_fn)
+    calls.clear()
+    records = evaluate_points(g, cons, frame, X)
+    # depth first: rows 0-7, 0-3, 4-7, 4-5, 4, 5, 6-7, then 8-15
+    assert [n for n in calls if isinstance(n, int)] == [16, 8, 4, 4, 2, 1, 1, 2, 8]
+    assert [i for i, r in enumerate(records) if isinstance(r, LapbelError)] == [5]
+    single = [outcome(lambda: laplace_beltrami_general(g, cons, frame, x)) for x in X]
+    assert all(map(same_outcome, records, single))
+
+
+def test_a_filed_error_keeps_its_type_message_and_numbers_but_no_traceback_or_verdicts():
+    # a record keeps no traceback, so it pins none of the chunk's arrays
+    rng = np.random.default_rng(24)
+    cons, f, frame = staged_case([])
+    X = staged_points([0, 1, 0, 4, 1, 0], rng)
+
+    def frames(U):
+        T = frame.at(U)
+        T[U[:, 1] > 0.5, 2, 1] = 1e-7  # Gram condition 1e14
+        return T
+
+    X[2, 1] = 0.9
+    conditioned = AdaptedFrame(frames)
+    n = 4
+    P = rng.standard_normal((6, n))
+    P[[1, 4], 0] = 1e-12 * np.array([1.0, -1.0])  # no chart excluding coordinate 0
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    g = random_polynomial_field(rng, n, degree=2)
+    raising = ScalarField(3, values_fn=f.values_fn, hessians_fn=f.hessians_fn,
+                          gradients_fn=lambda U: (_ for _ in ()).throw(NumericalError("no gradients")))
+    cases = [
+        (evaluate_points(f, cons, conditioned, X),
+         [outcome(lambda: laplace_beltrami_general(f, cons, conditioned, x)) for x in X]),
+        (sphere.sphere_reports(g, P, 1.0, excluded_index=0),
+         [outcome(lambda: sphere.sphere_report(g, sphere.SpherePoint(p, 1.0), 0)) for p in P]),
+        (evaluate_points(raising, cons, frame, X[[0, 2, 5]]),
+         [NumericalError("no gradients")] * 3),
+    ]
+    kinds = set()
+    for records, expected in cases:
+        assert all(map(same_outcome, records, expected))
+        for record in records:
+            if isinstance(record, LapbelError):
+                kinds.add(type(record))
+                assert record.__traceback__ is None and "verdicts" not in vars(record)
+    assert {DomainError, SingularityError, ChartError, NumericalError} <= kinds
+    assert cases[0][0][2].condition > 1e12 and cases[0][0][1].residual == 1.0
+    assert cases[1][0][1].suggested_index == int(np.argmax(np.abs(P[1])))
 
 
 def test_an_o20_general_point_builds_no_dense_constraint_hessians():
