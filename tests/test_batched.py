@@ -837,9 +837,11 @@ def test_a_frame_refusal_stays_on_its_rows():
     assert str(records[2]).startswith("matrix is not orthogonal: max |U^t U - I| =")
 
 
-# The stages that refuse rows, and the tag (the third coordinate) of the rows
-# that staged_case refuses at each.
+# The stages that refuse rows: the tag (the third coordinate) of the rows
+# that staged_case refuses at each, and the error each gives them.
 STAGE_TAGS = {"admission": 1.0, "rank": 2.0, "gradient": 3.0, "frame": 4.0, "hessian": 5.0, "assembly": 6.0}
+STAGE_ERRORS = {"admission": DomainError, "rank": RegularityError, "gradient": DimensionError,
+                "frame": DomainError, "hessian": ContractError, "assembly": NumericalError}
 
 
 def staged_case(calls):
@@ -889,10 +891,6 @@ def staged_points(tags, rng):
     """One point per tag: off the plane for the admission tag, else on it."""
     tags = np.asarray(tags, dtype=float)
     return np.stack([(tags == STAGE_TAGS["admission"]).astype(float), rng.uniform(-1.0, 1.0, len(tags)), tags], 1)
-
-
-STAGE_ERRORS = {"admission": DomainError, "rank": RegularityError, "gradient": DimensionError,
-                "frame": DomainError, "hessian": ContractError, "assembly": NumericalError}
 
 
 def test_a_chunk_takes_one_more_pass_per_stage_that_refuses_rows():
@@ -955,28 +953,28 @@ def test_a_filed_error_keeps_its_type_message_and_numbers_but_no_traceback_or_ve
     rng = np.random.default_rng(24)
     cons, f, frame = staged_case([])
     X = staged_points([0, 1, 0, 4, 1, 0], rng)
+    X[2, 1] = 0.9
 
-    def frames(U):
+    def ill_conditioned(U):  # Gram condition 1e14 where u_1 > 0.5
         T = frame.at(U)
-        T[U[:, 1] > 0.5, 2, 1] = 1e-7  # Gram condition 1e14
+        T[U[:, 1] > 0.5, 2, 1] = 1e-7
         return T
 
-    X[2, 1] = 0.9
-    conditioned = AdaptedFrame(frames)
-    n = 4
-    P = rng.standard_normal((6, n))
+    def no_gradients(U):
+        raise NumericalError("no gradients")
+
+    P = rng.standard_normal((6, 4))
     P[[1, 4], 0] = 1e-12 * np.array([1.0, -1.0])  # no chart excluding coordinate 0
     P /= np.linalg.norm(P, axis=1, keepdims=True)
-    g = random_polynomial_field(rng, n, degree=2)
-    raising = ScalarField(3, values_fn=f.values_fn, hessians_fn=f.hessians_fn,
-                          gradients_fn=lambda U: (_ for _ in ()).throw(NumericalError("no gradients")))
+    g = random_polynomial_field(rng, 4, degree=2)
+    raising = ScalarField(3, values_fn=f.values_fn, gradients_fn=no_gradients, hessians_fn=f.hessians_fn)
+    conditioned = AdaptedFrame(ill_conditioned)
     cases = [
         (evaluate_points(f, cons, conditioned, X),
          [outcome(lambda: laplace_beltrami_general(f, cons, conditioned, x)) for x in X]),
         (sphere.sphere_reports(g, P, 1.0, excluded_index=0),
          [outcome(lambda: sphere.sphere_report(g, sphere.SpherePoint(p, 1.0), 0)) for p in P]),
-        (evaluate_points(raising, cons, frame, X[[0, 2, 5]]),
-         [NumericalError("no gradients")] * 3),
+        (evaluate_points(raising, cons, frame, X[[0, 2, 5]]), [NumericalError("no gradients")] * 3),
     ]
     kinds = set()
     for records, expected in cases:
@@ -986,7 +984,7 @@ def test_a_filed_error_keeps_its_type_message_and_numbers_but_no_traceback_or_ve
                 kinds.add(type(record))
                 assert record.__traceback__ is None and "verdicts" not in vars(record)
     assert {DomainError, SingularityError, ChartError, NumericalError} <= kinds
-    assert cases[0][0][2].condition > 1e12 and cases[0][0][1].residual == 1.0
+    assert cases[0][0][1].residual == 1.0 and cases[0][0][2].condition > 1e12
     assert cases[1][0][1].suggested_index == int(np.argmax(np.abs(P[1])))
 
 

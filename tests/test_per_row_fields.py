@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from lapbel import constraint_core, orthogonal, sphere
 from lapbel.cli import main
 from lapbel.constraint_core import ScalarField, linear_field, polynomial_field
-from lapbel.errors import ContractError, DimensionError, LapbelError, NumericalError
+from lapbel.errors import ContractError, DimensionError, NumericalError
 from lapbel.verify import random_polynomial_field, random_symmetric
-from outcomes import same_bits, same_outcome
+from outcomes import same_outcome
 
 
 def broken(f, gradient=False, asymmetric=False, raising=False):

@@ -20,11 +20,10 @@ from lapbel.errors import (
     ContractError,
     DimensionError,
     DomainError,
-    LapbelError,
     NumericalError,
 )
 from lapbel.verify import random_polynomial_field, random_symmetric
-from outcomes import outcome, same_bits, same_outcome
+from outcomes import outcome, same_outcome
 
 
 def poisoned(f, gradient_at=(), asymmetric_at=(), nan_hessian_at=()):
