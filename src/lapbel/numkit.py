@@ -173,7 +173,8 @@ def refuse_rows(*checks) -> None:
     verdicts = [None] * len(checks[0][0])
     for bad, make in checks:
         for i in np.flatnonzero(bad):
-            verdicts[i] = verdicts[i] or make(i)
+            if verdicts[i] is None:
+                verdicts[i] = make(i)
     raise_first(verdicts)
 
 
