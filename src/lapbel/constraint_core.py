@@ -264,6 +264,11 @@ def _finite(A: np.ndarray, name: str) -> np.ndarray:
     return A
 
 
+def _refuse_all(rows: int, message: str) -> None:
+    """Refuse every one of ``rows`` rows with DimensionError(message)."""
+    numkit.refuse_rows((np.ones(rows, dtype=bool), lambda i: DimensionError(message)))
+
+
 def _hessians_at(fields, X: np.ndarray) -> np.ndarray:
     """The (N, k, m, m) Hessians of ``fields`` at the rows of X, checked by
     :func:`_checked_hessians`."""
@@ -819,7 +824,8 @@ class AdaptedFrame(Frozen):
     def at(self, U) -> np.ndarray:
         """The checked frames at the rows of the (N, m) stack ``U``, or the
         one frame at the point ``U``, the one-row case: a stack of the wrong
-        shape is refused as a whole, a non-finite frame on its row."""
+        frame count is refused as a whole, a non-finite frame on its row, and
+        frames of the wrong shape on every row."""
         point = np.ndim(U) == 1
         U = as_vector(U, "frame point")[None] if point else as_matrix(U, "frame points")
         # C order, as the products of the traces round strided rows apart
@@ -830,13 +836,9 @@ class AdaptedFrame(Frozen):
             )
         _finite(T, "frame matrix")
         if T.shape[1] != U.shape[1]:
-            raise DimensionError(
-                f"frame has {T.shape[1]} rows, expected {U.shape[1]}"
-            )
+            _refuse_all(len(U), f"frame has {T.shape[1]} rows, expected {U.shape[1]}")
         if T.shape[2] >= T.shape[1]:
-            raise DimensionError(
-                f"frame must have fewer columns than rows, got {T.shape[1:]}"
-            )
+            _refuse_all(len(U), f"frame must have fewer columns than rows, got {T.shape[1:]}")
         return T[0] if point else T
 
 
@@ -1080,10 +1082,8 @@ def _evaluate_stack(constraints, frame, tols, fields, X) -> list:
     else:
         T = frame.at(X)
         if T.shape[2] != m - k:
-            raise DimensionError(
-                f"frame supplies {T.shape[2]} tangent directions, expected "
-                f"{m - k} (ambient {m} minus {k} constraints)"
-            )
+            _refuse_all(len(X), f"frame supplies {T.shape[2]} tangent directions, expected "
+                        f"{m - k} (ambient {m} minus {k} constraints)")
         Q, _, cond = numkit.frame_qrs(T, tols.condition_limit)
 
     trace_main = _projected_traces(_field_hessians(fields, X), Q, normal)[:, 0]

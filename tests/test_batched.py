@@ -625,6 +625,37 @@ def test_the_frame_provider_sees_only_admitted_rows_once_per_chunk(monkeypatch):
     assert len(seen) == 3 and same_bits(np.concatenate(seen), X[admitted])
 
 
+WRONG_FRAME_SHAPES = {
+    "too few columns": (
+        lambda T: T[:, :, :1],
+        "frame supplies 1 tangent directions, expected 2 (ambient 3 minus 1 constraints)",
+    ),
+    "too many rows": (lambda T: np.concatenate([T, T[:, :1]], axis=1), "frame has 4 rows, expected 3"),
+    "square": (
+        lambda T: np.concatenate([T, T[:, :, :1]], axis=2),
+        "frame must have fewer columns than rows, got (3, 3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("reshape, message", WRONG_FRAME_SHAPES.values(), ids=WRONG_FRAME_SHAPES.keys())
+def test_frames_of_the_wrong_shape_refuse_every_row_in_one_provider_call_per_chunk(monkeypatch, reshape, message):
+    calls = []
+    inner = sphere.sphere_adapted_frame(1.0)
+
+    def provider(U):
+        calls.append(len(U))
+        return reshape(inner.at(U))
+
+    X = np.random.default_rng(5).standard_normal((2000, 3))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    f = random_polynomial_field(np.random.default_rng(6), 3, degree=3)
+    monkeypatch.setattr(constraint_core, "_CHUNK_BYTES", 500 * 8 * 9)  # chunks of 500 rows
+    records = evaluate_points(f, sphere.sphere_constraint_set(3, 1.0), AdaptedFrame(provider), X)
+    assert calls == [500] * 4
+    assert all(type(record) is DimensionError and str(record) == message for record in records)
+
+
 # -- stacked frames against independent references ----------------------------
 
 
