@@ -330,6 +330,8 @@ def _exponent_row(p, idx: int) -> np.ndarray:
     whole number int64 can hold (nothing is truncated or wrapped)."""
     try:
         raw = np.asarray(p)
+        if raw.dtype.kind == "i":  # signed integers: only other input takes the float checks
+            return raw.astype(np.int64)
         values = raw.astype(float)
     except OverflowError:  # an integer beyond the double range: too large below
         values = np.array([math.inf])

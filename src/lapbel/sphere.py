@@ -20,7 +20,11 @@ from .constraint_core import (
     LaplacianReport,
     ScalarField,
     _admit_blocks,
+    _by_field,
     _closed_form,
+    _field_gradients,
+    _field_hessians,
+    _in_chunks,
     _only,
     block_product_set,
 )
@@ -140,13 +144,23 @@ def sphere_laplacian(f: ScalarField, point: SpherePoint) -> float:
     Equals the ambient Laplacian minus (n-1)/R^2 times the radial derivative
     minus the radial Hessian quadratic form over R^2.
     """
-    x = point.coords
-    Rsq = point.radius**2
-    g = f.gradient(x)
-    H = f.hessian(x)
-    return float(
-        np.trace(H) - (point.n - 1) / Rsq * (x @ g) - (x @ H @ x) / Rsq
-    )
+    return _only(_sphere_laplacians(f, f._check_point(point.coords)[None], point.radius))
+
+
+def _sphere_laplacians(f, X: np.ndarray, radius: float) -> list:
+    """:func:`sphere_laplacian`, its one-row case, of ``f`` (one field, or one
+    per row) at the rows of the sphere points X: per row a float, or the error
+    that refuses the row. The reference keeps its own arithmetic; each product
+    is a stacked matmul with the one-row bits."""
+    Rsq, n = radius**2, X.shape[1]
+
+    def stack(fields, X):
+        radial = np.matmul(X[:, None], _field_gradients(fields, X)[:, :, None])[:, 0, 0]
+        H = _field_hessians(fields, X)[:, 0]
+        quadratic = np.matmul(np.matmul(X[:, None], H), X[:, :, None])[:, 0, 0]
+        return (np.trace(H, axis1=1, axis2=2) - (n - 1) / Rsq * radial - quadratic / Rsq).tolist()
+
+    return _in_chunks(stack, f, X, 8 * n * n)
 
 
 def homogeneous_sphere_laplacian(f: ScalarField, degree: int, point: SpherePoint) -> float:
@@ -159,22 +173,32 @@ def homogeneous_sphere_laplacian(f: ScalarField, degree: int, point: SpherePoint
     k = int(degree)
     if k < 0:
         raise ContractError(f"homogeneity degree must be non-negative, got {k}")
-    x = f._check_point(point.coords)
-    # f(x), f(2x) and f(3x) from one stack, each refused as f.value refuses it
-    values = f.values(np.stack([x, 2.0 * x, 3.0 * x])).tolist()
-    f0 = values[0]
-    for t, value in zip((1.0, 2.0, 3.0), values):
-        if not math.isfinite(value):
-            raise DomainError("field value is not finite")
-        expected = t**k * f0
-        deviation = abs(value - expected)
-        if deviation > 1e-8 * max(1.0, abs(expected)):
-            raise ContractError(
-                f"field is not homogeneous of degree {k}: "
-                f"|f({t} x) - {t}^{k} f(x)| = {deviation:.3e}"
+    return _only(_homogeneous_sphere_laplacians(f, k, f._check_point(point.coords)[None], point.radius))
+
+
+def _homogeneous_sphere_laplacians(f, k: int, X: np.ndarray, radius: float) -> list:
+    """:func:`homogeneous_sphere_laplacian`, its one-row case, of degree k >= 0
+    at the rows of X, like :func:`_sphere_laplacians`: a row is refused at the
+    first t where f(t x) is not finite (DomainError) or not t^k f(x)
+    (ContractError), else by its Hessian."""
+    n, t = X.shape[1], np.array([1.0, 2.0, 3.0])
+    scale = np.float_power(t, k)  # libm pow, the bits of the scalar t**k
+    message = f"field is not homogeneous of degree {k}: |f({{0}} x) - {{0}}^{k} f(x)| = {{1:.3e}}"
+
+    def stack(fields, X):
+        # f(x), f(2x) and f(3x) per row, each row with its field
+        values = np.stack([_by_field(ScalarField.values, fields, c * X) for c in t], axis=1)
+        expected = scale * values[:, :1]
+        deviation, tol = np.abs(values - expected), 1e-8 * np.maximum(1.0, np.abs(expected))
+        for j, c in enumerate(t):  # the rows left run again after each refusing t
+            refuse_rows(
+                (~np.isfinite(values[:, j]), lambda i: DomainError("field value is not finite")),
+                (deviation[:, j] > tol[:, j], lambda i: ContractError(message.format(c, deviation[i, j]))),
             )
-    ambient = float(np.trace(f.hessian(x)))
-    return ambient - k * (k + point.n - 2) / point.radius**2 * f0
+        ambient = np.trace(_field_hessians(fields, X)[:, 0], axis1=1, axis2=2)
+        return (ambient - k * (k + n - 2) / radius**2 * values[:, 0]).tolist()
+
+    return _in_chunks(stack, f, X, 8 * n * n)
 
 
 def _check_radius(radius: float) -> None:

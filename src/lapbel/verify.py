@@ -13,6 +13,7 @@ finite-difference estimates and derivative hygiene), and ``all``.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -94,9 +95,9 @@ def random_polynomial_field(rng, dim: int, degree: int = 4):
     degree at most ``degree`` and coefficients uniform in [-1, 1]."""
     rows = []
     for _ in range(8):
-        powers = np.zeros(dim, dtype=int)
+        powers = [0] * dim
         total = int(rng.integers(0, degree + 1))
-        support = rng.integers(0, dim, size=3)
+        support = rng.integers(0, dim, size=3).tolist()
         for _ in range(total):
             powers[support[rng.integers(0, 3)]] += 1
         rows.append((float(rng.uniform(-1.0, 1.0)), powers))
@@ -215,23 +216,18 @@ def suite_theorem_equivalence(ns, seeds: int, tol: float | None = None) -> list:
     sphere_eq = CheckRecord("sphere-general-vs-closed", _identity_tol(1e-8, tol))
     on_eq = CheckRecord("on-general-vs-closed", _identity_tol(1e-8, tol))
     for n in ns:
-        # each (n, radius) group's seeds take one general-path call and one
-        # closed-form driver call, one field per row; sphere_laplacian, the
-        # independent reference, stays per point
+        # each (n, seed) field serves both radii, their points drawn from copies of its generator;
+        # each (n, radius) group takes one stack per route and one of the reference, a field per row
+        draws = [_rng(_SALT_SPHERE_FIELDS, n, s) for s in range(seeds)]
+        fields = [random_polynomial_field(rng, n, degree=4) for rng in draws]
         for radius in _RADII:
-            fields, points = [], []
-            for s in range(seeds):
-                rng = _rng(_SALT_SPHERE_FIELDS, n, s)
-                fields.append(random_polynomial_field(rng, n, degree=4))
-                points.append(sphere.random_sphere_point(n, radius, rng))
-            X = np.stack([point.coords for point in points])
+            X = np.stack([sphere.random_sphere_point(n, radius, copy.deepcopy(rng)).coords for rng in draws])
             frame = sphere.sphere_adapted_frame(radius)
             general = core.evaluate_points(fields, sphere.sphere_constraint_set(n, radius), frame, X)
             driver = sphere.sphere_reports(fields, X, radius, tol=math.inf)  # admitted on construction
-            for f, point, *reports in zip(fields, points, general, driver):
-                closed = sphere.sphere_laplacian(f, point)
+            for closed, *reports in zip(sphere._sphere_laplacians(fields, X, radius), general, driver):
                 for report in reports:
-                    sphere_eq.see(core._only([report]).value - closed)
+                    sphere_eq.see(core._only([report]).value - core._only([closed]))
         fields = [random_polynomial_field(_rng(_SALT_ON_FIELDS, n, s), n * n) for s in range(seeds)]
         points = [orthogonal.random_orthogonal(n, _rng(_SALT_ON_POINTS, n, s)) for s in range(seeds)]
         X = np.stack([point.to_vector() for point in points])
@@ -239,8 +235,7 @@ def suite_theorem_equivalence(ns, seeds: int, tol: float | None = None) -> list:
         frame = orthogonal.on_adapted_frame()
         general = core.evaluate_points(fields, orthogonal.on_constraint_set(n), frame, X)
         for closed_report, report in zip(closed, general):
-            closed_value = core._only([closed_report]).value
-            on_eq.see(core._only([report]).value - closed_value)
+            on_eq.see(core._only([report]).value - core._only([closed_report]).value)
     return [sphere_eq, on_eq]
 
 
@@ -275,17 +270,20 @@ def suite_eigenfunctions(ns, seeds: int, tol: float | None = None) -> list:
             (core.polynomial_field(n, [(1.0, 2 * a), (-1.0, 2 * b)]), 2, quad_eigen),
         ]
         for radius in _RADII:
+            X, linears = np.empty((seeds, n)), []
             for s in range(seeds):
                 rng = _rng(_SALT_SPHERE_FIELDS, n, s)
-                point = sphere.random_sphere_point(n, radius, rng)
-                linear = core.linear_field(rng.uniform(-1.0, 1.0, size=n))
-                for field, degree, check in [(linear, 1, linear_eigen), *harmonics]:
-                    laplacian = sphere.sphere_laplacian(field, point)
-                    eigenvalue = degree * (degree + n - 2) / radius**2
-                    check.see(laplacian + eigenvalue * field.value(point.coords))
-                    homog.see(
-                        sphere.homogeneous_sphere_laplacian(field, degree, point) - laplacian
-                    )
+                X[s] = sphere.random_sphere_point(n, radius, rng).coords
+                linears.append(core.linear_field(rng.uniform(-1.0, 1.0, size=n)))
+            # each field (one per seed, or one shared) takes one stack per reference
+            for field, degree, check in [(linears, 1, linear_eigen), *harmonics]:
+                eigenvalue = degree * (degree + n - 2) / radius**2
+                laplacians = sphere._sphere_laplacians(field, X, radius)
+                shortcuts = sphere._homogeneous_sphere_laplacians(field, degree, X, radius)
+                for f, x, laplacian, shortcut in zip(core._per_row(field, len(X)), X, laplacians, shortcuts):
+                    laplacian = core._only([laplacian])
+                    check.see(laplacian + eigenvalue * f.value(x))
+                    homog.see(core._only([shortcut]) - laplacian)
     return [p1_eigen, combo_eigen, linear_eigen, quad_eigen, homog]
 
 
@@ -306,17 +304,18 @@ def suite_oracle(
     grad_config = oracles.OracleConfig(step=1e-5)
     hess_config = oracles.OracleConfig(step=1e-3)
     for n in ns:
+        fields, X, estimates = [], np.empty((seeds, n)), []
         for s in range(seeds):
             rng = _rng(_SALT_ORACLE, n, s)
             point = sphere.random_sphere_point(n, 1.0, rng)
-            f = random_polynomial_field(rng, n, degree=4)
-            sphere_geo.see(
-                oracles.geodesic_laplacian_sphere(f, point, config)
-                - sphere.sphere_laplacian(f, point)
-            )
+            fields.append(random_polynomial_field(rng, n, degree=4))
+            X[s] = point.coords
+            estimates.append(oracles.geodesic_laplacian_sphere(fields[-1], point, config))
             U = orthogonal.random_orthogonal(n, rng)
             for field, closed in _on_cases(rng, n, U):
                 on_geo.see(oracles.geodesic_laplacian_on(field, U, config) - closed)
+        for estimate, closed in zip(estimates, sphere._sphere_laplacians(fields, X, 1.0)):
+            sphere_geo.see(estimate - core._only([closed]))
         # Convergence is checked at a truncation-dominated step regardless
         # of the requested h: halving the step must cut the error by about
         # four; |ratio - 4| <= 1 is the [3, 5] window.

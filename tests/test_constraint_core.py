@@ -1,5 +1,8 @@
 """Tests for scalar fields, constraint sets, and the general evaluator."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +12,7 @@ from lapbel.constraint_core import (
     ConstraintSet,
     LaplacianReport,
     ScalarField,
+    _exponent_row,
     _hessians_at,
     block_product_field,
     constant_field,
@@ -31,6 +35,7 @@ from lapbel.errors import (
 from lapbel.numkit import Tolerances
 from lapbel.orthogonal import brockett_field, on_laplacians, p2_field, random_orthogonal
 from lapbel.sphere import sphere_reports
+from outcomes import outcome
 
 
 def sphere_constraints(dim=3, radius=1.0):
@@ -203,6 +208,57 @@ def test_polynomial_accepts_integral_float_exponents():
     g = polynomial_field(2, [(1.0, (2, 1))])
     assert f.value(u) == g.value(u)
     assert np.array_equal(f.hessian(u), g.hessian(u))
+
+
+def reference_exponent_row(p, idx):
+    """The exponent parse before signed integers got their early return:
+    every row through the float checks."""
+    try:
+        raw = np.asarray(p)
+        values = raw.astype(float)
+    except OverflowError:
+        values = np.array([math.inf])
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"term {idx} has an exponent that is not a number") from exc
+    if np.any(np.isnan(values) | (values != np.trunc(values))):
+        raise ContractError(f"term {idx} has an exponent that is not an integer")
+    if np.any(np.abs(values) >= 2.0**63):
+        raise ContractError(f"term {idx} has an exponent too large for int64")
+    return (raw if raw.dtype.kind in "iu" else values).astype(np.int64)
+
+
+EXPONENT_ROWS = {
+    **{np.dtype(t).name: np.array([2, 0, 1], dtype=t) for t in (np.int8, np.int16, np.int32, np.int64)},
+    "python ints": [2, 0, 1],
+    "bools": [True, False, True],
+    "float 2.0": [2.0, 0, 1],
+    "float 2.5": [2.5, 0, 1],
+    "minus one": [-1, 0, 1],
+    "uint64 2^63": np.array([2**63, 0, 1], dtype=np.uint64),
+    "python 2^63": [2**63, 0, 1],
+    "python 10^400": [10**400, 0, 1],
+    "string": ["ab", 0, 1],
+}
+
+
+@pytest.mark.parametrize("row", EXPONENT_ROWS.values(), ids=EXPONENT_ROWS.keys())
+def test_the_exponent_parse_keeps_its_outcome_and_message(row):
+    got, want = outcome(lambda: _exponent_row(row, 4)), outcome(lambda: reference_exponent_row(row, 4))
+    assert type(got) is type(want)
+    if isinstance(want, ContractError):
+        assert str(got) == str(want)
+        with pytest.raises(ContractError, match=f"^{re.escape(str(want))}$"):
+            polynomial_field(3, [(1.0, (0, 0, 0))] * 4 + [(1.0, row)])
+    else:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_a_signed_integer_row_is_taken_as_int64_holds_it():
+    # the float checks refused these though int64 holds them: 2^63 - 1 rounds up to 2^63
+    edge = np.array([2**63 - 1, 0, -(2**63)], dtype=np.int64)
+    assert np.array_equal(_exponent_row(edge, 0), edge)
+    with pytest.raises(ContractError, match="term 0 has an exponent too large for int64"):
+        reference_exponent_row(edge, 0)
 
 
 def reference_polynomial_derivatives(dim, terms, u):

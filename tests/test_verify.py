@@ -2,9 +2,12 @@
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
+from lapbel import constraint_core as core
+from lapbel.constraint_core import ScalarField
 from lapbel.errors import ContractError, ValidationError
 from lapbel.verify import SUITES, CheckRecord, run_suite
 
@@ -121,3 +124,28 @@ def test_finite_deviations_keep_the_worst_absolute_value():
     check.see_matrix([[0.25, -0.75]])
     check.see(0.1)
     assert check.to_dict() == {"name": "x", "max_deviation": 0.75, "tolerance": 1.0, "pass": True}
+
+
+def test_verify_all_keeps_its_field_builds_and_one_row_derivative_calls(monkeypatch):
+    # Upper bounds on the work of ``verify all --n 2..5``, counted without a
+    # clock: each (n, seed) sphere field is built once for both radii, and
+    # the sphere references take one stack per group, not one call per point.
+    counts = Counter()
+
+    def counted(name, call, one_row=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            counts[name] += one_row(*args)
+            return call(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "polynomial_field", counted("builds", core.polynomial_field))
+    for method in ("gradient", "hessian"):
+        monkeypatch.setattr(ScalarField, method, counted(method, getattr(ScalarField, method)))
+    for method in ("gradients", "hessians"):
+        call = getattr(ScalarField, method)
+        monkeypatch.setattr(ScalarField, method, counted(method, call, lambda f, X: len(X) == 1))
+    assert run_suite("all", range(2, 6)).passed
+    assert counts["builds"] <= 72
+    assert counts["gradient"] == counts["hessian"] == 0
+    assert counts["gradients"] <= 574 and counts["hessians"] <= 614
