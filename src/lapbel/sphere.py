@@ -148,10 +148,9 @@ def sphere_laplacian(f: ScalarField, point: SpherePoint) -> float:
 
 
 def _sphere_laplacians(f, X: np.ndarray, radius: float) -> list:
-    """:func:`sphere_laplacian`, its one-row case, of ``f`` (one field, or one
-    per row) at the rows of the sphere points X: per row a float, or the error
-    that refuses the row. The reference keeps its own arithmetic; each product
-    is a stacked matmul with the one-row bits."""
+    """The stacked :func:`sphere_laplacian` of ``f`` (one field, or one per row)
+    at the sphere points X: per row a float, or the error that refuses it. Its
+    own arithmetic, each product a stacked matmul with the one-row bits."""
     Rsq, n = radius**2, X.shape[1]
 
     def stack(fields, X):
@@ -177,10 +176,9 @@ def homogeneous_sphere_laplacian(f: ScalarField, degree: int, point: SpherePoint
 
 
 def _homogeneous_sphere_laplacians(f, k: int, X: np.ndarray, radius: float) -> list:
-    """:func:`homogeneous_sphere_laplacian`, its one-row case, of degree k >= 0
-    at the rows of X, like :func:`_sphere_laplacians`: a row is refused at the
-    first t where f(t x) is not finite (DomainError) or not t^k f(x)
-    (ContractError), else by its Hessian."""
+    """The stacked :func:`homogeneous_sphere_laplacian` of degree k >= 0, like
+    :func:`_sphere_laplacians`: a row is refused at the first t where f(t x) is
+    not finite (DomainError) or not t^k f(x) (ContractError), else by its Hessian."""
     n, t = X.shape[1], np.array([1.0, 2.0, 3.0])
     scale = np.float_power(t, k)  # libm pow, the bits of the scalar t**k
     message = f"field is not homogeneous of degree {k}: |f({{0}} x) - {{0}}^{k} f(x)| = {{1:.3e}}"

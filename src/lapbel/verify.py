@@ -13,7 +13,6 @@ finite-difference estimates and derivative hygiene), and ``all``.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -216,12 +215,15 @@ def suite_theorem_equivalence(ns, seeds: int, tol: float | None = None) -> list:
     sphere_eq = CheckRecord("sphere-general-vs-closed", _identity_tol(1e-8, tol))
     on_eq = CheckRecord("on-general-vs-closed", _identity_tol(1e-8, tol))
     for n in ns:
-        # each (n, seed) field serves both radii, their points drawn from copies of its generator;
-        # each (n, radius) group takes one stack per route and one of the reference, a field per row
+        # each (n, seed) field serves both radii, each radius drawing its points from the generator
+        # states the fields left; each (n, radius) group takes one stack per route and one of the reference
         draws = [_rng(_SALT_SPHERE_FIELDS, n, s) for s in range(seeds)]
         fields = [random_polynomial_field(rng, n, degree=4) for rng in draws]
+        states = [rng.bit_generator.state for rng in draws]
         for radius in _RADII:
-            X = np.stack([sphere.random_sphere_point(n, radius, copy.deepcopy(rng)).coords for rng in draws])
+            for rng, state in zip(draws, states):
+                rng.bit_generator.state = state
+            X = np.stack([sphere.random_sphere_point(n, radius, rng).coords for rng in draws])
             frame = sphere.sphere_adapted_frame(radius)
             general = core.evaluate_points(fields, sphere.sphere_constraint_set(n, radius), frame, X)
             driver = sphere.sphere_reports(fields, X, radius, tol=math.inf)  # admitted on construction
